@@ -8,7 +8,6 @@ a full evaluation, and inspect pruning state.
 import argparse
 import json
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,7 +16,8 @@ from .dataset import load_dataset, save_dataset
 from .net import load_checkpoint, save_checkpoint
 from .phantom import build_cohort
 from .roi import detect_roi, first_harmonic_map, radius_band
-from .train import TrainConfig, emit_report_csv, evaluate, predict_masks, train
+from .train import (TrainConfig, cine_box, emit_report_csv, evaluate, segment_frame,
+                    train)
 from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
 
 
@@ -81,8 +81,7 @@ def cmd_segment(args):
     if not 0 <= args.frame < vol.frames:
         raise SystemExit("frame %d outside cine with %d frames"
                          % (args.frame, vol.frames))
-    shim = SimpleNamespace(cine=vol, ed_frame=args.frame, es_frame=args.frame)
-    mask, _ = predict_masks(net, shim)
+    mask = segment_frame(net, vol, args.frame, cine_box(vol, net.config.input_size))
     save_volume(args.out, mask)
     counts = mask.class_counts()
     print("segmented frame %d: %s" % (

@@ -507,6 +507,13 @@ def load_checkpoint(path):
     dtype = np.dtype(manifest[0]["dtype"]) if manifest else np.float64
     net = build(config, rng=np.random.default_rng(0), dtype=dtype)
     arrays = dict(net.state_entries())
+    _require_names(path, "buffer", [item["name"] for item in manifest], list(arrays))
+    _require_names(path, "lg_stages key", list(header.get("lg_stages", {})),
+                   [lg.name for lg in net.lg_layers()])
+    flags, bns = header.get("bn_initialized", []), net.bn_modules()
+    if len(flags) != len(bns):
+        raise ValueError("checkpoint %s: bn_initialized has %d entries, expected %d"
+                         % (path, len(flags), len(bns)))
     offset = 0
     for item in manifest:
         dt = np.dtype(item["dtype"])
@@ -517,9 +524,6 @@ def load_checkpoint(path):
                              % (path, item["name"]))
         buf = np.frombuffer(blob[offset:end], dtype=dt).reshape(item["shape"])
         offset = end
-        if item["name"] not in arrays:
-            raise ValueError("checkpoint %s: unknown buffer %s"
-                             % (path, item["name"]))
         dst = arrays[item["name"]]
         if dst.shape != buf.shape:
             raise ValueError("checkpoint %s: %s has shape %s, expected %s"
@@ -530,6 +534,20 @@ def load_checkpoint(path):
     for lg in net.lg_layers():
         lg.stage = header["lg_stages"][lg.name]
         lg.history = header["history"].get(lg.name, [])
-    for bn, flag in zip(net.bn_modules(), header["bn_initialized"]):
+    for bn, flag in zip(bns, flags):
         bn.stats.initialized = flag
     return net, header
+
+
+def _require_names(path, kind, got, want):
+    """Raise ValueError naming the first unknown or repeated entry of `got`,
+    or the first entry of `want` that `got` lacks."""
+    known, seen = set(want), set()
+    for name in got:
+        if name not in known or name in seen:
+            raise ValueError("checkpoint %s: %s %s %s" % (
+                path, "duplicate" if name in seen else "unknown", kind, name))
+        seen.add(name)
+    for name in want:
+        if name not in seen:
+            raise ValueError("checkpoint %s: missing %s %s" % (path, kind, name))

@@ -8,7 +8,9 @@ backward closure; ``Tensor.backward`` replays them in reverse topological
 order.  The Adam optimizer and a central finite-difference gradient
 checker live here as well.
 
-Convolutions are im2col + GEMM so the heavy lifting stays inside BLAS.
+Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
+the input, then strided slice-adds of the tap planes; the adjoint
+scatter-add gives the transposed conv and both gradients.
 No general broadcasting: tensor-tensor arithmetic requires identical
 shapes, scalars are the only exception.
 """
@@ -298,66 +300,99 @@ def index_channels(x: Tensor, indices) -> Tensor:
 
 
 # -- convolution ------------------------------------------------------
+#
+# Tap (u, v) of a kh x kw kernel links narrow pixel (i, j) to frame pixel
+# (i*s + u - p, j*s + v - p).  For conv2d the frame is the input and the
+# narrow side the output; conv2d_transpose swaps the two.  One GEMM applies
+# every tap's channel matrix at once, then `_gather` / `_scatter` move the
+# per-tap planes between narrow and frame positions with strided slices.
+# Frame pixels outside [0, H) x [0, W) are the zero padding: never touched.
 
 
-def _pad2d(x, p, pw=None):
-    pw = p if pw is None else pw
-    if p == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (pw, pw)))
+def _tap_window(offset, stride, narrow, frame):
+    """(narrow slice, frame slice) along one axis linked by a tap offset,
+    or None when no in-range pixel pair exists."""
+    lo = max(0, -(offset // stride))
+    hi = min(narrow, (frame - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return None
+    return slice(lo, hi), slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride)
 
 
-def _dilate2d(x, s):
-    if s == 1:
-        return x
-    b, c, h, w = x.shape
-    out = np.zeros((b, c, (h - 1) * s + 1, (w - 1) * s + 1), dtype=x.dtype)
-    out[:, :, ::s, ::s] = x
+def _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
+    """Yield (tap index, narrow index, frame index) for every linking tap."""
+    for t, (u, v) in enumerate(np.ndindex(kh, kw)):
+        rows = _tap_window(u - padding, stride, narrow_hw[0], frame_hw[0])
+        cols = _tap_window(v - padding, stride, narrow_hw[1], frame_hw[1])
+        if rows and cols:
+            yield t, (Ellipsis, rows[0], cols[0]), (Ellipsis, rows[1], cols[1])
+
+
+def _gather(a, kh, kw, stride, padding, size):
+    """Frame to narrow side (shift-add); `size` is the narrow (h, w).
+
+    A (B,T,C,H,W) stack of per-tap frames is summed over taps into
+    (B,C,h,w); one (B,C,H,W) frame is read by every tap into (B,T,C,h,w).
+    Each form is the adjoint of `_scatter`'s other form.
+    """
+    per_tap = a.ndim == 5
+    b, c = a.shape[0], a.shape[-3]
+    out = np.zeros((b, c) + size if per_tap else (b, kh * kw, c) + size, dtype=a.dtype)
+    for t, narrow, frame in _tap_windows(kh, kw, stride, padding, size, a.shape[-2:]):
+        if per_tap:
+            out[narrow] += a[:, t][frame]
+        else:
+            out[:, t][narrow] = a[frame]
     return out
 
 
-def _im2col(xp, kh, kw, stride):
-    b, c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                       # (B,C,Ho,Wo,kh,kw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    return cols.reshape(b * ho * wo, c * kh * kw), ho, wo
+def _scatter(a, kh, kw, stride, padding, size):
+    """Narrow side to frame (scatter-add); `size` is the frame (H, W).
+
+    A (B,T,C,h,w) stack of per-tap planes is summed into one (B,C,H,W)
+    frame; one (B,C,h,w) plane is shifted to every tap's frame position
+    into (B,T,C,H,W).  Each form is the adjoint of `_gather`'s other form.
+    """
+    per_tap = a.ndim == 5
+    b, c = a.shape[0], a.shape[-3]
+    out = np.zeros((b, c) + size if per_tap else (b, kh * kw, c) + size, dtype=a.dtype)
+    for t, narrow, frame in _tap_windows(kh, kw, stride, padding, a.shape[-2:], size):
+        if per_tap:
+            out[frame] += a[:, t][narrow]
+        else:
+            out[:, t][frame] = a[narrow]
+    return out
+
+
+def _tap_matrix(kernel):
+    """(Cout,Cin,kh,kw) -> (kh*kw*Cout, Cin): one Cout x Cin block per tap."""
+    cout, cin, kh, kw = kernel.shape
+    return kernel.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+
+
+def _tap_matmul(mat, a, taps):
+    """Apply a (T*Cout, Cin) tap matrix at every pixel of (B,Cin,H,W):
+    one GEMM per image, (B,T,Cout,H,W) out."""
+    b, c, h, w = a.shape
+    return (mat @ a.reshape(b, c, h * w)).reshape(b, taps, -1, h, w)
+
+
+def _tap_matrix_grad(taps, a, kernel_shape):
+    """Kernel-layout gradient of the tap matrix in `_tap_matmul(mat, a)`,
+    given the (B,T,Cout,H,W) gradient of its output."""
+    cout, cin, kh, kw = kernel_shape
+    b = a.shape[0]
+    d = taps.reshape(b, kh * kw * cout, -1) @ a.reshape(b, cin, -1).transpose(0, 2, 1)
+    return d.sum(axis=0).reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)
 
 
 def _conv_core(x, kernel, stride, padding):
     """Plain forward cross-correlation on ndarrays."""
-    b = x.shape[0]
-    cout, cin, kh, kw = kernel.shape
-    xp = _pad2d(x, padding)
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
-    out = cols @ kernel.reshape(cout, cin * kh * kw).T
-    return np.ascontiguousarray(out.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2))
-
-
-def _conv_grad_kernel(x, grad, kernel_shape, stride, padding):
-    cout, cin, kh, kw = kernel_shape
-    cols, ho, wo = _im2col(_pad2d(x, padding), kh, kw, stride)
-    gmat = grad.transpose(0, 2, 3, 1).reshape(-1, cout)
-    return (gmat.T @ cols).reshape(kernel_shape)
-
-
-def _conv_grad_input(grad, kernel, x_shape, stride, padding):
-    cout, cin, kh, kw = kernel.shape
-    b, _, h, w = x_shape
-    gd = _pad2d(_dilate2d(grad, stride), kh - 1, kw - 1)
-    kflip = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))  # (Cin,Cout,kh,kw)
-    full = _conv_core(gd, kflip, 1, 0)
-    # `full` covers (Ho-1)*s + kh rows of the padded input; embed then crop padding
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((b, cin, hp, wp), dtype=grad.dtype)
-    fh = min(full.shape[2], hp)
-    fw = min(full.shape[3], wp)
-    dxp[:, :, :fh, :fw] = full[:, :, :fh, :fw]
-    if padding == 0:
-        return dxp
-    return np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + w])
+    h, w = x.shape[2:]
+    kh, kw = kernel.shape[2:]
+    size = ((h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
+    taps = _tap_matmul(_tap_matrix(kernel), x, kh * kw)
+    return _gather(taps, kh, kw, stride, padding, size)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -376,10 +411,13 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     if out.requires_grad:
 
         def backward(g):
+            # the output gradient shifted to every tap's input position, once
+            taps = _scatter(g, kh, kw, stride, padding, (h, w))
             if kernel.requires_grad:
-                kernel._accumulate(_conv_grad_kernel(x.data, g, kernel.shape, stride, padding))
+                kernel._accumulate(_tap_matrix_grad(taps, x.data, kernel.shape))
             if x.requires_grad:
-                x._accumulate(_conv_grad_input(g, kernel.data, x.shape, stride, padding))
+                dx = _tap_matrix(kernel.data).T @ taps.reshape(b, kh * kw * cout, h * w)
+                x._accumulate(dx.reshape(x.shape))
 
         out._backward = backward
     return out
@@ -400,20 +438,25 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
     if kh - 1 - padding < 0 or kw - 1 - padding < 0:
         raise ShapeError(f"padding {padding} too large for kernel {kh}x{kw}")
 
-    xd_pad = _pad2d(_dilate2d(x.data, stride), kh - 1 - padding, kw - 1 - padding)
-    kt = np.ascontiguousarray(kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    out = _result(_conv_core(xd_pad, kt, 1, 0), (x, kernel))
+    size = ((h - 1) * stride - 2 * padding + kh, (w - 1) * stride - 2 * padding + kw)
+    if min(size) < 1:
+        raise ShapeError(f"conv2d_transpose output {size[0]}x{size[1]} is empty")
+    # scatter form: the GEMM runs on the narrow input, never on the
+    # stride^2-times larger output frame
+    mat = _tap_matrix(kernel.data.swapaxes(0, 1))  # (T*C2, C1)
+    taps = _tap_matmul(mat, x.data, kh * kw)
+    out = _result(_scatter(taps, kh, kw, stride, padding, size), (x, kernel))
     if out.requires_grad:
 
         def backward(g):
-            if x.requires_grad:
-                # adjoint pair: d/dx of conv_T under kernel K is conv2d with K
-                x._accumulate(_conv_core(g, np.ascontiguousarray(kernel.data), stride, padding))
+            # every tap's strided window of the output gradient, once
+            taps = _gather(g, kh, kw, stride, padding, (h, w))
             if kernel.requires_grad:
-                cols, ho, wo = _im2col(xd_pad, kh, kw, 1)
-                gmat = g.transpose(0, 2, 3, 1).reshape(-1, c2)
-                dkt = (gmat.T @ cols).reshape(c2, c1, kh, kw)
-                kernel._accumulate(np.ascontiguousarray(dkt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+                dk = _tap_matrix_grad(taps, x.data, (c2, c1, kh, kw))
+                kernel._accumulate(dk.swapaxes(0, 1))
+            if x.requires_grad:
+                dx = mat.T @ taps.reshape(b, kh * kw * c2, h * w)
+                x._accumulate(dx.reshape(x.shape))
 
         out._backward = backward
     return out

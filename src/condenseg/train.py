@@ -86,13 +86,18 @@ def normalize_slice(plane):
     return (plane - plane.mean()) / (plane.std() + 1e-6)
 
 
-def _subject_box(subject, size):
-    h, w = subject.cine.data.shape[2:]
+def cine_box(cine, size):
+    """ROI box of a cine volume; the centre box when detection fails."""
+    h, w = cine.data.shape[2:]
     r_min, r_max = radius_band((h, w))
     try:
-        return detect_roi(subject.cine, r_min=r_min, r_max=r_max, size=size)
+        return detect_roi(cine, r_min=r_min, r_max=r_max, size=size)
     except DetectionError:
         return center_box((h, w), size=size)
+
+
+def _subject_box(subject, size):
+    return cine_box(subject.cine, size)
 
 
 def _training_slices(subjects, size):
@@ -225,16 +230,19 @@ def predict_masks(net, subject):
     """
     if net is None:
         return subject.ed_mask, subject.es_mask
-    size = net.config.input_size
-    box = _subject_box(subject, size)
-    out = []
-    for frame in (subject.ed_frame, subject.es_frame):
-        planes = subject.cine.data[frame]
-        batch = np.stack([normalize_slice(_crop_plane(p, box)) for p in planes])
-        probs = _forward_batches(net, batch[:, None])
-        pred = LabelMask(np.argmax(probs, axis=1).astype(np.uint8))
-        out.append(paste_mask(pred, box, planes.shape[1:]))
-    return out[0], out[1]
+    box = _subject_box(subject, net.config.input_size)
+    return (segment_frame(net, subject.cine, subject.ed_frame, box),
+            segment_frame(net, subject.cine, subject.es_frame, box))
+
+
+def segment_frame(net, cine, frame, box):
+    """Segment every slice of one cine frame inside `box`; returns the
+    label mask pasted back to the full slice size."""
+    planes = cine.data[frame]
+    batch = np.stack([normalize_slice(_crop_plane(p, box)) for p in planes])
+    probs = _forward_batches(net, batch[:, None])
+    pred = LabelMask(np.argmax(probs, axis=1).astype(np.uint8))
+    return paste_mask(pred, box, planes.shape[1:])
 
 
 def _report_or_nan(seg):

@@ -8,7 +8,7 @@ import pytest
 
 from condenseg.cli import main
 from condenseg.dataset import load_dataset, save_dataset
-from condenseg.net import NetConfig
+from condenseg.net import NetConfig, Network
 from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.train import TrainConfig
 from condenseg.volume import load_volume
@@ -80,6 +80,20 @@ class TestSegmentCommand:
                      "--in", str(cine), "--out", str(out)]) == 0
         mask = load_volume(out)
         assert mask.data.shape == workdir["subjects"][1].ed_mask.data.shape
+
+    def test_forwards_each_slice_once(self, workdir, tmp_path, monkeypatch):
+        forwarded = []
+        original = Network.forward
+
+        def counting(net, x, training=False):
+            forwarded.append(x.shape[0])
+            return original(net, x, training)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        cine = workdir["data"] / "s01" / "cine.bin"
+        assert main(["segment", "--ckpt", str(workdir["ckpt"]), "--in", str(cine),
+                     "--out", str(tmp_path / "m.bin"), "--frame", "1"]) == 0
+        assert sum(forwarded) == load_volume(cine).data.shape[1]
 
     def test_bad_frame(self, workdir, tmp_path):
         cine = workdir["data"] / "s01" / "cine.bin"

@@ -1,5 +1,7 @@
 """Architecture wiring, accounting, condensation scheduling, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,50 @@ class TestCheckpoint:
         p.write_bytes(data[:len(data) - 100])
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+
+def _edit_checkpoint(path, edit, drop=()):
+    """Rewrite a checkpoint's header with `edit`, removing the manifest
+    entries and buffer bytes of the names in `drop`."""
+    data = path.read_bytes()
+    cut = data.index(b"\n")
+    header, blob = json.loads(data[:cut]), data[cut + 1:]
+    kept, parts, offset = [], [], 0
+    for item in header["manifest"]:
+        n = int(np.prod(item["shape"])) * np.dtype(item["dtype"]).itemsize
+        if item["name"] not in drop:
+            kept.append(item)
+            parts.append(blob[offset:offset + n])
+        offset += n
+    header["manifest"] = kept
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + b"".join(parts))
+
+
+class TestIncompleteCheckpoint:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        p = tmp_path / "net.ckpt"
+        save_checkpoint(small_net(), p)
+        return p
+
+    def test_missing_buffer(self, ckpt):
+        _edit_checkpoint(ckpt, lambda h: None, drop=("dec0.layer0.lg.mask",))
+        with pytest.raises(ValueError, match="missing buffer dec0.layer0.lg.mask"):
+            load_checkpoint(ckpt)
+
+    def test_bn_initialized_length(self, ckpt):
+        _edit_checkpoint(ckpt, lambda h: h["bn_initialized"].pop())
+        with pytest.raises(ValueError, match="bn_initialized"):
+            load_checkpoint(ckpt)
+
+    def test_lg_stages_keys(self, ckpt):
+        _edit_checkpoint(ckpt, lambda h: h["lg_stages"].pop("enc1.layer0.lg"))
+        with pytest.raises(ValueError, match="missing lg_stages key enc1.layer0.lg"):
+            load_checkpoint(ckpt)
+        _edit_checkpoint(ckpt, lambda h: h["lg_stages"].update({"enc1.layer0.lg": 0, "extra.lg": 0}))
+        with pytest.raises(ValueError, match="unknown lg_stages key extra.lg"):
+            load_checkpoint(ckpt)
 
 
 class TestGradients:

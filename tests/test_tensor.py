@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condenseg import tensor as T
 from condenseg.tensor import (
@@ -130,6 +132,75 @@ class TestConvTranspose:
         k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         for target in (x, k):
             err = grad_check(lambda t: conv2d_transpose(x, k, stride=2, padding=1).sum(), target)
+            assert err < T.GRAD_TOL
+
+
+@st.composite
+def conv_cases(draw):
+    """(x shape, kernel shape, stride, padding, seed) with H != W, including
+    sizes where H + 2p - k is not a multiple of the stride."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride = draw(st.sampled_from([1, 2]))
+    padding = draw(st.integers(0, k - 1))
+    lo = max(1, k - 2 * padding)
+    h = draw(st.integers(lo, 9))
+    w = draw(st.integers(lo, 8))
+    w += w >= h  # any width in [lo, 9] but h
+    b, cin, cout = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (b, cin, h, w), (cout, cin, k, k), stride, padding, draw(st.integers(0, 2 ** 32 - 1))
+
+
+# fixed example sets: the suite gives the same verdict on every run
+PROPERTY = dict(deadline=None, derandomize=True, database=None)
+
+
+class TestConvProperties:
+    @settings(max_examples=100, **PROPERTY)
+    @given(conv_cases())
+    def test_matches_direct_oracle(self, case):
+        x_shape, k_shape, stride, padding, seed = case
+        rng = np.random.default_rng(seed)
+        x, k = rng.normal(size=x_shape), rng.normal(size=k_shape)
+        got = conv2d(Tensor(x), Tensor(k), stride, padding).data
+        want = conv2d_direct(x, k, stride, padding)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < T.CONV_ORACLE_TOL
+
+    @settings(max_examples=100, **PROPERTY)
+    @given(conv_cases())
+    def test_transpose_is_adjoint(self, case):
+        # conv2d_transpose covers the first (Ho-1)*s - 2p + k rows and
+        # columns of conv2d's input; any past that are held at zero
+        x_shape, k_shape, stride, padding, seed = case
+        rng = np.random.default_rng(seed)
+        k = rng.normal(size=k_shape)
+        b, cin, h, w = x_shape
+        y = rng.normal(size=conv2d(Tensor(np.zeros(x_shape)), Tensor(k), stride, padding).shape)
+        ht = (y.shape[2] - 1) * stride - 2 * padding + k_shape[2]
+        wt = (y.shape[3] - 1) * stride - 2 * padding + k_shape[3]
+        x = np.zeros(x_shape)
+        x[:, :, :ht, :wt] = rng.normal(size=(b, cin, ht, wt))
+        lhs = np.sum(conv2d(Tensor(x), Tensor(k), stride, padding).data * y)
+        rhs = np.sum(x[:, :, :ht, :wt] * conv2d_transpose(Tensor(y), Tensor(k), stride, padding).data)
+        assert abs(lhs - rhs) < T.ADJOINT_TOL * max(1.0, abs(lhs))
+
+    @settings(max_examples=10, **PROPERTY)
+    @given(conv_cases())
+    def test_gradients(self, case):
+        x_shape, k_shape, stride, padding, seed = case
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+        k = Tensor(rng.normal(size=k_shape), requires_grad=True)
+        w = Tensor(rng.normal(size=conv2d(x, k, stride, padding).shape))
+        for target in (x, k):
+            err = grad_check(lambda t: (conv2d(x, k, stride, padding) * w).sum(), target, rng=rng)
+            assert err < T.GRAD_TOL
+        # conv2d_transpose maps conv2d's output shape back; kernel is (C1=Cout, C2=Cin)
+        y = Tensor(rng.normal(size=w.shape), requires_grad=True)
+        wt = Tensor(rng.normal(size=conv2d_transpose(y, k, stride, padding).shape))
+        for target in (y, k):
+            err = grad_check(lambda t: (conv2d_transpose(y, k, stride, padding) * wt).sum(),
+                             target, rng=rng)
             assert err < T.GRAD_TOL
 
 
