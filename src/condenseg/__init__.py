@@ -24,4 +24,4 @@ from .clinical import ClinicalReport, SegmentationResult, report, simpson_volume
 from .metrics import dice_score, hausdorff, pearson  # noqa: F401
 from .phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: F401
 from .dataset import load_dataset, save_dataset, split_dataset, stratified_kfold  # noqa: F401
-from .train import TrainConfig, evaluate, predict_masks, train  # noqa: F401
+from .train import TrainConfig, evaluate, predict_masks  # noqa: F401

@@ -56,7 +56,7 @@ def cmd_roi(args):
         "size": box.size,
     })
     if args.saliency:
-        _write_pgm(args.saliency, first_harmonic_map(vol).summed())
+        _write_pgm(args.saliency, first_harmonic_map(vol).sum(axis=0))
     print("roi center (%.1f, %.1f) radius %.1f" %
           (box.center[0], box.center[1], box.radius))
 
@@ -126,6 +126,8 @@ def cmd_prune_report(args):
               % (lg.name, lg.stage, lg.groups, alive, dense))
     print("parameters: dense %d, alive %d"
           % (net.param_count("dense"), net.param_count("alive")))
+    print("MACs per image: dense %d, alive %d"
+          % (net.flop_count("dense"), net.flop_count("alive")))
 
 
 def main(argv=None):

@@ -102,12 +102,17 @@ def stratified_kfold(subjects, k=5, seed=0):
     return [sorted(f) for f in folds]
 
 
+def check_fractions(train_fraction, val_fraction):
+    """Raise ValueError unless 0 < train <= 1, val >= 0 and train + val <= 1."""
+    if not 0 < train_fraction <= 1 or val_fraction < 0:
+        raise ValueError("split fractions must be positive")
+    if train_fraction + val_fraction > 1 + 1e-12:
+        raise ValueError("split fractions exceed 1")
+
+
 def split_dataset(subjects, train_fraction=0.7, val_fraction=0.15, seed=0):
     """Stratified train/val/test index split; the remainder is the test set."""
-    if not 0 < train_fraction <= 1 or val_fraction < 0:
-        raise ValueError("fractions must be positive")
-    if train_fraction + val_fraction > 1 + 1e-12:
-        raise ValueError("train and val fractions exceed the dataset")
+    check_fractions(train_fraction, val_fraction)
     rng = np.random.default_rng(seed)
     groups = _group_indices(subjects)
     train, val, test = [], [], []

@@ -11,7 +11,6 @@ converted to a compact gather + grouped convolution for inference.
 import numpy as np
 
 from .tensor import (
-    INFERENCE_MATCH_TOL,
     ShapeError,
     Tensor,
     _conv_core,
@@ -99,9 +98,6 @@ class LGConvLayer:
     def apply_mask(self):
         """Force pruned weights back to exactly zero (after optimizer steps)."""
         self.kernel.data *= self.mask[:, :, None, None]
-
-    def parameters(self):
-        return [self.kernel]
 
 
 def lg_forward(layer: LGConvLayer, x: Tensor, stride: int = 1,

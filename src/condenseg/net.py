@@ -10,7 +10,7 @@ class probabilities.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,6 +97,18 @@ def _kernel(rng, cout, cin, kh, kw, dtype, name):
     return Tensor(w, requires_grad=True, name=name)
 
 
+# Module protocol: every network part lists, in checkpoint order, its `parts`
+# (parameter Tensors, BatchNorms, LGConvLayers and child parts) and, for MAC
+# counting, its `kernels` as (kernel, output resolution) pairs. Tensors carry
+# their full state names, so one walk yields parameters, state and layers.
+
+
+def _walk(parts):
+    for p in parts:
+        yield p
+        yield from _walk(getattr(p, "parts", ()))
+
+
 class BatchNorm:
     def __init__(self, channels, dtype, name):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True,
@@ -104,48 +116,33 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True,
                            name=name + ".beta")
         self.stats = RunningStats(channels, dtype=dtype)
+        # the running stats are state, not parameters: named views, no grad
+        self.parts = (self.gamma, self.beta,
+                      Tensor(self.stats.mean, name=name + ".running_mean"),
+                      Tensor(self.stats.var, name=name + ".running_var"))
 
     def __call__(self, x, training):
         return scale_shift(x, self.gamma, self.beta, training=training,
                            running=self.stats)
-
-    def parameters(self):
-        return [self.gamma, self.beta]
-
-    def state_entries(self, name):
-        return [(name + ".gamma", self.gamma.data),
-                (name + ".beta", self.beta.data),
-                (name + ".running_mean", self.stats.mean),
-                (name + ".running_var", self.stats.var)]
 
 
 class Stem:
     """Two stacked separable convolutions (3x3 and 5x5 receptive fields),
     concatenated channel-wise."""
 
-    def __init__(self, out_channels, rng, dtype, name="stem"):
+    def __init__(self, out_channels, res, rng, dtype, name="stem"):
         half = out_channels // 2
         self.dw3 = _kernel(rng, 1, 1, 3, 3, dtype, name + ".dw3")
         self.pw3 = _kernel(rng, half, 1, 1, 1, dtype, name + ".pw3")
         self.dw5 = _kernel(rng, 1, 1, 5, 5, dtype, name + ".dw5")
         self.pw5 = _kernel(rng, half, 1, 1, 1, dtype, name + ".pw5")
-        self.res = None
+        self.parts = (self.dw3, self.pw3, self.dw5, self.pw5)
+        self.kernels = [(k, res) for k in self.parts]
 
     def forward(self, x, training):
         a = conv2d(conv2d(x, self.dw3, padding=1), self.pw3)
         b = conv2d(conv2d(x, self.dw5, padding=2), self.pw5)
         return concat_channels([a, b])
-
-    def parameters(self):
-        return [self.dw3, self.pw3, self.dw5, self.pw5]
-
-    def state_entries(self, name):
-        return [(name + "." + k.name.split(".")[-1], k.data)
-                for k in self.parameters()]
-
-    def macs(self, mode):
-        n = sum(k.data.size for k in self.parameters())
-        return n * self.res * self.res
 
 
 class DenseLayer:
@@ -157,23 +154,17 @@ class DenseLayer:
                               groups=cfg.groups,
                               condensation_factor=cfg.condensation_factor,
                               rng=rng, dtype=dtype, name=name + ".lg")
+        self.parts = (self.bn, self.lg.kernel, self.lg)
 
     def forward(self, x, training):
         return lg_forward(self.lg, relu(self.bn(x, training)), padding=1)
-
-    def parameters(self):
-        return self.bn.parameters() + [self.lg.kernel]
-
-    def state_entries(self, name):
-        return self.bn.state_entries(name + ".bn") + [(name + ".lg.kernel",
-                                                       self.lg.kernel.data)]
 
 
 class CondenseBlock:
     """Densely connected stack: layer i sees the block input plus every
     earlier layer's output and appends growth_rate feature maps."""
 
-    def __init__(self, in_channels, n_layers, cfg, rng, dtype, name):
+    def __init__(self, in_channels, n_layers, res, cfg, rng, dtype, name):
         self.layers = []
         c = in_channels
         for i in range(n_layers):
@@ -181,7 +172,8 @@ class CondenseBlock:
                                           "%s.layer%d" % (name, i)))
             c += cfg.growth_rate
         self.out_channels = c
-        self.res = None
+        self.parts = self.layers
+        self.kernels = [(l.lg.kernel, res) for l in self.layers]
 
     def forward(self, x, training):
         feats = [x]
@@ -190,56 +182,28 @@ class CondenseBlock:
             feats.append(layer.forward(inp, training))
         return concat_channels(feats)
 
-    def parameters(self):
-        return [p for l in self.layers for p in l.parameters()]
-
-    def state_entries(self, name):
-        return [e for i, l in enumerate(self.layers)
-                for e in l.state_entries("%s.layer%d" % (name, i))]
-
-    def lg_layers(self):
-        return [l.lg for l in self.layers]
-
-    def macs(self, mode):
-        total = 0
-        for l in self.layers:
-            if mode == "dense":
-                w = l.lg.kernel.data.size
-            else:
-                w = int(l.lg.mask.sum()) * l.lg.kernel_size ** 2
-            total += w * self.res * self.res
-        return total
-
 
 class Transition:
     """norm -> relu -> channel-halving 1x1 conv -> 2x2 max pool."""
 
-    def __init__(self, in_channels, rng, dtype, name):
+    def __init__(self, in_channels, res, rng, dtype, name):
         self.out_channels = (in_channels + 1) // 2
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
         self.kernel = _kernel(rng, self.out_channels, in_channels, 1, 1, dtype,
                               name + ".kernel")
-        self.res = None
+        self.parts = (self.bn, self.kernel)
+        self.kernels = [(self.kernel, res)]
 
     def forward(self, x, training):
         return max_pool2d(conv2d(relu(self.bn(x, training)), self.kernel))
 
-    def parameters(self):
-        return self.bn.parameters() + [self.kernel]
-
-    def state_entries(self, name):
-        return self.bn.state_entries(name + ".bn") + [(name + ".kernel",
-                                                       self.kernel.data)]
-
-    def macs(self, mode):
-        return self.kernel.data.size * self.res * self.res
-
 
 class UpBlock:
     """norm -> relu -> 1x1 reduce -> stride-2 transposed conv, plus a 1x1
-    projection of the encoder skip; the two branches are added element-wise."""
+    projection of the encoder skip; the two branches are added element-wise.
+    `res` is the input resolution; the output is twice that."""
 
-    def __init__(self, in_channels, skip_channels, rng, dtype, name):
+    def __init__(self, in_channels, skip_channels, res, rng, dtype, name):
         self.out_channels = (skip_channels + 1) // 2
         d = self.out_channels
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
@@ -250,7 +214,9 @@ class UpBlock:
                          requires_grad=True, name=name + ".up")
         self.skip_proj = _kernel(rng, d, skip_channels, 1, 1, dtype,
                                  name + ".skip_proj")
-        self.res = None  # input resolution; output is 2x
+        self.parts = (self.bn, self.reduce, self.up, self.skip_proj)
+        self.kernels = [(self.reduce, res), (self.up, 2 * res),
+                        (self.skip_proj, 2 * res)]
 
     def forward(self, x, skip, training):
         h = conv2d(relu(self.bn(x, training)), self.reduce)
@@ -258,42 +224,19 @@ class UpBlock:
         h = h.crop_spatial(2 * x.shape[2], 2 * x.shape[3])
         return h + conv2d(skip, self.skip_proj)
 
-    def parameters(self):
-        return self.bn.parameters() + [self.reduce, self.up, self.skip_proj]
-
-    def state_entries(self, name):
-        return self.bn.state_entries(name + ".bn") + [
-            (name + ".reduce", self.reduce.data),
-            (name + ".up", self.up.data),
-            (name + ".skip_proj", self.skip_proj.data)]
-
-    def macs(self, mode):
-        r_in, r_out = self.res, self.res * 2
-        return (self.reduce.data.size * r_in * r_in
-                + (self.up.data.size + self.skip_proj.data.size) * r_out * r_out)
-
 
 class Head:
     """norm -> relu -> 1x1 conv to class logits -> per-pixel softmax."""
 
-    def __init__(self, in_channels, num_classes, rng, dtype, name="head"):
+    def __init__(self, in_channels, num_classes, res, rng, dtype, name="head"):
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
         self.kernel = _kernel(rng, num_classes, in_channels, 1, 1, dtype,
                               name + ".kernel")
-        self.res = None
+        self.parts = (self.bn, self.kernel)
+        self.kernels = [(self.kernel, res)]
 
     def forward(self, x, training):
         return softmax_channels(conv2d(relu(self.bn(x, training)), self.kernel))
-
-    def parameters(self):
-        return self.bn.parameters() + [self.kernel]
-
-    def state_entries(self, name):
-        return self.bn.state_entries(name + ".bn") + [(name + ".kernel",
-                                                       self.kernel.data)]
-
-    def macs(self, mode):
-        return self.kernel.data.size * self.res * self.res
 
 
 class Network:
@@ -308,6 +251,8 @@ class Network:
         self.decoders = decoders
         self.head = head
         self.dtype = dtype
+        # the structure is fixed once built, so walk it once
+        self._walked = [p for _, m in self.named_modules() for p in _walk(m.parts)]
 
     # -- wiring ---------------------------------------------------------
 
@@ -339,15 +284,18 @@ class Network:
         mods.append(("head", self.head))
         return mods
 
+    def _parts(self, kind):
+        """Every part of type `kind`, in checkpoint order."""
+        return [p for p in self._walked if isinstance(p, kind)]
+
     def parameters(self):
-        return [p for _, m in self.named_modules() for p in m.parameters()]
+        return [t for t in self._parts(Tensor) if t.requires_grad]
 
     def lg_layers(self):
-        out = []
-        for _, m in self.named_modules():
-            if isinstance(m, CondenseBlock):
-                out.extend(m.lg_layers())
-        return out
+        return self._parts(LGConvLayer)
+
+    def bn_modules(self):
+        return self._parts(BatchNorm)
 
     def apply_masks(self):
         for lg in self.lg_layers():
@@ -362,40 +310,33 @@ class Network:
 
     # -- accounting -------------------------------------------------------
 
-    def param_count(self, mode: str = "dense") -> int:
+    def _weights(self, mode):
+        """Weight count per parameter name; in alive mode an LG kernel counts
+        only its unpruned connections."""
         if mode not in ("dense", "alive"):
             raise ValueError("mode must be 'dense' or 'alive'")
-        total = sum(p.data.size for p in self.parameters())
+        sizes = {p.name: p.data.size for p in self.parameters()}
         if mode == "alive":
             for lg in self.lg_layers():
-                dead = lg.mask.size - int(lg.mask.sum())
-                total -= dead * lg.kernel_size ** 2
-        return int(total)
+                sizes[lg.kernel.name] = int(lg.mask.sum()) * lg.kernel_size ** 2
+        return sizes
+
+    def param_count(self, mode: str = "dense") -> int:
+        return int(sum(self._weights(mode).values()))
 
     def flop_count(self, mode: str = "dense") -> int:
         """Forward multiply-accumulates, counted as weights x output positions."""
-        return int(sum(m.macs(mode) for _, m in self.named_modules()))
+        sizes = self._weights(mode)
+        return int(sum(sizes[k.name] * res * res
+                       for _, m in self.named_modules() for k, res in m.kernels))
 
     # -- checkpoint state -------------------------------------------------
 
     def state_entries(self):
         """(name, array) pairs: weights and running stats in declaration
         order, then all condensation masks."""
-        entries = []
-        for name, m in self.named_modules():
-            entries.extend(m.state_entries(name))
-        for lg in self.lg_layers():
-            entries.append((lg.name + ".mask", lg.mask))
-        return entries
-
-    def bn_modules(self):
-        out = []
-        for _, m in self.named_modules():
-            if isinstance(m, (Transition, UpBlock, Head)):
-                out.append(m.bn)
-            elif isinstance(m, CondenseBlock):
-                out.extend(l.bn for l in m.layers)
-        return out
+        return ([(t.name, t.data) for t in self._parts(Tensor)]
+                + [(lg.name + ".mask", lg.mask) for lg in self.lg_layers()])
 
 
 def build(config: NetConfig, rng=None, dtype=np.float64) -> Network:
@@ -408,41 +349,29 @@ def build(config: NetConfig, rng=None, dtype=np.float64) -> Network:
     lb = list(config.layers_per_block)
     res = config.input_size
 
-    stem = Stem(config.initial_features, rng, dtype)
-    stem.res = res
+    stem = Stem(config.initial_features, res, rng, dtype)
     c = config.initial_features
-    encoders, transitions, skip_ch = [], [], []
+    encoders, transitions = [], []
     for i in range(p):
-        enc = CondenseBlock(c, lb[i], config, rng, dtype, "enc%d" % i)
-        enc.res = res
-        c = enc.out_channels
-        skip_ch.append(c)
-        tr = Transition(c, rng, dtype, "trans%d" % i)
-        tr.res = res
-        encoders.append(enc)
-        transitions.append(tr)
-        c = tr.out_channels
+        encoders.append(CondenseBlock(c, lb[i], res, config, rng, dtype, "enc%d" % i))
+        transitions.append(Transition(encoders[i].out_channels, res, rng, dtype,
+                                      "trans%d" % i))
+        c = transitions[i].out_channels
         res //= 2
 
-    bottleneck = CondenseBlock(c, lb[p], config, rng, dtype, "bottleneck")
-    bottleneck.res = res
+    bottleneck = CondenseBlock(c, lb[p], res, config, rng, dtype, "bottleneck")
     c = bottleneck.out_channels
 
     up_blocks, decoders = [], []
     for j in range(p):
-        skip = skip_ch[p - 1 - j]
-        up = UpBlock(c, skip, rng, dtype, "up%d" % j)
-        up.res = res
+        up_blocks.append(UpBlock(c, encoders[p - 1 - j].out_channels, res, rng, dtype,
+                                 "up%d" % j))
         res *= 2
-        dec = CondenseBlock(up.out_channels, lb[p + 1 + j], config, rng, dtype,
-                            "dec%d" % j)
-        dec.res = res
-        up_blocks.append(up)
-        decoders.append(dec)
-        c = dec.out_channels
+        decoders.append(CondenseBlock(up_blocks[j].out_channels, lb[p + 1 + j], res,
+                                      config, rng, dtype, "dec%d" % j))
+        c = decoders[j].out_channels
 
-    head = Head(c, config.num_classes, rng, dtype)
-    head.res = res
+    head = Head(c, config.num_classes, res, rng, dtype)
     return Network(config, stem, encoders, transitions, bottleneck,
                    up_blocks, decoders, head, dtype)
 
@@ -475,7 +404,6 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
         "version": 1,
         "config": net.config.to_dict(),
         "epoch": epoch,
-        "stage": max([lg.stage for lg in net.lg_layers()], default=0),
         "lg_stages": {lg.name: lg.stage for lg in net.lg_layers()},
         "history": {lg.name: lg.history for lg in net.lg_layers()},
         "bn_initialized": [bn.stats.initialized for bn in net.bn_modules()],
@@ -504,7 +432,7 @@ def load_checkpoint(path):
         blob = f.read()
     config = NetConfig.from_dict(header["config"])
     manifest = header["manifest"]
-    dtype = np.dtype(manifest[0]["dtype"]) if manifest else np.float64
+    dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
     net = build(config, rng=np.random.default_rng(0), dtype=dtype)
     arrays = dict(net.state_entries())
     _require_names(path, "buffer", [item["name"] for item in manifest], list(arrays))
@@ -516,13 +444,15 @@ def load_checkpoint(path):
                          % (path, len(flags), len(bns)))
     offset = 0
     for item in manifest:
-        dt = np.dtype(item["dtype"])
+        if np.dtype(item["dtype"]) != dtype:
+            raise ValueError("checkpoint %s: %s has dtype %s, expected %s"
+                             % (path, item["name"], item["dtype"], dtype.str))
         n = int(np.prod(item["shape"])) if item["shape"] else 1
-        end = offset + n * dt.itemsize
+        end = offset + n * dtype.itemsize
         if end > len(blob):
             raise ValueError("checkpoint %s: truncated buffer for %s"
                              % (path, item["name"]))
-        buf = np.frombuffer(blob[offset:end], dtype=dt).reshape(item["shape"])
+        buf = np.frombuffer(blob[offset:end], dtype=dtype).reshape(item["shape"])
         offset = end
         dst = arrays[item["name"]]
         if dst.shape != buf.shape:

@@ -24,14 +24,6 @@ class DetectionError(RuntimeError):
 
 
 @dataclass
-class HarmonicMap:
-    per_slice: np.ndarray  # (Z,H,W) first-harmonic magnitudes
-
-    def summed(self):
-        return self.per_slice.sum(axis=0)
-
-
-@dataclass
 class RoiBox:
     """Detected circle plus the crop window derived from it.
 
@@ -50,8 +42,8 @@ class RoiBox:
         return self.pad != (0, 0)
 
 
-def first_harmonic_map(vol: CineVolume) -> HarmonicMap:
-    """Per-pixel |DFT bin 1| over the T frames, per slice.
+def first_harmonic_map(vol: CineVolume) -> np.ndarray:
+    """Per-pixel |DFT bin 1| over the T frames: a (Z,H,W) array.
 
     Only one coefficient is needed, so the sum is computed directly rather
     than through a full FFT.
@@ -63,7 +55,7 @@ def first_harmonic_map(vol: CineVolume) -> HarmonicMap:
     data = vol.data.astype(np.float64)
     re = np.tensordot(np.cos(angles), data, axes=(0, 0))
     im = np.tensordot(np.sin(angles), data, axes=(0, 0))
-    return HarmonicMap(per_slice=np.hypot(re, im))
+    return np.hypot(re, im)
 
 
 def hough_circle(saliency, r_min: int = DEFAULT_R_MIN,
@@ -73,8 +65,6 @@ def hough_circle(saliency, r_min: int = DEFAULT_R_MIN,
     Returns ((cx, cy), radius, score) for the global vote maximum. Votes are
     weighted by edge strength and cast along +/- the local gradient direction.
     """
-    if isinstance(saliency, HarmonicMap):
-        saliency = saliency.summed()
     img = np.asarray(saliency, dtype=np.float64)
     h, w = img.shape
     if not r_min < r_max < min(h, w) / 2:
@@ -128,11 +118,12 @@ def radius_band(image_shape, r_min: int = DEFAULT_R_MIN,
 
 def detect_roi(vol: CineVolume, r_min: int = DEFAULT_R_MIN,
                r_max: int = DEFAULT_R_MAX, size: int = ROI_SIZE) -> RoiBox:
-    """first_harmonic_map -> hough_circle -> crop window.
+    """first_harmonic_map summed over slices -> hough_circle -> crop window.
 
     Raises DetectionError when no edges vote; callers that need a box anyway
     should fall back to center_box()."""
-    center, radius, _ = hough_circle(first_harmonic_map(vol), r_min, r_max)
+    center, radius, _ = hough_circle(first_harmonic_map(vol).sum(axis=0),
+                                     r_min, r_max)
     return make_box(center, radius, vol.data.shape[2:], size)
 
 

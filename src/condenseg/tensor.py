@@ -75,12 +75,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def require_finite(self, context=""):
-        """Raise NumericsError if data contains NaN/Inf (error state)."""
-        if not np.all(np.isfinite(self.data)):
-            raise NumericsError(f"non-finite values in tensor {self.name or context!r}")
-        return self
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}, name={self.name!r})"
 
@@ -209,20 +203,6 @@ class Tensor:
         return out
 
     # -- structural ops -------------------------------------------------
-
-    def channel_slice(self, start, stop):
-        """View channels [start:stop) of a (B,C,...) tensor."""
-        out = _result(np.ascontiguousarray(self.data[:, start:stop]), (self,))
-        if out.requires_grad:
-            a = self
-
-            def backward(g):
-                full = np.zeros_like(a.data)
-                full[:, start:stop] = g
-                a._accumulate(full)
-
-            out._backward = backward
-        return out
 
     def crop_spatial(self, h, w):
         """Keep the top-left h x w window of a (B,C,H,W) tensor."""

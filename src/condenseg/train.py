@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 
 from .clinical import ClinicalReport, SegmentationResult, report
-from .dataset import split_dataset
+from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
@@ -43,10 +43,10 @@ class TrainConfig:
             problems.append("learning_rate must be nonnegative")
         if self.group_lasso_coefficient < 0:
             problems.append("group_lasso_coefficient must be nonnegative")
-        if not 0 < self.train_fraction <= 1 or self.val_fraction < 0:
-            problems.append("split fractions must be positive")
-        if self.train_fraction + self.val_fraction > 1 + 1e-12:
-            problems.append("split fractions exceed 1")
+        try:
+            check_fractions(self.train_fraction, self.val_fraction)
+        except ValueError as err:
+            problems.append(str(err))
         if problems:
             raise ConfigError("; ".join(problems))
         violations = self.net.violations()
@@ -96,27 +96,19 @@ def cine_box(cine, size):
         return center_box((h, w), size=size)
 
 
-def _subject_box(subject, size):
-    return cine_box(subject.cine, size)
-
-
 def _training_slices(subjects, size):
     """Crop all annotated frames once; returns (images, labels) arrays."""
     images, labels = [], []
     for sub in subjects:
-        box = _subject_box(sub, size)
+        box = cine_box(sub.cine, size)
         for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
             planes = sub.cine.data[frame]
             cropped = crop_mask(mask, box)
             for z in range(planes.shape[0]):
-                images.append(normalize_slice(_crop_plane(planes[z], box)))
+                images.append(normalize_slice(_crop2d(planes[z], box)))
                 labels.append(cropped.data[z])
     return (np.stack(images)[:, None].astype(np.float32),
             np.stack(labels).astype(np.uint8))
-
-
-def _crop_plane(plane, box):
-    return _crop2d(plane, box)
 
 
 def _forward_batches(net, images, chunk=8):
@@ -126,15 +118,6 @@ def _forward_batches(net, images, chunk=8):
         x = Tensor(images[i:i + chunk].astype(net.dtype), requires_grad=False)
         outs.append(net.forward(x, training=False).data)
     return np.concatenate(outs, axis=0)
-
-
-def _global_dice(pred_labels, true_labels, label):
-    a = pred_labels == label
-    b = true_labels == label
-    denom = int(a.sum()) + int(b.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * int((a & b).sum()) / denom
 
 
 def train(subjects, cfg: TrainConfig, val_subjects=None):
@@ -166,10 +149,10 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
 
     val_images, val_labels = [], []
     for sub in val_subjects:
-        box = _subject_box(sub, size)
+        box = cine_box(sub.cine, size)
         mid = sub.cine.data.shape[1] // 2
         for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
-            val_images.append(normalize_slice(_crop_plane(sub.cine.data[frame][mid], box)))
+            val_images.append(normalize_slice(_crop2d(sub.cine.data[frame][mid], box)))
             val_labels.append(crop_mask(mask, box).data[mid])
     val_images = np.stack(val_images)[:, None] if val_images else None
     val_labels = np.stack(val_labels) if val_labels else None
@@ -211,7 +194,7 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
         if val_images is not None:
             probs = _forward_batches(net, val_images)
             history["val_dice"].append(
-                _global_dice(np.argmax(probs, axis=1), val_labels, LV))
+                dice_score(np.argmax(probs, axis=1), val_labels, LV))
         else:
             history["val_dice"].append(float("nan"))
         history["alive_params"].append(net.param_count("alive"))
@@ -230,7 +213,7 @@ def predict_masks(net, subject):
     """
     if net is None:
         return subject.ed_mask, subject.es_mask
-    box = _subject_box(subject, net.config.input_size)
+    box = cine_box(subject.cine, net.config.input_size)
     return (segment_frame(net, subject.cine, subject.ed_frame, box),
             segment_frame(net, subject.cine, subject.es_frame, box))
 
@@ -239,7 +222,7 @@ def segment_frame(net, cine, frame, box):
     """Segment every slice of one cine frame inside `box`; returns the
     label mask pasted back to the full slice size."""
     planes = cine.data[frame]
-    batch = np.stack([normalize_slice(_crop_plane(p, box)) for p in planes])
+    batch = np.stack([normalize_slice(_crop2d(p, box)) for p in planes])
     probs = _forward_batches(net, batch[:, None])
     pred = LabelMask(np.argmax(probs, axis=1).astype(np.uint8))
     return paste_mask(pred, box, planes.shape[1:])
@@ -270,9 +253,6 @@ class EvalResult:
     rho: dict
     mean_abs_error: dict
     mean_dice: dict
-
-    def parameters(self):
-        return list(ClinicalReport.PARAMETERS)
 
 
 def evaluate(net, subjects):

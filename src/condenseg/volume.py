@@ -173,7 +173,9 @@ def load_volume(path):
         if key not in header:
             raise HeaderError("%s: header missing %r" % (path, key))
     dims = header["dims"]
-    if len(dims) != 4 or any(int(d) < 1 for d in dims):
+    # exact type test: bool is an int subclass, and "2" or 2.0 are no dims
+    if (not isinstance(dims, list) or len(dims) != 4
+            or any(type(d) is not int or d < 1 for d in dims)):
         raise HeaderError("%s: dims must be 4 positive ints, got %s" % (path, dims))
     tag = header["dtype"]
     if tag not in _DTYPES:

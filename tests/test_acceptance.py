@@ -235,7 +235,7 @@ def test_criterion_6_roi_detection():
     wave = A * np.cos(2 * np.pi * t / T)
     vol = np.tile(wave[:, None, None, None], (1, 1, 5, 5)).astype(np.float64)
     from condenseg.volume import CineVolume
-    mag = first_harmonic_map(CineVolume(vol)).per_slice
+    mag = first_harmonic_map(CineVolume(vol))
     err = float(np.abs(mag - A * T / 2).max())
     assert err < 1e-9
     print("[criterion 6] PASS - %d/20 phantoms within 3 px, |X1| err %.1e" % (hits, err))
@@ -329,12 +329,12 @@ def test_criterion_8_end_to_end_phantom_run():
             np.abs(dense - compact.forward(xin, stride=1, padding=1)).max()))
     assert conv_worst < 1e-5
 
-    from condenseg.train import (_crop_plane, _forward_batches, _subject_box,
-                                 normalize_slice)
+    from condenseg.roi import _crop2d
+    from condenseg.train import _forward_batches, cine_box, normalize_slice
     sub = val[0]
-    box = _subject_box(sub, cfg.net.input_size)
+    box = cine_box(sub.cine, cfg.net.input_size)
     planes = sub.cine.data[sub.ed_frame]
-    batch = np.stack([normalize_slice(_crop_plane(p, box)) for p in planes])
+    batch = np.stack([normalize_slice(_crop2d(p, box)) for p in planes])
     probs = _forward_batches(net, batch[:, None])
     ranked = np.sort(probs, axis=1)
     ties = (ranked[:, -1] - ranked[:, -2]) < 2e-5

@@ -8,7 +8,7 @@ import pytest
 
 from condenseg.cli import main
 from condenseg.dataset import load_dataset, save_dataset
-from condenseg.net import NetConfig, Network
+from condenseg.net import NetConfig, Network, load_checkpoint
 from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.train import TrainConfig
 from condenseg.volume import load_volume
@@ -136,6 +136,9 @@ class TestPruneReport:
         text = capsys.readouterr().out
         assert "stage" in text and "alive" in text
         assert "parameters: dense" in text
+        net, _ = load_checkpoint(workdir["ckpt"])
+        assert "MACs per image: dense %d, alive %d\n" % (
+            net.flop_count("dense"), net.flop_count("alive")) in text
 
 
 class TestParsing:

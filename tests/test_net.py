@@ -83,6 +83,17 @@ class TestAccounting:
             apply_condensation(net, epoch, sched)
         assert net.flop_count("alive") < dense
 
+    @pytest.mark.parametrize("config, dense, alive", [
+        (NetConfig(), (1_022_185_472, 297_194), (527_507_456, 140_378)),
+        (small_config(), (19_913_728, 38_026), (12_116_992, 21_178)),
+    ])
+    def test_pinned_counts(self, config, dense, alive):
+        net = build(config, rng=np.random.default_rng(0))
+        assert (net.flop_count("dense"), net.param_count("dense")) == dense
+        apply_condensation(net, 59, CondensationSchedule(60, 4))
+        assert (net.flop_count("alive"), net.param_count("alive")) == alive
+        assert (net.flop_count("dense"), net.param_count("dense")) == dense
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             small_net().param_count("sparse")
@@ -186,18 +197,23 @@ class TestCheckpoint:
             load_checkpoint(p)
 
 
-def _edit_checkpoint(path, edit, drop=()):
+def _edit_checkpoint(path, edit, drop=(), retype=None):
     """Rewrite a checkpoint's header with `edit`, removing the manifest
-    entries and buffer bytes of the names in `drop`."""
+    entries and buffer bytes of the names in `drop` and storing the buffer
+    named `retype` as float64."""
     data = path.read_bytes()
     cut = data.index(b"\n")
     header, blob = json.loads(data[:cut]), data[cut + 1:]
     kept, parts, offset = [], [], 0
     for item in header["manifest"]:
         n = int(np.prod(item["shape"])) * np.dtype(item["dtype"]).itemsize
+        buf = blob[offset:offset + n]
+        if item["name"] == retype:
+            buf = np.frombuffer(buf, item["dtype"]).astype("<f8").tobytes()
+            item["dtype"] = "<f8"
         if item["name"] not in drop:
             kept.append(item)
-            parts.append(blob[offset:offset + n])
+            parts.append(buf)
         offset += n
     header["manifest"] = kept
     edit(header)
@@ -228,6 +244,14 @@ class TestIncompleteCheckpoint:
         _edit_checkpoint(ckpt, lambda h: h["lg_stages"].update({"enc1.layer0.lg": 0, "extra.lg": 0}))
         with pytest.raises(ValueError, match="unknown lg_stages key extra.lg"):
             load_checkpoint(ckpt)
+
+    def test_mixed_dtype(self, tmp_path):
+        p = tmp_path / "f32.ckpt"
+        save_checkpoint(build(small_config(), rng=np.random.default_rng(0),
+                              dtype=np.float32), p)
+        _edit_checkpoint(p, lambda h: None, retype="enc1.layer0.bn.gamma")
+        with pytest.raises(ValueError, match="enc1.layer0.bn.gamma has dtype <f8"):
+            load_checkpoint(p)
 
 
 class TestGradients:

@@ -33,20 +33,20 @@ class TestFirstHarmonic:
         rng = np.random.default_rng(0)
         frame = rng.random((2, 8, 8)).astype(np.float32)
         vol = cine(np.broadcast_to(frame, (6, 2, 8, 8)))
-        assert np.max(first_harmonic_map(vol).per_slice) < 1e-9
+        assert np.max(first_harmonic_map(vol)) < 1e-9
 
     def test_cosine_closed_form(self):
         t = np.arange(16)
         series = 5.0 + 2.0 * np.cos(2 * np.pi * t / 16)
         vol = cine(series[:, None, None, None] * np.ones((16, 1, 4, 4)))
-        m = first_harmonic_map(vol).per_slice
+        m = first_harmonic_map(vol)
         assert np.max(np.abs(m - 16.0)) < 1e-9  # A*T/2 with A=2
 
     def test_second_harmonic_invisible(self):
         t = np.arange(12)
         series = np.cos(2 * np.pi * 2 * t / 12)
         vol = cine(series[:, None, None, None] * np.ones((12, 1, 4, 4)))
-        assert np.max(first_harmonic_map(vol).per_slice) < 1e-9
+        assert np.max(first_harmonic_map(vol)) < 1e-9
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError):
@@ -55,17 +55,11 @@ class TestFirstHarmonic:
     def test_dc_invariant_and_amplitude_linear(self):
         rng = np.random.default_rng(1)
         data = rng.random((8, 2, 6, 6)).astype(np.float32)
-        base = first_harmonic_map(cine(data)).per_slice
-        shifted = first_harmonic_map(cine(data + 7.0)).per_slice
+        base = first_harmonic_map(cine(data))
+        shifted = first_harmonic_map(cine(data + 7.0))
         assert np.max(np.abs(shifted - base)) < 1e-6
-        tripled = first_harmonic_map(cine(3.0 * data)).per_slice
+        tripled = first_harmonic_map(cine(3.0 * data))
         assert np.max(np.abs(tripled - 3.0 * base)) < 1e-6
-
-    def test_summed_pools_slices(self):
-        rng = np.random.default_rng(2)
-        data = rng.random((6, 3, 5, 5)).astype(np.float32)
-        m = first_harmonic_map(cine(data))
-        assert np.allclose(m.summed(), m.per_slice.sum(axis=0))
 
 
 class TestHoughCircle:

@@ -381,7 +381,7 @@ class TestStructural:
         b = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
         cat = concat_channels([a, b])
         assert cat.shape == (2, 5, 4, 4)
-        assert np.array_equal(cat.channel_slice(3, 5).data, b.data)
+        assert np.array_equal(cat.data[:, 3:5], b.data)
         err = grad_check(lambda t: (concat_channels([a, b]) * concat_channels([a, b])).sum(), a)
         assert err < T.GRAD_TOL_POINTWISE
 

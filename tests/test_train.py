@@ -1,6 +1,7 @@
 """Training loop behavior, evaluation pipeline, and report files."""
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -187,3 +188,9 @@ class TestReportCsv:
         with pytest.raises(ValueError):
             emit_report_csv(empty, target)
         assert not target.exists()
+
+
+def test_submodule_import_gives_the_module():
+    import condenseg.train as m
+    assert isinstance(m, types.ModuleType)
+    assert m.train is train

@@ -115,6 +115,18 @@ class TestFileFormat:
         with pytest.raises(DtypeError):
             load_volume(path)
 
+    @pytest.mark.parametrize("dims", [[1, "2", 2, 2], [1, 2, 2, 2.0], [1, 2, 2, True]])
+    def test_dims_must_be_ints(self, tmp_path, dims):
+        path = tmp_path / "v.bin"
+        save_volume(path, CineVolume(np.zeros((1, 2, 2, 2), dtype=np.float32)))
+        raw = path.read_bytes()
+        split = raw.index(b"\n")
+        header = json.loads(raw[:split])
+        header["dims"] = dims
+        path.write_bytes(json.dumps(header).encode() + raw[split:])
+        with pytest.raises(HeaderError):
+            load_volume(path)
+
     def test_truncated_payload(self, tmp_path):
         vol = CineVolume(np.ones((2, 2, 8, 8), dtype=np.float32))
         path = tmp_path / "v.bin"
