@@ -10,13 +10,7 @@ converted to a compact gather + grouped convolution for inference.
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    _conv_core,
-    _result,
-    conv2d,
-)
+from .tensor import ShapeError, Tensor, _result, conv2d
 
 __all__ = [
     "StageError",
@@ -81,19 +75,16 @@ class LGConvLayer:
         self.mask = np.ones((out_channels, in_channels), dtype=dtype)
         self.history = []  # one report dict per completed condensing stage
 
-    @property
-    def filters_per_group(self):
-        return self.out_channels // self.groups
-
-    def group_rows(self, g):
-        """Filter index range (start, stop) of filter-group g."""
-        n = self.filters_per_group
-        return g * n, (g + 1) * n
+    def grouped(self):
+        """Writable views of the kernel as (M, N/M, h, kh, kw) and of the
+        mask as (M, N/M, h); the first axis is the filter-group."""
+        M, h, k = self.groups, self.in_channels, self.kernel_size
+        return (self.kernel.data.reshape(M, -1, h, k, k),
+                self.mask.reshape(M, -1, h))
 
     def alive_per_group(self):
         """Alive input-channel count of each filter-group (they all agree)."""
-        return [int(self.mask[self.group_rows(g)[0]].sum())
-                for g in range(self.groups)]
+        return [int(n) for n in self.grouped()[1][:, 0].sum(axis=1)]
 
     def apply_mask(self):
         """Force pruned weights back to exactly zero (after optimizer steps)."""
@@ -118,12 +109,9 @@ def importance_scores(layer: LGConvLayer) -> np.ndarray:
     Averaging runs over the group's filters and all kernel positions, so the
     score of channel j answers: how strongly does this group use channel j?
     """
-    n = layer.filters_per_group
-    w = layer.kernel.data.reshape(layer.groups, n, layer.in_channels,
-                                  layer.kernel_size, layer.kernel_size)
+    w, mask = layer.grouped()
     scores = np.abs(w).mean(axis=(1, 3, 4)).astype(np.float64)
-    group_mask = layer.mask[::n]  # first row of each group speaks for all
-    scores[group_mask == 0] = -np.inf
+    scores[mask[:, 0] == 0] = -np.inf  # a group's first row speaks for all
     return scores
 
 
@@ -141,16 +129,16 @@ def condense(layer: LGConvLayer):
     h = layer.in_channels
     target = _alive_per_group(h, C, layer.stage + 1)
     scores = importance_scores(layer)
+    w, mask = layer.grouped()
     pruned = []
     for g in range(layer.groups):
-        alive = np.flatnonzero(layer.mask[layer.group_rows(g)[0]])
+        alive = np.flatnonzero(mask[g, 0])
         n_drop = len(alive) - target
         # stable ascending sort: ties fall to the lower channel index
         order = alive[np.argsort(scores[g, alive], kind="stable")]
         drop = np.sort(order[:n_drop])
-        lo, hi = layer.group_rows(g)
-        layer.mask[lo:hi, drop] = 0
-        layer.kernel.data[lo:hi, drop] = 0.0
+        mask[g, :, drop] = 0
+        w[g, :, drop] = 0.0
         pruned.append([int(j) for j in drop])
     layer.stage += 1
     report = {"stage": layer.stage, "pruned": pruned, "alive_per_group": target}
@@ -165,9 +153,7 @@ def group_lasso_penalty(layer: LGConvLayer) -> Tensor:
     for an all-zero block, so pruned connections stay untouched.
     """
     k = layer.kernel
-    n = layer.filters_per_group
-    M, h = layer.groups, layer.in_channels
-    w = k.data.reshape(M, n, h, layer.kernel_size, layer.kernel_size)
+    w = layer.grouped()[0]
     norms = np.sqrt((w * w).sum(axis=(1, 3, 4)))  # (M, h)
     out = _result(np.asarray(norms.sum()), (k,))
     if out.requires_grad:
@@ -220,7 +206,7 @@ class InferenceLGConv:
 
     def forward(self, x: np.ndarray, stride: int = 1,
                 padding: int = 0) -> np.ndarray:
-        outs = [_conv_core(np.ascontiguousarray(x[:, idx]), k, stride, padding)
+        outs = [conv2d(Tensor(x[:, idx]), Tensor(k), stride, padding).data
                 for idx, k in zip(self.index, self.grouped_kernel)]
         return np.concatenate(outs, axis=1)
 
@@ -238,11 +224,6 @@ def to_inference(layer: LGConvLayer) -> InferenceLGConv:
     if layer.stage != C - 1:
         raise StageError("layer %r not fully condensed: stage %d, need %d"
                          % (layer.name, layer.stage, C - 1))
-    index = []
-    kernels = []
-    for g in range(layer.groups):
-        lo, hi = layer.group_rows(g)
-        alive = np.flatnonzero(layer.mask[lo])
-        index.append(alive)
-        kernels.append(layer.kernel.data[lo:hi, alive])
-    return InferenceLGConv(np.stack(index), np.stack(kernels))
+    w, mask = layer.grouped()
+    index = np.stack([np.flatnonzero(m) for m in mask[:, 0]])
+    return InferenceLGConv(index, np.stack([wg[:, idx] for wg, idx in zip(w, index)]))

@@ -220,8 +220,7 @@ class UpBlock:
 
     def forward(self, x, skip, training):
         h = conv2d(relu(self.bn(x, training)), self.reduce)
-        h = conv2d_transpose(h, self.up, stride=2)  # (2H+1, 2W+1)
-        h = h.crop_spatial(2 * x.shape[2], 2 * x.shape[3])
+        h = conv2d_transpose(h, self.up, stride=2, size=skip.shape[2:])
         return h + conv2d(skip, self.skip_proj)
 
 

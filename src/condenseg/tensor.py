@@ -38,6 +38,10 @@ class NumericsError(ArithmeticError):
     """Raised when a value that must be finite is NaN or Inf."""
 
 
+class UninitializedStatsError(RuntimeError):
+    """Raised when inference-mode normalization finds no running stats."""
+
+
 class Tensor:
     """Dense N-D array with an optional gradient slot.
 
@@ -56,10 +60,6 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._backward = None
-
-    @staticmethod
-    def param(data, name=""):
-        return Tensor(data, requires_grad=True, name=name)
 
     @property
     def shape(self):
@@ -202,22 +202,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    # -- structural ops -------------------------------------------------
-
-    def crop_spatial(self, h, w):
-        """Keep the top-left h x w window of a (B,C,H,W) tensor."""
-        out = _result(np.ascontiguousarray(self.data[:, :, :h, :w]), (self,))
-        if out.requires_grad:
-            a = self
-
-            def backward(g):
-                full = np.zeros_like(a.data)
-                full[:, :, :h, :w] = g
-                a._accumulate(full)
-
-            out._backward = backward
-        return out
-
 
 def _result(data, parents):
     req = any(p.requires_grad for p in parents)
@@ -350,15 +334,8 @@ def _tap_matrix(kernel):
     return kernel.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
 
 
-def _tap_matmul(mat, a, taps):
-    """Apply a (T*Cout, Cin) tap matrix at every pixel of (B,Cin,H,W):
-    one GEMM per image, (B,T,Cout,H,W) out."""
-    b, c, h, w = a.shape
-    return (mat @ a.reshape(b, c, h * w)).reshape(b, taps, -1, h, w)
-
-
 def _tap_matrix_grad(taps, a, kernel_shape):
-    """Kernel-layout gradient of the tap matrix in `_tap_matmul(mat, a)`,
+    """Kernel-layout gradient of the tap matrix in `_conv`'s GEMM over `a`,
     given the (B,T,Cout,H,W) gradient of its output."""
     cout, cin, kh, kw = kernel_shape
     b = a.shape[0]
@@ -366,80 +343,76 @@ def _tap_matrix_grad(taps, a, kernel_shape):
     return d.sum(axis=0).reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)
 
 
-def _conv_core(x, kernel, stride, padding):
-    """Plain forward cross-correlation on ndarrays."""
-    h, w = x.shape[2:]
-    kh, kw = kernel.shape[2:]
-    size = ((h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
-    taps = _tap_matmul(_tap_matrix(kernel), x, kh * kw)
-    return _gather(taps, kh, kw, stride, padding, size)
+def _conv(x, kernel, stride, padding, size, transposed):
+    """Body of conv2d and conv2d_transpose: one GEMM applies every kernel
+    tap to the input, then a move takes the tap planes to the `size`
+    output.  conv2d moves with `_gather`; conv2d_transpose reads its
+    (C1,C2,kh,kw) kernel as (C2,C1,kh,kw) and moves with `_scatter`, so its
+    GEMM runs on the narrow input, never on the stride^2-times larger frame.
+    The backward applies the other move, once, to the output gradient."""
+    move, adjoint = (_scatter, _gather) if transposed else (_gather, _scatter)
+    k = kernel.data.swapaxes(0, 1) if transposed else kernel.data
+    b, cin, h, w = x.shape
+    kh, kw = k.shape[2:]
+    mat = _tap_matrix(k)  # (T*Cout, Cin)
+    taps = (mat @ x.data.reshape(b, cin, h * w)).reshape(b, kh * kw, -1, h, w)
+    out = _result(move(taps, kh, kw, stride, padding, size), (x, kernel))
+    if out.requires_grad:
+
+        def backward(g):
+            taps = adjoint(g, kh, kw, stride, padding, (h, w))
+            if kernel.requires_grad:
+                dk = _tap_matrix_grad(taps, x.data, k.shape)
+                kernel._accumulate(dk.swapaxes(0, 1) if transposed else dk)
+            if x.requires_grad:
+                dx = mat.T @ taps.reshape(b, mat.shape[0], h * w)
+                x._accumulate(dx.reshape(x.shape))
+
+        out._backward = backward
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw); H' = (H+2p-kh)//s + 1."""
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    b, cin, h, w = x.shape
-    cout, kcin, kh, kw = kernel.shape
+    _, cin, h, w = x.shape
+    _, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input has {cin}, kernel expects {kcin}")
     if stride < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    out = _result(_conv_core(x.data, kernel.data, stride, padding), (x, kernel))
-    if out.requires_grad:
-
-        def backward(g):
-            # the output gradient shifted to every tap's input position, once
-            taps = _scatter(g, kh, kw, stride, padding, (h, w))
-            if kernel.requires_grad:
-                kernel._accumulate(_tap_matrix_grad(taps, x.data, kernel.shape))
-            if x.requires_grad:
-                dx = _tap_matrix(kernel.data).T @ taps.reshape(b, kh * kw * cout, h * w)
-                x._accumulate(dx.reshape(x.shape))
-
-        out._backward = backward
-    return out
+    size = ((h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
+    return _conv(x, kernel, stride, padding, size, transposed=False)
 
 
-def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Adjoint of conv2d. Input (B,C1,H,W), kernel (C1,C2,kh,kw) -> (B,C2,H',W')
-    with H' = (H-1)*stride - 2*padding + kh.
+def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+                     size=None) -> Tensor:
+    """Adjoint of conv2d. Input (B,C1,H,W), kernel (C1,C2,kh,kw) -> (B,C2,H',W').
+
+    `size` is the output (H', W'); by default H' = (H-1)*stride - 2*padding + kh.
+    With `size` given this is the adjoint of conv2d on a `size` input: taps
+    landing outside the frame are dropped, and frame pixels no tap reaches
+    stay zero.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d_transpose expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    b, c1, h, w = x.shape
-    kc1, c2, kh, kw = kernel.shape
+    _, c1, h, w = x.shape
+    kc1, _, kh, kw = kernel.shape
     if kc1 != c1:
         raise ShapeError(f"conv2d_transpose channel mismatch: input has {c1}, kernel expects {kc1}")
     if stride not in (1, 2):
         raise ShapeError(f"conv2d_transpose stride must be 1 or 2, got {stride}")
     if kh - 1 - padding < 0 or kw - 1 - padding < 0:
         raise ShapeError(f"padding {padding} too large for kernel {kh}x{kw}")
-
-    size = ((h - 1) * stride - 2 * padding + kh, (w - 1) * stride - 2 * padding + kw)
+    if size is None:
+        size = ((h - 1) * stride - 2 * padding + kh, (w - 1) * stride - 2 * padding + kw)
+    size = tuple(size)
     if min(size) < 1:
         raise ShapeError(f"conv2d_transpose output {size[0]}x{size[1]} is empty")
-    # scatter form: the GEMM runs on the narrow input, never on the
-    # stride^2-times larger output frame
-    mat = _tap_matrix(kernel.data.swapaxes(0, 1))  # (T*C2, C1)
-    taps = _tap_matmul(mat, x.data, kh * kw)
-    out = _result(_scatter(taps, kh, kw, stride, padding, size), (x, kernel))
-    if out.requires_grad:
-
-        def backward(g):
-            # every tap's strided window of the output gradient, once
-            taps = _gather(g, kh, kw, stride, padding, (h, w))
-            if kernel.requires_grad:
-                dk = _tap_matrix_grad(taps, x.data, (c2, c1, kh, kw))
-                kernel._accumulate(dk.swapaxes(0, 1))
-            if x.requires_grad:
-                dx = mat.T @ taps.reshape(b, kh * kw * c2, h * w)
-                x._accumulate(dx.reshape(x.shape))
-
-        out._backward = backward
-    return out
+    return _conv(x, kernel, stride, padding, size, transposed=True)
 
 
 def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
@@ -523,7 +496,8 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
             running.update(mu, var, momentum)
     else:
         if running is None or not running.initialized:
-            raise ShapeError("scale_shift inference mode needs initialized running stats")
+            raise UninitializedStatsError(
+                "scale_shift inference mode needs initialized running stats")
         mu, var = running.mean, running.var
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
@@ -569,24 +543,30 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState):
-    """One in-place Adam update with bias correction over `params`."""
+    """One in-place Adam update with bias correction over `params`.
+
+    Every gradient is checked before any parameter or the step count
+    changes; the first one missing, misshapen or not finite raises.
+    """
     params = list(params)
     if not state.first_moment:
         state.first_moment = [np.zeros_like(p.data) for p in params]
         state.second_moment = [np.zeros_like(p.data) for p in params]
     if len(state.first_moment) != len(params):
         raise ValueError(f"AdamState tracks {len(state.first_moment)} params, got {len(params)}")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
     for i, p in enumerate(params):
         if p.grad is None:
             raise ValueError(f"adam_step: parameter {p.name or i!r} has no gradient")
         if p.grad.shape != p.data.shape:
             raise ShapeError(f"gradient shape {p.grad.shape} != param shape {p.data.shape}")
-        m, v = state.first_moment[i], state.second_moment[i]
+        if not np.isfinite(p.grad).all():
+            raise NumericsError(f"adam_step: parameter {p.name or i!r} has a non-finite gradient")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    for p, m, v in zip(params, state.first_moment, state.second_moment):
         m *= b1
         m += (1 - b1) * p.grad
         v *= b2

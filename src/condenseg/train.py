@@ -179,15 +179,15 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
                 value = float(loss.data)
                 if not math.isfinite(value):
                     raise NumericsError("non-finite loss %r" % value)
+                for p in params:
+                    p.grad = None
+                loss.backward()
+                adam_step(params, adam)
             except NumericsError as err:
                 raise NumericsError(
                     "training aborted at epoch %d, batch %d: %s"
                     % (epoch, step, err)) from err
             epoch_loss += value
-            for p in params:
-                p.grad = None
-            loss.backward()
-            adam_step(params, adam)
             net.apply_masks()
 
         history["loss"].append(epoch_loss / cfg.batches_per_epoch)

@@ -74,6 +74,18 @@ class TestForward:
                                         * np.ones_like(layer.kernel.data) == 0] == 0)
 
 
+class TestGrouped:
+    def test_writes_reach_kernel_and_mask(self):
+        layer = make_layer(3, 6, groups=3)
+        w, mask = layer.grouped()
+        assert w.shape == (3, 2, 3, 3, 3) and mask.shape == (3, 2, 3)
+        w[1, :, 2] = 7.0
+        mask[1, :, 2] = 0
+        assert np.all(layer.kernel.data[2:4, 2] == 7.0)
+        assert np.all(layer.kernel.data[[0, 1, 4, 5], 2] != 7.0)
+        assert np.array_equal(np.flatnonzero(layer.mask == 0), [2 * 3 + 2, 3 * 3 + 2])
+
+
 class TestImportance:
     def test_equal_weights_equal_scores(self):
         layer = make_layer(5, 4, groups=2)

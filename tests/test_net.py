@@ -16,7 +16,7 @@ from condenseg.net import (
     load_checkpoint,
     save_checkpoint,
 )
-from condenseg.tensor import ShapeError, Tensor, grad_check
+from condenseg.tensor import ShapeError, Tensor, UninitializedStatsError, grad_check
 
 
 def small_config():
@@ -126,6 +126,10 @@ class TestForward:
             net.forward(Tensor(np.zeros((1, 1, 64, 64))))
         with pytest.raises(ShapeError):
             net.forward(Tensor(np.zeros((1, 2, 32, 32))))
+
+    def test_inference_before_stats_raises(self):
+        with pytest.raises(UninitializedStatsError):
+            small_net().forward(Tensor(np.zeros((1, 1, 32, 32))), training=False)
 
     def test_deterministic(self):
         x = Tensor(np.random.default_rng(7).normal(size=(1, 1, 32, 32)))

@@ -119,6 +119,19 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match="epoch 0"):
             train(subs[:2], cfg, val_subjects=subs[2:])
 
+    def test_non_finite_gradient_names_position(self, monkeypatch):
+        import condenseg.train as train_module
+        real_step = train_module.adam_step
+
+        def poisoned_step(params, state):
+            params[-1].grad[...] = np.nan
+            real_step(params, state)
+
+        monkeypatch.setattr(train_module, "adam_step", poisoned_step)
+        subs = tiny_cohort(3)
+        with pytest.raises(NumericsError, match="epoch 0, batch 0: .*head.kernel"):
+            train(subs[:2], tiny_config(epochs=1), val_subjects=subs[2:])
+
     def test_internal_split_used_when_no_val(self):
         subs = tiny_cohort(6)
         cfg = tiny_config(epochs=1, train_fraction=0.5, val_fraction=0.5)
