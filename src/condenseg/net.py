@@ -11,6 +11,7 @@ class probabilities.
 
 import json
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .tensor import (
     conv2d,
     conv2d_transpose,
     max_pool2d,
-    relu,
     scale_shift,
     softmax_channels,
 )
@@ -110,6 +110,8 @@ def _walk(parts):
 
 
 class BatchNorm:
+    """Batch normalization + ReLU in one op (`scale_shift`), with running stats."""
+
     def __init__(self, channels, dtype, name):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True,
                             name=name + ".gamma")
@@ -146,7 +148,7 @@ class Stem:
 
 
 class DenseLayer:
-    """Pre-activation unit: norm -> relu -> 3x3 learned group conv."""
+    """Pre-activation unit: norm + ReLU -> 3x3 learned group conv."""
 
     def __init__(self, in_channels, cfg: NetConfig, rng, dtype, name):
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
@@ -157,7 +159,7 @@ class DenseLayer:
         self.parts = (self.bn, self.lg.kernel, self.lg)
 
     def forward(self, x, training):
-        return lg_forward(self.lg, relu(self.bn(x, training)), padding=1)
+        return lg_forward(self.lg, self.bn(x, training), padding=1)
 
 
 class CondenseBlock:
@@ -176,15 +178,13 @@ class CondenseBlock:
         self.kernels = [(l.lg.kernel, res) for l in self.layers]
 
     def forward(self, x, training):
-        feats = [x]
         for layer in self.layers:
-            inp = feats[0] if len(feats) == 1 else concat_channels(feats)
-            feats.append(layer.forward(inp, training))
-        return concat_channels(feats)
+            x = concat_channels([x, layer.forward(x, training)])
+        return x
 
 
 class Transition:
-    """norm -> relu -> channel-halving 1x1 conv -> 2x2 max pool."""
+    """norm + ReLU -> channel-halving 1x1 conv -> 2x2 max pool."""
 
     def __init__(self, in_channels, res, rng, dtype, name):
         self.out_channels = (in_channels + 1) // 2
@@ -195,11 +195,11 @@ class Transition:
         self.kernels = [(self.kernel, res)]
 
     def forward(self, x, training):
-        return max_pool2d(conv2d(relu(self.bn(x, training)), self.kernel))
+        return max_pool2d(conv2d(self.bn(x, training), self.kernel))
 
 
 class UpBlock:
-    """norm -> relu -> 1x1 reduce -> stride-2 transposed conv, plus a 1x1
+    """norm + ReLU -> 1x1 reduce -> stride-2 transposed conv, plus a 1x1
     projection of the encoder skip; the two branches are added element-wise.
     `res` is the input resolution; the output is twice that."""
 
@@ -209,9 +209,7 @@ class UpBlock:
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
         self.reduce = _kernel(rng, d, in_channels, 1, 1, dtype, name + ".reduce")
         # transposed-conv layout: (in, out, kh, kw)
-        scale = np.sqrt(2.0 / (d * 9))
-        self.up = Tensor(rng.normal(0.0, scale, size=(d, d, 3, 3)).astype(dtype),
-                         requires_grad=True, name=name + ".up")
+        self.up = _kernel(rng, d, d, 3, 3, dtype, name + ".up")
         self.skip_proj = _kernel(rng, d, skip_channels, 1, 1, dtype,
                                  name + ".skip_proj")
         self.parts = (self.bn, self.reduce, self.up, self.skip_proj)
@@ -219,13 +217,13 @@ class UpBlock:
                         (self.skip_proj, 2 * res)]
 
     def forward(self, x, skip, training):
-        h = conv2d(relu(self.bn(x, training)), self.reduce)
+        h = conv2d(self.bn(x, training), self.reduce)
         h = conv2d_transpose(h, self.up, stride=2, size=skip.shape[2:])
         return h + conv2d(skip, self.skip_proj)
 
 
 class Head:
-    """norm -> relu -> 1x1 conv to class logits -> per-pixel softmax."""
+    """norm + ReLU -> 1x1 conv to class logits -> per-pixel softmax."""
 
     def __init__(self, in_channels, num_classes, res, rng, dtype, name="head"):
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
@@ -235,7 +233,7 @@ class Head:
         self.kernels = [(self.kernel, res)]
 
     def forward(self, x, training):
-        return softmax_channels(conv2d(relu(self.bn(x, training)), self.kernel))
+        return softmax_channels(conv2d(self.bn(x, training), self.kernel))
 
 
 class Network:
@@ -432,7 +430,9 @@ def load_checkpoint(path):
     config = NetConfig.from_dict(header["config"])
     manifest = header["manifest"]
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
-    net = build(config, rng=np.random.default_rng(0), dtype=dtype)
+    # every weight is read from the file below: draw none
+    net = build(config, rng=SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size)),
+                dtype=dtype)
     arrays = dict(net.state_entries())
     _require_names(path, "buffer", [item["name"] for item in manifest], list(arrays))
     _require_names(path, "lg_stages key", list(header.get("lg_stages", {})),

@@ -1,12 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Implements exactly the operations the segmentation network needs: 2-D
-convolution and its transpose, max pooling, pointwise ops, a
-batch-statistics scale/shift, channel softmax, reductions, and the small
-elementwise algebra the losses are written in.  Each forward op records a
-backward closure; ``Tensor.backward`` replays them in reverse topological
-order.  The Adam optimizer and a central finite-difference gradient
-checker live here as well.
+convolution and its transpose, max pooling, a batch-statistics
+normalize + ReLU (`scale_shift`), channel softmax, reductions, and the
+small elementwise algebra the losses are written in.  Each forward op
+records a backward closure; ``Tensor.backward`` replays them in reverse
+topological order.  The Adam optimizer and a central finite-difference
+gradient checker live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
@@ -218,14 +218,6 @@ def _reduce_to(g, shape):
     return g
 
 
-def relu(x: Tensor) -> Tensor:
-    out = _result(np.maximum(x.data, 0), (x,))
-    if out.requires_grad:
-        mask = x.data > 0
-        out._backward = lambda g: x._accumulate(g * mask)
-    return out
-
-
 def concat_channels(tensors) -> Tensor:
     """Concatenate (B,C_i,H,W) tensors along the channel axis."""
     tensors = list(tensors)
@@ -417,22 +409,24 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
 
 def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
     """Non-overlapping max pooling; gradient goes to the first max in scan order."""
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % window or w % window:
         raise ShapeError(f"max_pool2d needs H,W divisible by {window}, got {h}x{w}")
-    ho, wo = h // window, w // window
-    patches = x.data.reshape(b, c, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
-    patches = patches.reshape(b, c, ho, wo, window * window)
-    arg = np.argmax(patches, axis=-1)  # first occurrence on ties, scan order
-    out_data = np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
-    out = _result(np.ascontiguousarray(out_data), (x,))
+    views = [x.data[..., i::window, j::window] for i, j in np.ndindex(window, window)]
+    pooled = views[0].copy()
+    for v in views[1:]:
+        np.maximum(v, pooled, out=pooled)  # on a tie np.maximum returns `pooled`, the earlier max
+    out = _result(pooled, (x,))
     if out.requires_grad:
 
         def backward(g):
-            flat = np.zeros_like(patches)
-            np.put_along_axis(flat, arg[..., None], g[..., None], axis=-1)
-            full = flat.reshape(b, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
-            x._accumulate(np.ascontiguousarray(full.reshape(b, c, h, w)))
+            full = np.zeros_like(x.data)
+            free = np.ones(pooled.shape, dtype=bool)  # windows whose max is not yet found
+            for (i, j), v in zip(np.ndindex(window, window), views):
+                hit = free & (v == pooled)
+                np.copyto(full[..., i::window, j::window], g, where=hit)
+                free &= ~hit
+            x._accumulate(full)
 
         out._backward = backward
     return out
@@ -481,7 +475,7 @@ class RunningStats:
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                 running: RunningStats | None = None, momentum: float = 0.9,
                 eps: float = 1e-8) -> Tensor:
-    """Per-channel normalize-then-affine over batch+space of (B,C,H,W).
+    """Per-channel normalize, affine, then ReLU over batch+space of (B,C,H,W).
 
     Training mode uses batch statistics (and updates `running` if given);
     inference mode uses the stored running averages.
@@ -502,11 +496,13 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    np.maximum(y, 0, out=y)
     out = _result(y, (x, gamma, beta))
     if out.requires_grad:
         n = b * h * w
 
         def backward(g):
+            g = g * (y > 0)
             if beta.requires_grad:
                 beta._accumulate(g.sum(axis=(0, 2, 3)))
             if gamma.requires_grad:

@@ -96,19 +96,20 @@ def cine_box(cine, size):
         return center_box((h, w), size=size)
 
 
+def _frame_slices(cine, frame, box, z=slice(None)):
+    """The `z` planes of one cine frame, cropped and normalised: (Z,1,h,w) float32."""
+    return np.stack([normalize_slice(_crop2d(p, box)) for p in cine.data[frame, z]])[:, None]
+
+
 def _training_slices(subjects, size):
     """Crop all annotated frames once; returns (images, labels) arrays."""
     images, labels = [], []
     for sub in subjects:
         box = cine_box(sub.cine, size)
         for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
-            planes = sub.cine.data[frame]
-            cropped = crop_mask(mask, box)
-            for z in range(planes.shape[0]):
-                images.append(normalize_slice(_crop2d(planes[z], box)))
-                labels.append(cropped.data[z])
-    return (np.stack(images)[:, None].astype(np.float32),
-            np.stack(labels).astype(np.uint8))
+            images.append(_frame_slices(sub.cine, frame, box))
+            labels.append(crop_mask(mask, box).data)
+    return np.concatenate(images), np.concatenate(labels)
 
 
 def _forward_batches(net, images, chunk=8):
@@ -150,12 +151,12 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     val_images, val_labels = [], []
     for sub in val_subjects:
         box = cine_box(sub.cine, size)
-        mid = sub.cine.data.shape[1] // 2
+        mid = slice(sub.cine.slices // 2, sub.cine.slices // 2 + 1)
         for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
-            val_images.append(normalize_slice(_crop2d(sub.cine.data[frame][mid], box)))
+            val_images.append(_frame_slices(sub.cine, frame, box, mid))
             val_labels.append(crop_mask(mask, box).data[mid])
-    val_images = np.stack(val_images)[:, None] if val_images else None
-    val_labels = np.stack(val_labels) if val_labels else None
+    val_images = np.concatenate(val_images) if val_images else None
+    val_labels = np.concatenate(val_labels) if val_labels else None
 
     params = net.parameters()
     history = {"loss": [], "val_dice": [], "alive_params": [], "condensation": []}
@@ -221,11 +222,9 @@ def predict_masks(net, subject):
 def segment_frame(net, cine, frame, box):
     """Segment every slice of one cine frame inside `box`; returns the
     label mask pasted back to the full slice size."""
-    planes = cine.data[frame]
-    batch = np.stack([normalize_slice(_crop2d(p, box)) for p in planes])
-    probs = _forward_batches(net, batch[:, None])
+    probs = _forward_batches(net, _frame_slices(cine, frame, box))
     pred = LabelMask(np.argmax(probs, axis=1).astype(np.uint8))
-    return paste_mask(pred, box, planes.shape[1:])
+    return paste_mask(pred, box, cine.data.shape[2:])
 
 
 def _report_or_nan(seg):

@@ -45,8 +45,9 @@ class Geometry:
 
     def __post_init__(self):
         sx, sy = self.pixel_spacing_mm
-        if sx <= 0 or sy <= 0 or self.slice_thickness_mm <= 0 or self.slice_gap_mm < 0:
-            raise ValueError("geometry values must be positive (gap may be 0)")
+        if not (0 < sx < np.inf and 0 < sy < np.inf and 0 < self.slice_thickness_mm < np.inf
+                and 0 <= self.slice_gap_mm < np.inf):  # NaN fails every comparison
+            raise ValueError("geometry values must be finite and positive (gap may be 0)")
         self.pixel_spacing_mm = (float(sx), float(sy))
 
     def slice_step_mm(self):
@@ -186,8 +187,11 @@ def load_volume(path):
         raise TruncationError("%s: buffer is %d bytes, header dims need %d"
                               % (path, len(blob), expected))
     arr = np.frombuffer(blob, dtype=dt).reshape(dims)
-    geom = Geometry(tuple(header["spacing_mm"]), header["slice_thickness_mm"],
-                    header["slice_gap_mm"])
+    try:
+        geom = Geometry(tuple(header["spacing_mm"]), header["slice_thickness_mm"],
+                        header["slice_gap_mm"])
+    except (TypeError, ValueError) as err:
+        raise HeaderError("%s: bad geometry: %s" % (path, err)) from None
     if tag == "f32":
         return CineVolume(arr.copy(), geom)
     names = header.get("label_names") or LABEL_NAMES

@@ -32,7 +32,6 @@ from condenseg.tensor import (
     conv2d_transpose,
     grad_check,
     max_pool2d,
-    relu,
     scale_shift,
     softmax_channels,
 )
@@ -65,8 +64,14 @@ def test_criterion_1_gradients():
 
     xp = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
     worst["max_pool"] = grad_check(_prober(lambda t: max_pool2d(t, 2), xp, rng), xp, rng=rng)
+    # the fused ReLU under a unit affine clips about half the outputs; the
+    # fixed affine draws nothing, so the checks below keep their inputs
     xr = Tensor(rng.standard_normal((2, 3, 6, 6)) + 0.2, requires_grad=True)
-    worst["relu"] = grad_check(_prober(relu, xr, rng), xr, rng=rng)
+    unit, zero = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    clipped = scale_shift(xr, unit, zero).data == 0
+    assert clipped.any() and not clipped.all()
+    worst["scale_shift/clipped"] = grad_check(
+        _prober(lambda t: scale_shift(t, unit, zero), xr, rng), xr, rng=rng)
 
     gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
     beta = Tensor(rng.standard_normal(3), requires_grad=True)
@@ -100,7 +105,7 @@ def test_criterion_1_gradients():
     def net_probe(_):
         return (net.forward(xin, training=True) * probe_w).sum()
 
-    # h=1e-7 keeps the central-difference window clear of relu/max-pool
+    # h=1e-7 keeps the central-difference window clear of ReLU/max-pool
     # kinks that a 32x32 net crosses at the default step
     worst["network/input"] = grad_check(net_probe, xin, h=1e-7, rng=rng)
     params = net.parameters()

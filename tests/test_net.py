@@ -185,6 +185,20 @@ class TestCheckpoint:
         assert [lg.stage for lg in net2.lg_layers()] == \
                [lg.stage for lg in net.lg_layers()]
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        p = tmp_path / "n.ckpt"
+        save_checkpoint(small_net(seed=3), p)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint created a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        legacy = np.random.get_state()[1].copy()
+        net, _ = load_checkpoint(p)
+        assert np.array_equal(np.random.get_state()[1], legacy)
+        save_checkpoint(net, tmp_path / "m.ckpt")
+        assert (tmp_path / "m.ckpt").read_bytes() == p.read_bytes()
+
     def test_bad_header_raises(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"not json\n\x00\x01")

@@ -17,7 +17,6 @@ from condenseg.tensor import (
     grad_check,
     index_channels,
     max_pool2d,
-    relu,
     scale_shift,
     softmax_channels,
 )
@@ -250,6 +249,21 @@ class TestConvProperties:
             assert err < T.GRAD_TOL
 
 
+def max_pool2d_argmax(x, g, window=2):
+    """Argmax max pooling: (output, input gradient for output gradient g),
+    ties to the first max in scan order. The reference for max_pool2d."""
+    b, c, h, w = x.shape
+    ho, wo = h // window, w // window
+    patches = x.reshape(b, c, ho, window, wo, window).transpose(0, 1, 2, 4, 3, 5)
+    patches = patches.reshape(b, c, ho, wo, window * window)
+    arg = np.argmax(patches, axis=-1)
+    out = np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
+    flat = np.zeros_like(patches)
+    np.put_along_axis(flat, arg[..., None], g[..., None], axis=-1)
+    full = flat.reshape(b, c, ho, wo, window, window).transpose(0, 1, 2, 4, 3, 5)
+    return out, full.reshape(b, c, h, w)
+
+
 class TestMaxPool:
     def test_2x2(self):
         x = Tensor(np.array([[1., 2.], [3., 4.]]).reshape(1, 1, 2, 2))
@@ -282,12 +296,24 @@ class TestMaxPool:
         err = grad_check(lambda t: (max_pool2d(t) * max_pool2d(t)).sum(), x)
         assert err < T.GRAD_TOL
 
+    @settings(max_examples=60, **PROPERTY)
+    @given(b=st.integers(1, 2), c=st.integers(1, 3), ho=st.integers(1, 4),
+           wo=st.integers(1, 4), window=st.sampled_from([2, 3]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2 ** 16))
+    def test_matches_argmax_oracle_with_ties(self, b, c, ho, wo, window, dtype, seed):
+        # small integers make tied windows common
+        rng = np.random.default_rng(seed)
+        data = rng.integers(-2, 3, size=(b, c, ho * window, wo * window)).astype(dtype)
+        g = rng.standard_normal((b, c, ho, wo)).astype(dtype)
+        want_out, want_grad = max_pool2d_argmax(data, g, window)
+        x = Tensor(data, requires_grad=True)
+        out = max_pool2d(x, window)
+        (out * Tensor(g)).sum().backward()
+        assert out.dtype == dtype and out.data.tobytes() == want_out.tobytes()
+        assert x.grad.tobytes() == np.ascontiguousarray(want_grad).tobytes()
+
 
 class TestPointwise:
-    def test_relu_values(self):
-        out = relu(Tensor(np.array([-1.0, 0.0, 2.0])))
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
-
     def test_add_identity(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(2, 3))
@@ -304,10 +330,10 @@ class TestPointwise:
         gamma = Tensor(np.full(5, 1.7))
         beta = Tensor(np.full(5, -0.3))
         out = scale_shift(x, gamma, beta).data
-        mean = out.mean(axis=(0, 2, 3))
-        std = out.std(axis=(0, 2, 3))
-        assert np.max(np.abs(mean - (-0.3))) < 1e-6
-        assert np.max(np.abs(std - 1.7)) < 1e-6
+        xhat = (x.data - x.data.mean(axis=(0, 2, 3), keepdims=True)) \
+            / x.data.std(axis=(0, 2, 3), keepdims=True)
+        assert np.max(np.abs(out - np.maximum(1.7 * xhat - 0.3, 0.0))) < 1e-6
+        assert (out == 0).any() and (out > 0).any()
 
     def test_scale_shift_running_stats_inference(self):
         rng = np.random.default_rng(11)
@@ -318,13 +344,13 @@ class TestPointwise:
         out = scale_shift(Tensor(x), gamma, beta, training=False, running=running)
         mu = x.mean(axis=(0, 2, 3))
         sd = np.sqrt(x.var(axis=(0, 2, 3)) + 1e-8)
-        want = (x - mu[None, :, None, None]) / sd[None, :, None, None]
+        want = np.maximum((x - mu[None, :, None, None]) / sd[None, :, None, None], 0.0)
         assert np.max(np.abs(out.data - want)) < 1e-12
 
     def test_pointwise_gradients(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 3, 4, 4)) + 0.5, requires_grad=True)
-        err = grad_check(lambda t: (relu(t) * relu(t)).sum(), x)
+        err = grad_check(lambda t: (t.clamp_min(0.0) * t.clamp_min(0.0)).sum(), x)
         assert err < T.GRAD_TOL_POINTWISE
         y = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
         err = grad_check(lambda t: (t + y).sum(), x)
@@ -347,6 +373,27 @@ class TestPointwise:
 
         for target in (x, gamma, beta):
             assert grad_check(f, target) < T.GRAD_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_scale_shift_equals_clipped_affine(self, dtype, training):
+        rng = np.random.default_rng(14)
+        x1, x2 = (rng.normal(0.5, 2.0, size=(3, 4, 5, 5)).astype(dtype) for _ in range(2))
+        gamma = Tensor(rng.uniform(0.5, 1.5, 4).astype(dtype))
+        beta = Tensor(rng.normal(size=4).astype(dtype))
+        running = T.RunningStats(4, dtype=dtype)
+        scale_shift(Tensor(x1), gamma, beta, running=running)
+        # the un-fused normalize-then-affine, in scale_shift's order of operations
+        if training:
+            mu, var = x2.mean(axis=(0, 2, 3)), x2.var(axis=(0, 2, 3))
+        else:
+            mu, var = running.mean, running.var
+        inv = 1.0 / np.sqrt(var + 1e-8)
+        xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
+        affine = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        out = scale_shift(Tensor(x2), gamma, beta, training=training, running=running).data
+        assert out.dtype == dtype and out.tobytes() == np.maximum(affine, 0).tobytes()
+        assert (out == 0).any() and (out > 0).any()
 
 
 class TestSoftmax:
@@ -452,10 +499,10 @@ class TestStructural:
 
 
 class TestGradCheckHarness:
-    def test_linear_region_relu(self):
+    def test_linear_op_exact(self):
         x = Tensor(np.abs(np.random.default_rng(20).normal(size=(3, 3))) + 0.1,
                    requires_grad=True)
-        err = grad_check(lambda t: relu(t).sum(), x)
+        err = grad_check(lambda t: (t * 2.0 - 1.0).sum(), x)
         assert err < 1e-8
 
     def test_scalar_algebra_graph(self):

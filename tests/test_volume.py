@@ -115,17 +115,30 @@ class TestFileFormat:
         with pytest.raises(DtypeError):
             load_volume(path)
 
-    @pytest.mark.parametrize("dims", [[1, "2", 2, 2], [1, 2, 2, 2.0], [1, 2, 2, True]])
-    def test_dims_must_be_ints(self, tmp_path, dims):
+    @staticmethod
+    def _with_header_field(tmp_path, key, value):
         path = tmp_path / "v.bin"
         save_volume(path, CineVolume(np.zeros((1, 2, 2, 2), dtype=np.float32)))
         raw = path.read_bytes()
         split = raw.index(b"\n")
         header = json.loads(raw[:split])
-        header["dims"] = dims
+        header[key] = value
         path.write_bytes(json.dumps(header).encode() + raw[split:])
+        return path
+
+    @pytest.mark.parametrize("dims", [[1, "2", 2, 2], [1, 2, 2, 2.0], [1, 2, 2, True]])
+    def test_dims_must_be_ints(self, tmp_path, dims):
         with pytest.raises(HeaderError):
-            load_volume(path)
+            load_volume(self._with_header_field(tmp_path, "dims", dims))
+
+    @pytest.mark.parametrize("key,value", [
+        ("spacing_mm", 1.5), ("spacing_mm", [1.5]), ("spacing_mm", [1.5, -1]),
+        ("spacing_mm", [float("nan"), 1]), ("spacing_mm", [1.5, float("inf")]),
+        ("slice_thickness_mm", "8"), ("slice_thickness_mm", float("nan")),
+        ("slice_gap_mm", None), ("slice_gap_mm", float("nan"))])
+    def test_bad_geometry_is_header_error(self, tmp_path, key, value):
+        with pytest.raises(HeaderError, match="bad geometry"):
+            load_volume(self._with_header_field(tmp_path, key, value))
 
     def test_truncated_payload(self, tmp_path):
         vol = CineVolume(np.ones((2, 2, 8, 8), dtype=np.float32))

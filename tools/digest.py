@@ -1,0 +1,105 @@
+"""Print one sha256 per artefact whose bytes the network code fixes.
+
+A change meant to keep every number must print the same lines as its base:
+
+    PYTHONPATH=src python3 tools/digest.py > after.txt
+    PYTHONPATH=/path/to/base/src python3 tools/digest.py > before.txt
+    diff before.txt after.txt
+
+Artefacts, one line each:
+- for seeded float64 and float32 nets, dense and after full condensation:
+  the training-mode output, the loss with its group-lasso term, every
+  parameter gradient (one digest over all of them, in parameter order) and
+  the eval-mode output;
+- a training run in the determinism criterion's configuration: its
+  checkpoint file, its two eval CSVs, and the eval-mode output of the
+  checkpoint after a reload.
+
+Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
+loads unless the environment already sets it; compare two trees at the
+same count.  The path of the imported package goes to stderr.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+import condenseg  # noqa: E402
+from condenseg.lgconv import CondensationSchedule  # noqa: E402
+from condenseg.loss import LossConfig, total_loss  # noqa: E402
+from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
+                           load_checkpoint, save_checkpoint)
+from condenseg.phantom import PhantomSpec, generate_phantom  # noqa: E402
+from condenseg.tensor import Tensor  # noqa: E402
+from condenseg.train import TrainConfig, emit_report_csv, evaluate, train  # noqa: E402
+from condenseg.volume import LabelMask  # noqa: E402
+
+LASSO = 1e-5
+
+
+def sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a if isinstance(a, bytes) else np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def net_lines(dtype, condensed):
+    tag = "%s/%s" % (np.dtype(dtype).name, "condensed" if condensed else "dense")
+    cfg = NetConfig(input_size=32)
+    net = build(cfg, rng=np.random.default_rng(5), dtype=dtype)
+    if condensed:
+        apply_condensation(net, 59, CondensationSchedule(60, cfg.condensation_factor))
+    rng = np.random.default_rng(6)
+    x, x_eval = (Tensor(rng.standard_normal((2, 1, 32, 32)).astype(dtype)) for _ in "ab")
+    y = LabelMask(rng.integers(0, cfg.num_classes, (2, 32, 32)).astype(np.uint8))
+    out = net.forward(x, training=True)
+    loss = total_loss(out, y, LossConfig()) + net.lasso_penalty() * LASSO
+    loss.backward()
+    params = net.parameters()
+    yield tag + "/train_output", sha(out.data)
+    yield tag + "/loss", sha(loss.data)
+    yield tag + "/gradients", sha(*(p.grad for p in params))
+    yield tag + "/eval_output", sha(net.forward(x_eval, training=False).data)
+
+
+def determinism_run_lines(tmp):
+    """The determinism criterion's run, once."""
+    spec = PhantomSpec(image_size=64, frames=4, slices=3,
+                       endo_radius_px=(7.0, 8.5), wall_px=(2.5, 3.0),
+                       contraction=(0.3, 0.4), center_jitter_px=2)
+    subs = [generate_phantom(spec, 700 + i, name="s%02d" % i) for i in range(6)]
+    cfg = TrainConfig(epochs=4, batch_size=2, batches_per_epoch=3, seed=13,
+                      net=NetConfig(input_size=32, layers_per_block=(1, 1, 2, 1, 1),
+                                    pool_layers=2, condensation_factor=2))
+    net, history = train(subs[:4], cfg, val_subjects=subs[4:])
+    ckpt = os.path.join(tmp, "run.ckpt")
+    save_checkpoint(net, ckpt, epoch=cfg.epochs,
+                    extra={"train_config": cfg.to_dict(), "run_history": history})
+    csv, summary = emit_report_csv(evaluate(net, subs[4:]), os.path.join(tmp, "run.csv"))
+    for name, path in (("checkpoint", ckpt), ("eval_csv", csv), ("eval_summary_csv", summary)):
+        with open(path, "rb") as f:
+            yield "run/" + name, sha(f.read())
+    reloaded, _ = load_checkpoint(ckpt)
+    x = np.random.default_rng(7).standard_normal((2, 1, 32, 32)).astype(reloaded.dtype)
+    yield "run/reloaded_eval_output", sha(reloaded.forward(Tensor(x), training=False).data)
+
+
+def main():
+    print("condenseg from %s" % os.path.dirname(condenseg.__file__), file=sys.stderr)
+    lines = [line for dtype in (np.float64, np.float32) for condensed in (False, True)
+             for line in net_lines(dtype, condensed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        lines += determinism_run_lines(tmp)
+    for name, digest in lines:
+        print("%s  %s" % (digest, name))
+
+
+if __name__ == "__main__":
+    main()
