@@ -15,7 +15,7 @@ from .clinical import SegmentationResult, report
 from .dataset import load_dataset, save_dataset
 from .net import load_checkpoint, save_checkpoint
 from .phantom import build_cohort
-from .roi import detect_roi, first_harmonic_map, radius_band
+from .roi import detect_roi, first_harmonic_map
 from .train import (TrainConfig, cine_box, emit_report_csv, evaluate, segment_frame,
                     train)
 from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
@@ -47,8 +47,7 @@ def cmd_roi(args):
     vol = load_volume(getattr(args, "in"))
     if not isinstance(vol, CineVolume):
         raise SystemExit("roi expects a cine volume, got a label mask")
-    r_min, r_max = radius_band(vol.data.shape[2:])
-    box = detect_roi(vol, r_min=r_min, r_max=r_max)
+    box = detect_roi(vol)
     _write_json(args.out, {
         "center": [box.center[0], box.center[1]],
         "radius": box.radius,

@@ -45,7 +45,7 @@ class LGConvLayer:
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=3, groups=1,
-                 condensation_factor=1, rng=None, scale=None, name="lgconv",
+                 condensation_factor=1, rng=None, name="lgconv",
                  dtype=np.float64):
         if out_channels % groups != 0:
             raise ShapeError(
@@ -66,8 +66,7 @@ class LGConvLayer:
         if rng is None:
             rng = np.random.default_rng()
         # He-style scaling over the receptive field
-        if scale is None:
-            scale = np.sqrt(2.0 / (in_channels * kernel_size * kernel_size))
+        scale = np.sqrt(2.0 / (in_channels * kernel_size * kernel_size))
         w = rng.normal(0.0, scale, size=(out_channels, in_channels,
                                          kernel_size, kernel_size))
         self.kernel = Tensor(w.astype(dtype), requires_grad=True,
@@ -91,8 +90,7 @@ class LGConvLayer:
         self.kernel.data *= self.mask[:, :, None, None]
 
 
-def lg_forward(layer: LGConvLayer, x: Tensor, stride: int = 1,
-               padding: int = 0) -> Tensor:
+def lg_forward(layer: LGConvLayer, x: Tensor, padding: int = 0) -> Tensor:
     """Masked dense convolution; pruned connections contribute nothing."""
     if x.shape[1] != layer.in_channels:
         raise ShapeError("expected %d input channels, got %d"
@@ -100,7 +98,7 @@ def lg_forward(layer: LGConvLayer, x: Tensor, stride: int = 1,
     k = layer.kernel
     mask4 = np.broadcast_to(layer.mask[:, :, None, None], k.shape)
     masked = k * Tensor(np.ascontiguousarray(mask4, dtype=k.data.dtype))
-    return conv2d(x, masked, stride=stride, padding=padding)
+    return conv2d(x, masked, padding=padding)
 
 
 def importance_scores(layer: LGConvLayer) -> np.ndarray:

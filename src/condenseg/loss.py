@@ -37,16 +37,6 @@ class LossConfig:
         return 1.0 - self.alpha
 
 
-@dataclass
-class WeightMap:
-    """Per-pixel weights plus the counts they were derived from."""
-
-    weights: np.ndarray          # (B,H,W)
-    class_freq: np.ndarray = None
-    edge_freq: int = 0
-    total_voxels: int = 0
-
-
 def _check_batch(mask: LabelMask):
     if mask.data.ndim != 3:
         raise ValueError("loss functions expect (B,H,W) label batches, got %s"
@@ -63,20 +53,18 @@ def _check_normalized(pred: Tensor, num_classes):
                          % err)
 
 
-def class_weight_map(mask: LabelMask, cfg: LossConfig) -> WeightMap:
-    """Weight each pixel by scale * |V| / class_freq(its label)."""
+def class_weight_map(mask: LabelMask, cfg: LossConfig) -> np.ndarray:
+    """(B,H,W) weights: scale * |V| / class_freq(each pixel's label)."""
     _check_batch(mask)
     counts = mask.class_counts()
-    total = mask.total_pixels()
     absent = [mask.label_names[l] for l in range(mask.num_classes) if counts[l] == 0]
     if absent:
         warnings.warn("classes absent from batch, skipped in weighting: %s"
                       % ", ".join(absent), RuntimeWarning, stacklevel=2)
     per_class = np.zeros(mask.num_classes)
     present = counts > 0
-    per_class[present] = cfg.scale * total / counts[present]
-    return WeightMap(weights=per_class[mask.data], class_freq=counts,
-                     total_voxels=total)
+    per_class[present] = cfg.scale * mask.total_pixels() / counts[present]
+    return per_class[mask.data]
 
 
 def edge_pixels(labels: np.ndarray) -> np.ndarray:
@@ -91,24 +79,21 @@ def edge_pixels(labels: np.ndarray) -> np.ndarray:
     return edge
 
 
-def edge_weight_map(mask: LabelMask, cfg: LossConfig) -> WeightMap:
-    """Additive weight edge_scale * |V| / edge_freq on label-boundary pixels."""
+def edge_weight_map(mask: LabelMask, cfg: LossConfig) -> np.ndarray:
+    """(B,H,W) additive weights: edge_scale * |V| / edge_freq on
+    label-boundary pixels, 0 elsewhere."""
     _check_batch(mask)
     edge = edge_pixels(mask.data)
     n_edge = int(edge.sum())
-    total = mask.total_pixels()
     weights = np.zeros(mask.data.shape)
     if n_edge:
-        weights[edge] = cfg.edge_scale * total / n_edge
-    return WeightMap(weights=weights, edge_freq=n_edge, total_voxels=total)
+        weights[edge] = cfg.edge_scale * mask.total_pixels() / n_edge
+    return weights
 
 
-def pixel_weights(mask: LabelMask, cfg: LossConfig) -> WeightMap:
-    """Combined per-pixel weight: class term plus additive edge term."""
-    cw = class_weight_map(mask, cfg)
-    ew = edge_weight_map(mask, cfg)
-    return WeightMap(weights=cw.weights + ew.weights, class_freq=cw.class_freq,
-                     edge_freq=ew.edge_freq, total_voxels=cw.total_voxels)
+def pixel_weights(mask: LabelMask, cfg: LossConfig) -> np.ndarray:
+    """(B,H,W) combined weights: class term plus additive edge term."""
+    return class_weight_map(mask, cfg) + edge_weight_map(mask, cfg)
 
 
 def _one_hot(mask: LabelMask, dtype):
@@ -118,14 +103,15 @@ def _one_hot(mask: LabelMask, dtype):
     return oh
 
 
-def weighted_cross_entropy(pred: Tensor, mask: LabelMask, w: WeightMap) -> Tensor:
-    """-sum_i w_i log p(r_i | a_i), probabilities clamped at 1e-12."""
+def weighted_cross_entropy(pred: Tensor, mask: LabelMask, weights: np.ndarray) -> Tensor:
+    """-sum_i w_i log p(r_i | a_i) over (B,H,W) `weights`, probabilities
+    clamped at 1e-12."""
     _check_batch(mask)
     _check_normalized(pred, mask.num_classes)
     onehot = _one_hot(mask, pred.data.dtype)
     p_true = (pred * Tensor(onehot)).sum(axis=1)       # (B,H,W)
     logp = p_true.clamp_min(PROB_CLAMP).log()
-    return -((logp * Tensor(np.asarray(w.weights, dtype=pred.data.dtype))).sum())
+    return -((logp * Tensor(np.asarray(weights, dtype=pred.data.dtype))).sum())
 
 
 def dice_loss(pred: Tensor, mask: LabelMask, cfg: LossConfig) -> Tensor:

@@ -81,13 +81,15 @@ def hough_circle(saliency, r_min: int = DEFAULT_R_MIN,
     uy = gy[ey, ex] / strength
     ux = gx[ey, ex] / strength
     radii = np.arange(r_min, r_max + 1)
-    acc = np.zeros((h, w, radii.size))
-    for ri, r in enumerate(radii):
-        for sign in (1.0, -1.0):
-            cy = np.rint(ey + sign * r * uy).astype(np.int64)
-            cx = np.rint(ex + sign * r * ux).astype(np.int64)
-            ok = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
-            np.add.at(acc[:, :, ri], (cy[ok], cx[ok]), strength[ok])
+    # one row of votes per (radius, sign), in that order: bincount then adds
+    # each bin's votes in the same sequence as one scatter-add per row would
+    steps = (radii[:, None] * np.array([1.0, -1.0])).reshape(-1, 1)
+    cy = np.rint(ey + steps * uy).astype(np.int64)
+    cx = np.rint(ex + steps * ux).astype(np.int64)
+    ok = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
+    bins = (cy * w + cx) * radii.size + np.repeat(np.arange(radii.size), 2)[:, None]
+    acc = np.bincount(bins[ok], weights=np.broadcast_to(strength, bins.shape)[ok],
+                      minlength=h * w * radii.size).reshape(h, w, radii.size)
     flat = int(np.argmax(acc))
     iy, ix, ir = np.unravel_index(flat, acc.shape)
     return (int(ix), int(iy)), int(radii[ir]), float(acc[iy, ix, ir])
@@ -116,15 +118,20 @@ def radius_band(image_shape, r_min: int = DEFAULT_R_MIN,
     return min(r_min, max(top - 1, 1)), top
 
 
-def detect_roi(vol: CineVolume, r_min: int = DEFAULT_R_MIN,
-               r_max: int = DEFAULT_R_MAX, size: int = ROI_SIZE) -> RoiBox:
+def detect_roi(vol: CineVolume, r_min: int | None = None,
+               r_max: int | None = None, size: int = ROI_SIZE) -> RoiBox:
     """first_harmonic_map summed over slices -> hough_circle -> crop window.
 
-    Raises DetectionError when no edges vote; callers that need a box anyway
-    should fall back to center_box()."""
+    A radius bound left at None is taken from radius_band of the image, so
+    the default band fits any image size.  Raises DetectionError when no
+    edges vote; callers that need a box anyway should fall back to
+    center_box()."""
+    shape = vol.data.shape[2:]
+    lo, hi = radius_band(shape)
     center, radius, _ = hough_circle(first_harmonic_map(vol).sum(axis=0),
-                                     r_min, r_max)
-    return make_box(center, radius, vol.data.shape[2:], size)
+                                     lo if r_min is None else r_min,
+                                     hi if r_max is None else r_max)
+    return make_box(center, radius, shape, size)
 
 
 def center_box(image_shape, size: int = ROI_SIZE) -> RoiBox:
@@ -141,13 +148,6 @@ def _crop2d(plane, box: RoiBox):
         pads = [(0, 0)] * (plane.ndim - 2) + [(0, py), (0, px)]
         out = np.pad(out, pads)
     return out
-
-
-def crop_roi(vol: CineVolume, box: RoiBox):
-    """Crop every frame/slice to the box window; returns (volume, box).
-
-    The box doubles as the inverse mapping for paste_mask."""
-    return CineVolume(_crop2d(vol.data, box), vol.geometry), box
 
 
 def crop_mask(mask: LabelMask, box: RoiBox) -> LabelMask:

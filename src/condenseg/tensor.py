@@ -240,28 +240,13 @@ def concat_channels(tensors) -> Tensor:
     return out
 
 
-def index_channels(x: Tensor, indices) -> Tensor:
-    """Gather an arbitrary channel subset of a (B,C,H,W) tensor."""
-    idx = np.asarray(indices, dtype=np.intp)
-    out = _result(np.ascontiguousarray(x.data[:, idx]), (x,))
-    if out.requires_grad:
-
-        def backward(g):
-            full = np.zeros_like(x.data)
-            np.add.at(full, (slice(None), idx), g)
-            x._accumulate(full)
-
-        out._backward = backward
-    return out
-
-
 # -- convolution ------------------------------------------------------
 #
 # Tap (u, v) of a kh x kw kernel links narrow pixel (i, j) to frame pixel
 # (i*s + u - p, j*s + v - p).  For conv2d the frame is the input and the
 # narrow side the output; conv2d_transpose swaps the two.  One GEMM applies
-# every tap's channel matrix at once, then `_gather` / `_scatter` move the
-# per-tap planes between narrow and frame positions with strided slices.
+# every tap's channel matrix at once, then `_move` takes the per-tap planes
+# between narrow and frame positions with strided slices.
 # Frame pixels outside [0, H) x [0, W) are the zero padding: never touched.
 
 
@@ -284,39 +269,24 @@ def _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
             yield t, (Ellipsis, rows[0], cols[0]), (Ellipsis, rows[1], cols[1])
 
 
-def _gather(a, kh, kw, stride, padding, size):
-    """Frame to narrow side (shift-add); `size` is the narrow (h, w).
+def _move(a, kh, kw, stride, padding, size, to_frame):
+    """Move tap planes between the narrow side and the frame; `size` is the
+    destination (h, w), the frame when `to_frame`, else the narrow side.
 
-    A (B,T,C,H,W) stack of per-tap frames is summed over taps into
-    (B,C,h,w); one (B,C,H,W) frame is read by every tap into (B,T,C,h,w).
-    Each form is the adjoint of `_scatter`'s other form.
+    A (B,T,C,.,.) stack of per-tap planes is shift-added into one (B,C,.,.)
+    plane; one (B,C,.,.) plane is read by every tap into a (B,T,C,.,.)
+    stack.  Each form is the adjoint of the other form moving the other way.
     """
     per_tap = a.ndim == 5
     b, c = a.shape[0], a.shape[-3]
     out = np.zeros((b, c) + size if per_tap else (b, kh * kw, c) + size, dtype=a.dtype)
-    for t, narrow, frame in _tap_windows(kh, kw, stride, padding, size, a.shape[-2:]):
+    narrow_hw, frame_hw = (a.shape[-2:], size) if to_frame else (size, a.shape[-2:])
+    for t, narrow, frame in _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
+        src, dst = (narrow, frame) if to_frame else (frame, narrow)
         if per_tap:
-            out[narrow] += a[:, t][frame]
+            out[dst] += a[:, t][src]
         else:
-            out[:, t][narrow] = a[frame]
-    return out
-
-
-def _scatter(a, kh, kw, stride, padding, size):
-    """Narrow side to frame (scatter-add); `size` is the frame (H, W).
-
-    A (B,T,C,h,w) stack of per-tap planes is summed into one (B,C,H,W)
-    frame; one (B,C,h,w) plane is shifted to every tap's frame position
-    into (B,T,C,H,W).  Each form is the adjoint of `_gather`'s other form.
-    """
-    per_tap = a.ndim == 5
-    b, c = a.shape[0], a.shape[-3]
-    out = np.zeros((b, c) + size if per_tap else (b, kh * kw, c) + size, dtype=a.dtype)
-    for t, narrow, frame in _tap_windows(kh, kw, stride, padding, a.shape[-2:], size):
-        if per_tap:
-            out[frame] += a[:, t][narrow]
-        else:
-            out[:, t][frame] = a[narrow]
+            out[:, t][dst] = a[src]
     return out
 
 
@@ -338,21 +308,20 @@ def _tap_matrix_grad(taps, a, kernel_shape):
 def _conv(x, kernel, stride, padding, size, transposed):
     """Body of conv2d and conv2d_transpose: one GEMM applies every kernel
     tap to the input, then a move takes the tap planes to the `size`
-    output.  conv2d moves with `_gather`; conv2d_transpose reads its
-    (C1,C2,kh,kw) kernel as (C2,C1,kh,kw) and moves with `_scatter`, so its
+    output.  conv2d moves to the narrow side; conv2d_transpose reads its
+    (C1,C2,kh,kw) kernel as (C2,C1,kh,kw) and moves to the frame, so its
     GEMM runs on the narrow input, never on the stride^2-times larger frame.
-    The backward applies the other move, once, to the output gradient."""
-    move, adjoint = (_scatter, _gather) if transposed else (_gather, _scatter)
+    The backward moves the output gradient once, the other way."""
     k = kernel.data.swapaxes(0, 1) if transposed else kernel.data
     b, cin, h, w = x.shape
     kh, kw = k.shape[2:]
     mat = _tap_matrix(k)  # (T*Cout, Cin)
     taps = (mat @ x.data.reshape(b, cin, h * w)).reshape(b, kh * kw, -1, h, w)
-    out = _result(move(taps, kh, kw, stride, padding, size), (x, kernel))
+    out = _result(_move(taps, kh, kw, stride, padding, size, transposed), (x, kernel))
     if out.requires_grad:
 
         def backward(g):
-            taps = adjoint(g, kh, kw, stride, padding, (h, w))
+            taps = _move(g, kh, kw, stride, padding, (h, w), not transposed)
             if kernel.requires_grad:
                 dk = _tap_matrix_grad(taps, x.data, k.shape)
                 kernel._accumulate(dk.swapaxes(0, 1) if transposed else dk)

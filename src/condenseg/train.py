@@ -14,8 +14,7 @@ from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
 from .net import ConfigError, NetConfig, apply_condensation, build
-from .roi import (DetectionError, _crop2d, center_box, crop_mask, detect_roi,
-                  paste_mask, radius_band)
+from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
 from .tensor import AdamState, NumericsError, Tensor, adam_step
 from .volume import LV, LabelMask
 
@@ -88,12 +87,10 @@ def normalize_slice(plane):
 
 def cine_box(cine, size):
     """ROI box of a cine volume; the centre box when detection fails."""
-    h, w = cine.data.shape[2:]
-    r_min, r_max = radius_band((h, w))
     try:
-        return detect_roi(cine, r_min=r_min, r_max=r_max, size=size)
+        return detect_roi(cine, size=size)
     except DetectionError:
-        return center_box((h, w), size=size)
+        return center_box(cine.data.shape[2:], size=size)
 
 
 def _frame_slices(cine, frame, box, z=slice(None)):
@@ -101,14 +98,19 @@ def _frame_slices(cine, frame, box, z=slice(None)):
     return np.stack([normalize_slice(_crop2d(p, box)) for p in cine.data[frame, z]])[:, None]
 
 
-def _training_slices(subjects, size):
-    """Crop all annotated frames once; returns (images, labels) arrays."""
+def _training_slices(subjects, size, central=False):
+    """Crop all annotated frames once; returns (images, labels) arrays.
+
+    With `central` only each subject's middle slice is kept, as validation
+    scores it."""
     images, labels = [], []
     for sub in subjects:
         box = cine_box(sub.cine, size)
+        mid = sub.cine.slices // 2
+        z = slice(mid, mid + 1) if central else slice(None)
         for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
-            images.append(_frame_slices(sub.cine, frame, box))
-            labels.append(crop_mask(mask, box).data)
+            images.append(_frame_slices(sub.cine, frame, box, z))
+            labels.append(crop_mask(mask, box).data[z])
     return np.concatenate(images), np.concatenate(labels)
 
 
@@ -147,16 +149,8 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
 
     size = cfg.net.input_size
     images, labels = _training_slices(subjects, size)
-
-    val_images, val_labels = [], []
-    for sub in val_subjects:
-        box = cine_box(sub.cine, size)
-        mid = slice(sub.cine.slices // 2, sub.cine.slices // 2 + 1)
-        for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
-            val_images.append(_frame_slices(sub.cine, frame, box, mid))
-            val_labels.append(crop_mask(mask, box).data[mid])
-    val_images = np.concatenate(val_images) if val_images else None
-    val_labels = np.concatenate(val_labels) if val_labels else None
+    val_images, val_labels = (_training_slices(val_subjects, size, central=True)
+                              if val_subjects else (None, None))
 
     params = net.parameters()
     history = {"loss": [], "val_dice": [], "alive_params": [], "condensation": []}

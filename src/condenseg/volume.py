@@ -84,18 +84,6 @@ class CineVolume:
     def slices(self):
         return self.data.shape[1]
 
-    @property
-    def pixel_spacing_mm(self):
-        return self.geometry.pixel_spacing_mm
-
-    @property
-    def slice_thickness_mm(self):
-        return self.geometry.slice_thickness_mm
-
-    @property
-    def slice_gap_mm(self):
-        return self.geometry.slice_gap_mm
-
 
 class LabelMask:
     """Integer label map over (..., H, W); one entry per pixel.

@@ -199,7 +199,7 @@ def test_criterion_5_loss_formula_fidelity():
     pred = Tensor(probs, requires_grad=False)
     w = pixel_weights(labels, cfg)
     # class weights: 2 voxels / 1 per class = 2; both pixels are edges: +2/2 = 1
-    assert np.allclose(w.weights, 3.0)
+    assert np.allclose(w, 3.0)
     ce = weighted_cross_entropy(pred, labels, w)
     hand_ce = -3.0 * (math.log(0.8) + math.log(0.7))
     assert abs(float(ce.data) - hand_ce) < 1e-10

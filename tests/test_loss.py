@@ -6,7 +6,6 @@ import pytest
 from condenseg import tensor as T
 from condenseg.loss import (
     LossConfig,
-    WeightMap,
     class_weight_map,
     dice_loss,
     edge_pixels,
@@ -46,20 +45,20 @@ class TestClassWeights:
         labels = np.zeros((1, 4, 4), dtype=np.uint8)
         labels[:, :, 2:] = 1
         w = class_weight_map(batch_mask(labels, 2), LossConfig())
-        assert np.all(w.weights == 2.0)
+        assert np.all(w == 2.0)
 
     def test_single_class_uniform_with_warning(self):
         labels = np.zeros((1, 4, 4), dtype=np.uint8)
         with pytest.warns(RuntimeWarning):
             w = class_weight_map(batch_mask(labels, 2), LossConfig())
-        assert np.all(w.weights == 1.0)
+        assert np.all(w == 1.0)
 
     def test_ninety_ten_ratio(self):
         labels = np.zeros((1, 10, 10), dtype=np.uint8)
         labels[0, 0, :] = 1  # 10 of 100 pixels
         w = class_weight_map(batch_mask(labels, 2), LossConfig())
-        minority = w.weights[0, 0, 0]
-        majority = w.weights[0, 5, 5]
+        minority = w[0, 0, 0]
+        majority = w[0, 5, 5]
         assert abs(minority / majority - 9.0) < 1e-12
 
     def test_scale_multiplies(self):
@@ -67,29 +66,29 @@ class TestClassWeights:
         labels[:, 2:] = 1
         a = class_weight_map(batch_mask(labels, 2), LossConfig(scale=1.0))
         b = class_weight_map(batch_mask(labels, 2), LossConfig(scale=2.5))
-        assert np.allclose(b.weights, 2.5 * a.weights)
+        assert np.allclose(b, 2.5 * a)
 
 
 class TestEdgeWeights:
     def test_constant_mask_zero(self):
-        w = edge_weight_map(batch_mask(np.ones((1, 4, 4), dtype=np.uint8)),
-                            LossConfig())
-        assert w.edge_freq == 0
-        assert np.all(w.weights == 0.0)
+        labels = np.ones((1, 4, 4), dtype=np.uint8)
+        w = edge_weight_map(batch_mask(labels), LossConfig())
+        assert edge_pixels(labels).sum() == 0
+        assert np.all(w == 0.0)
 
     def test_vertical_split_4x4(self):
         labels = np.zeros((1, 4, 4), dtype=np.uint8)
         labels[:, :, 2:] = 1
         w = edge_weight_map(batch_mask(labels, 2), LossConfig())
-        assert w.edge_freq == 8
-        assert np.all(w.weights[0, :, 1:3] == 16 / 8)
-        assert np.all(w.weights[0, :, [0, 3]] == 0.0)
+        assert edge_pixels(labels).sum() == 8
+        assert np.all(w[0, :, 1:3] == 16 / 8)
+        assert np.all(w[0, :, [0, 3]] == 0.0)
 
     def test_checkerboard_everyone_is_edge(self):
         labels = (np.indices((4, 4)).sum(axis=0) % 2).astype(np.uint8)[None]
         w = edge_weight_map(batch_mask(labels, 2), LossConfig())
-        assert w.edge_freq == 16
-        assert np.all(w.weights == 1.0)
+        assert edge_pixels(labels).sum() == 16
+        assert np.all(w == 1.0)
 
     def test_edges_do_not_cross_batch_items(self):
         labels = np.zeros((2, 3, 3), dtype=np.uint8)
@@ -104,22 +103,22 @@ class TestCrossEntropy:
         for i in range(2):
             for j in range(2):
                 probs[0, labels.data[0, i, j], i, j] = 1.0
-        w = WeightMap(weights=np.ones((1, 2, 2)))
+        w = np.ones((1, 2, 2))
         loss = weighted_cross_entropy(Tensor(probs), labels, w)
         assert abs(loss.item()) < 1e-10
 
     def test_uniform_prediction_n_log4(self):
         labels = batch_mask(np.zeros((1, 3, 3), dtype=np.uint8))
         probs = np.full((1, 4, 3, 3), 0.25)
-        w = WeightMap(weights=np.ones((1, 3, 3)))
+        w = np.ones((1, 3, 3))
         loss = weighted_cross_entropy(Tensor(probs), labels, w)
         assert abs(loss.item() - 9 * np.log(4)) < 1e-12
 
     def test_weight_doubling_doubles_loss(self):
         pred = random_probs((2, 4, 4, 4), seed=0)
         labels = batch_mask(np.random.default_rng(1).integers(0, 4, (2, 4, 4)))
-        w1 = WeightMap(weights=np.ones((2, 4, 4)))
-        w2 = WeightMap(weights=2 * np.ones((2, 4, 4)))
+        w1 = np.ones((2, 4, 4))
+        w2 = 2 * np.ones((2, 4, 4))
         a = weighted_cross_entropy(pred, labels, w1).item()
         b = weighted_cross_entropy(pred, labels, w2).item()
         assert abs(b - 2 * a) < 1e-9
@@ -127,7 +126,7 @@ class TestCrossEntropy:
     def test_moving_mass_to_truth_decreases(self):
         probs = np.full((1, 4, 1, 1), 0.25)
         labels = batch_mask(np.zeros((1, 1, 1), dtype=np.uint8))
-        w = WeightMap(weights=np.ones((1, 1, 1)))
+        w = np.ones((1, 1, 1))
         before = weighted_cross_entropy(Tensor(probs), labels, w).item()
         probs2 = probs.copy()
         probs2[0, 0] += 0.1
@@ -137,7 +136,7 @@ class TestCrossEntropy:
 
     def test_unnormalized_rejected(self):
         labels = batch_mask(np.zeros((1, 2, 2), dtype=np.uint8))
-        w = WeightMap(weights=np.ones((1, 2, 2)))
+        w = np.ones((1, 2, 2))
         with pytest.raises(ValueError):
             weighted_cross_entropy(Tensor(np.full((1, 4, 2, 2), 0.3)), labels, w)
 
@@ -233,5 +232,5 @@ class TestTotalLoss:
     def test_combined_weights_positive(self):
         _, labels = self._case(seed=11)
         w = pixel_weights(labels, LossConfig())
-        assert np.all(w.weights > 0)
-        assert np.isfinite(w.weights).all()
+        assert np.all(w > 0)
+        assert np.isfinite(w).all()

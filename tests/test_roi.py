@@ -2,20 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.roi import (
+    EDGE_PERCENTILE,
     DetectionError,
     RoiBox,
+    _crop2d,
     center_box,
     crop_mask,
-    crop_roi,
     detect_roi,
     first_harmonic_map,
     hough_circle,
     make_box,
     paste_mask,
+    radius_band,
 )
 from condenseg.volume import CineVolume, LabelMask
+
+# fixed example sets: the suite gives the same verdict on every run
+PROPERTY = dict(deadline=None, derandomize=True, database=None)
 
 
 def cine(data):
@@ -62,7 +70,60 @@ class TestFirstHarmonic:
         assert np.max(np.abs(tripled - 3.0 * base)) < 1e-6
 
 
+def hough_oracle(saliency, r_min, r_max):
+    """hough_circle as one np.add.at scatter per (radius, sign)."""
+    img = np.asarray(saliency, dtype=np.float64)
+    h, w = img.shape
+    gy, gx = np.gradient(img)
+    mag = np.hypot(gy, gx)
+    ey, ex = np.nonzero(mag > np.percentile(mag, EDGE_PERCENTILE))
+    if ey.size == 0:
+        raise DetectionError("no edges")
+    strength = mag[ey, ex]
+    uy, ux = gy[ey, ex] / strength, gx[ey, ex] / strength
+    radii = np.arange(r_min, r_max + 1)
+    acc = np.zeros((h, w, radii.size))
+    for ri, r in enumerate(radii):
+        for sign in (1.0, -1.0):
+            cy = np.rint(ey + sign * r * uy).astype(np.int64)
+            cx = np.rint(ex + sign * r * ux).astype(np.int64)
+            ok = (cy >= 0) & (cy < h) & (cx >= 0) & (cx < w)
+            np.add.at(acc[:, :, ri], (cy[ok], cx[ok]), strength[ok])
+    iy, ix, ir = np.unravel_index(int(np.argmax(acc)), acc.shape)
+    return (int(ix), int(iy)), int(radii[ir]), float(acc[iy, ix, ir])
+
+
+@st.composite
+def saliency_cases(draw):
+    """(image, r_min, r_max): noise, few-level (tied strengths) or ring images
+    with a legal radius band."""
+    h, w = draw(st.integers(8, 48)), draw(st.integers(8, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["noise", "levels", "ring"]))
+    if kind == "noise":
+        img = rng.random((h, w))
+    elif kind == "levels":
+        img = rng.integers(0, 3, (h, w)).astype(np.float64)
+    else:
+        img = ring_image((h, w), rng.uniform(0, h), rng.uniform(0, w), rng.uniform(2, 20))
+    top = (min(h, w) - 1) // 2  # largest r_max below min(H,W)/2
+    r_max = draw(st.integers(2, top))
+    return img, draw(st.integers(1, r_max - 1)), r_max
+
+
 class TestHoughCircle:
+    @settings(max_examples=100, **PROPERTY)
+    @given(saliency_cases())
+    def test_matches_scatter_add_oracle(self, case):
+        img, r_min, r_max = case
+        try:
+            want = hough_oracle(img, r_min, r_max)
+        except DetectionError:
+            with pytest.raises(DetectionError):
+                hough_circle(img, r_min, r_max)
+            return
+        assert hough_circle(img, r_min, r_max) == want
+
     def test_synthetic_ring(self):
         img = ring_image((128, 128), cy=64, cx=64, r=20)
         (cx, cy), r, score = hough_circle(img)
@@ -122,21 +183,58 @@ class TestBoxes:
         assert box.radius == 0.0
 
 
+class TestDetectRoi:
+    def test_default_band_fits_small_images(self):
+        spec = PhantomSpec(image_size=64, frames=4, slices=3,
+                           endo_radius_px=(7.0, 8.5), wall_px=(2.5, 3.0))
+        vol = generate_phantom(spec, 11).cine
+        assert radius_band(vol.data.shape[2:]) == (8, 31)
+        assert detect_roi(vol) == detect_roi(vol, *radius_band(vol.data.shape[2:]))
+
+    def test_default_band_at_128_is_the_full_band(self):
+        assert radius_band((128, 128)) == (8, 40)
+
+
+@st.composite
+def crop_cases(draw):
+    """(labels, box): window sizes above and below each image side."""
+    size = draw(st.integers(2, 12))
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.integers(0, 4, (draw(st.integers(1, 3)), h, w)).astype(np.uint8)
+    center = (draw(st.floats(0, w)), draw(st.floats(0, h)))
+    return labels, make_box(center, 1.0, (h, w), size)
+
+
 class TestCropPaste:
     def test_crop_shapes(self):
-        vol = cine(np.random.default_rng(3).random((2, 3, 160, 160)))
+        data = np.random.default_rng(3).random((2, 3, 160, 160))
         box = make_box((80, 80), 20, (160, 160))
-        cropped, inverse = crop_roi(vol, box)
-        assert cropped.data.shape == (2, 3, 128, 128)
-        assert inverse is box
+        assert _crop2d(data, box).shape == (2, 3, 128, 128)
 
     def test_crop_pads_small_images(self):
-        vol = cine(np.random.default_rng(4).random((1, 1, 100, 100)))
+        data = np.random.default_rng(4).random((1, 1, 100, 100))
         box = make_box((50, 50), 10, (100, 100))
-        cropped, _ = crop_roi(vol, box)
-        assert cropped.data.shape == (1, 1, 128, 128)
-        assert np.all(cropped.data[:, :, 100:, :] == 0)
-        assert np.all(cropped.data[:, :, :, 100:] == 0)
+        cropped = _crop2d(data, box)
+        assert cropped.shape == (1, 1, 128, 128)
+        assert np.all(cropped[:, :, 100:, :] == 0)
+        assert np.all(cropped[:, :, :, 100:] == 0)
+
+    @settings(max_examples=100, **PROPERTY)
+    @given(crop_cases())
+    def test_paste_inverts_crop_in_window(self, case):
+        labels, box = case
+        cropped = crop_mask(LabelMask(labels), box)
+        x0, y0 = box.corner
+        px, py = box.pad
+        assert cropped.data.shape[1:] == (box.size, box.size)
+        assert not cropped.data[:, box.size - py:].any()
+        assert not cropped.data[:, :, box.size - px:].any()
+        pasted = paste_mask(cropped, box, labels.shape[1:]).data
+        window = np.s_[:, y0:y0 + box.size - py, x0:x0 + box.size - px]
+        assert np.array_equal(pasted[window], labels[window])
+        pasted[window] = 0
+        assert not pasted.any()
 
     def test_paste_restores_window(self):
         rng = np.random.default_rng(5)

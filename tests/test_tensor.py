@@ -15,7 +15,6 @@ from condenseg.tensor import (
     conv2d,
     conv2d_transpose,
     grad_check,
-    index_channels,
     max_pool2d,
     scale_shift,
     softmax_channels,
@@ -487,14 +486,6 @@ class TestStructural:
         assert cat.shape == (2, 5, 4, 4)
         assert np.array_equal(cat.data[:, 3:5], b.data)
         err = grad_check(lambda t: (concat_channels([a, b]) * concat_channels([a, b])).sum(), a)
-        assert err < T.GRAD_TOL_POINTWISE
-
-    def test_index_channels(self):
-        rng = np.random.default_rng(18)
-        x = Tensor(rng.normal(size=(1, 6, 2, 2)), requires_grad=True)
-        picked = index_channels(x, [4, 0, 2])
-        assert np.array_equal(picked.data, x.data[:, [4, 0, 2]])
-        err = grad_check(lambda t: (index_channels(t, [4, 0, 2]) * index_channels(t, [4, 0, 2])).sum(), x)
         assert err < T.GRAD_TOL_POINTWISE
 
 

@@ -1,9 +1,13 @@
 """Container types and the on-disk volume format."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condenseg.volume import (
     CineVolume,
@@ -168,3 +172,41 @@ class TestFileFormat:
         path = tmp_path / "m.bin"
         save_volume(path, LabelMask(data))
         assert load_volume(path).class_counts()[LV] == 8
+
+
+# fixed example sets: the suite gives the same verdict on every run
+PROPERTY = dict(deadline=None, derandomize=True, database=None)
+lengths = st.floats(1e-3, 1e3, allow_nan=False)
+
+
+@st.composite
+def volumes(draw):
+    """A CineVolume with random geometry or a LabelMask, of random dims."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z, h, w = (draw(st.integers(1, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        geom = Geometry((draw(lengths), draw(lengths)), draw(lengths),
+                        draw(st.floats(0, 1e3, allow_nan=False)))
+        data = rng.standard_normal((draw(st.integers(1, 4)), z, h, w))
+        return CineVolume(data.astype(np.float32), geom)
+    n = draw(st.integers(1, 4))
+    return LabelMask(rng.integers(0, n, (z, h, w)).astype(np.uint8), num_classes=n)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, **PROPERTY)
+    @given(volumes())
+    def test_save_load_roundtrip(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.bin")
+            save_volume(path, obj)
+            back = load_volume(path)
+        assert type(back) is type(obj)
+        assert back.data.dtype == obj.data.dtype
+        assert back.data.shape == obj.data.shape
+        assert back.data.tobytes() == obj.data.tobytes()
+        if isinstance(obj, CineVolume):
+            assert back.geometry == obj.geometry
+        else:
+            assert back.num_classes == obj.num_classes
+            assert back.label_names == obj.label_names

@@ -13,7 +13,9 @@ Artefacts, one line each:
   the eval-mode output;
 - a training run in the determinism criterion's configuration: its
   checkpoint file, its two eval CSVs, and the eval-mode output of the
-  checkpoint after a reload.
+  checkpoint after a reload;
+- the (centre, radius, score) that `hough_circle` finds on the saliency map
+  of every subject of a 20-phantom cohort.
 
 Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
 loads unless the environment already sets it; compare two trees at the
@@ -35,7 +37,8 @@ from condenseg.lgconv import CondensationSchedule  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
 from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
                            load_checkpoint, save_checkpoint)
-from condenseg.phantom import PhantomSpec, generate_phantom  # noqa: E402
+from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: E402
+from condenseg.roi import first_harmonic_map, hough_circle  # noqa: E402
 from condenseg.tensor import Tensor  # noqa: E402
 from condenseg.train import TrainConfig, emit_report_csv, evaluate, train  # noqa: E402
 from condenseg.volume import LabelMask  # noqa: E402
@@ -91,12 +94,19 @@ def determinism_run_lines(tmp):
     yield "run/reloaded_eval_output", sha(reloaded.forward(Tensor(x), training=False).data)
 
 
+def roi_lines():
+    votes = [hough_circle(first_harmonic_map(sub.cine).sum(axis=0))
+             for sub in build_cohort(20, seed=7)]
+    yield "roi/hough", sha(np.array([(cx, cy, r, score) for (cx, cy), r, score in votes]))
+
+
 def main():
     print("condenseg from %s" % os.path.dirname(condenseg.__file__), file=sys.stderr)
     lines = [line for dtype in (np.float64, np.float32) for condensed in (False, True)
              for line in net_lines(dtype, condensed)]
     with tempfile.TemporaryDirectory() as tmp:
         lines += determinism_run_lines(tmp)
+    lines += roi_lines()
     for name, digest in lines:
         print("%s  %s" % (digest, name))
 
