@@ -10,6 +10,7 @@ class probabilities.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
@@ -110,7 +111,10 @@ def _walk(parts):
 
 
 class BatchNorm:
-    """Batch normalization + ReLU in one op (`scale_shift`), with running stats."""
+    """Batch normalization + ReLU in one op (`scale_shift`, eps 1e-5), with
+    running stats: batch statistics in training, the running stats folded
+    into one per-channel multiply-add at inference.  The output has the
+    input's dtype in both modes."""
 
     def __init__(self, channels, dtype, name):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True,
@@ -389,9 +393,20 @@ def apply_condensation(net: Network, epoch: int, sched: CondensationSchedule):
 # -- checkpoint i/o ----------------------------------------------------
 
 
+def _provenance():
+    """What trained bytes depend on besides code and seed: the NumPy
+    version, the BLAS it calls and the BLAS thread count the environment
+    sets (None when unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
     """Single binary file: one JSON header line, then raw little-endian
-    buffers in manifest order."""
+    buffers in manifest order.  The header's `provenance` is informational:
+    `load_checkpoint` ignores it."""
     entries = net.state_entries()
     manifest = [{"name": n, "shape": list(a.shape),
                  "dtype": np.dtype(a.dtype).newbyteorder("<").str}
@@ -405,6 +420,7 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
         "history": {lg.name: lg.history for lg in net.lg_layers()},
         "bn_initialized": [bn.stats.initialized for bn in net.bn_modules()],
         "manifest": manifest,
+        "provenance": _provenance(),
         "extra": extra or {},
     }
     with open(path, "wb") as f:

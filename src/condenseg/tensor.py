@@ -443,49 +443,72 @@ class RunningStats:
 
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                 running: RunningStats | None = None, momentum: float = 0.9,
-                eps: float = 1e-8) -> Tensor:
+                eps: float = 1e-5) -> Tensor:
     """Per-channel normalize, affine, then ReLU over batch+space of (B,C,H,W).
 
-    Training mode uses batch statistics (and updates `running` if given);
-    inference mode uses the stored running averages.
+    Three paths, each one pass per step:
+    - training forward: batch mean, one centred copy ``d = x - mean``, the
+      variance as a per-channel dot of ``d`` with itself, ``d`` scaled in
+      place to xhat (kept for the backward), then ``xhat*gamma + beta`` and
+      an in-place ReLU; ``running`` is updated if given;
+    - training backward: the gradient masked by the ReLU, the two
+      per-channel sums that are beta's and gamma's gradients, and
+      ``dx = a*gm - xhat*(a*s_gamma/n) - a*s_beta/n`` with ``a = gamma/sd``;
+    - inference: running stats, gamma and beta folded into one per-channel
+      ``a = gamma/sd`` and ``b = beta - mean*a``, one multiply-add and an
+      in-place ReLU; the backward rebuilds xhat only for gamma's gradient.
+    ``sd = sqrt(var + eps)`` with ``eps = 1e-5``.  The output has x's dtype in
+    both modes, whatever the dtype of gamma, beta and the running stats.
     """
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"scale_shift affine params must have shape ({c},)")
+    n = b * h * w
+    dt = x.dtype
+    xv = x.data.reshape(b, c, h * w)
     if training:
-        mu = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mu = xv.mean(axis=(0, 2))
+        xhat = xv - mu[:, None]
+        var = np.vecdot(xhat, xhat).sum(axis=0) / n
         if running is not None:
             running.update(mu, var, momentum)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv[:, None]
+        y = xhat * gamma.data.astype(dt, copy=False)[:, None]
+        y += beta.data.astype(dt, copy=False)[:, None]
     else:
         if running is None or not running.initialized:
             raise UninitializedStatsError(
                 "scale_shift inference mode needs initialized running stats")
-        mu, var = running.mean, running.var
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+        mu, inv, xhat = running.mean, 1.0 / np.sqrt(running.var + eps), None
+        fold = gamma.data * inv
+        y = xv * fold.astype(dt)[:, None]
+        y += (beta.data - mu * fold).astype(dt)[:, None]
     np.maximum(y, 0, out=y)
-    out = _result(y, (x, gamma, beta))
+    out = _result(y.reshape(b, c, h, w), (x, gamma, beta))
     if out.requires_grad:
-        n = b * h * w
+        a = (gamma.data * inv).astype(dt)
 
         def backward(g):
-            g = g * (y > 0)
-            if beta.requires_grad:
-                beta._accumulate(g.sum(axis=(0, 2, 3)))
-            if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=(0, 2, 3)))
+            gm = g.reshape(b, c, h * w) * (y > 0)
+            xh = xhat
+            if xh is None and gamma.requires_grad:
+                xh = (xv - mu.astype(dt)[:, None]) * inv.astype(dt)[:, None]
+            need_sums = training and x.requires_grad
+            if beta.requires_grad or need_sums:
+                s_beta = gm.sum(axis=(0, 2))
+                if beta.requires_grad:
+                    beta._accumulate(s_beta)
+            if gamma.requires_grad or need_sums:
+                s_gamma = np.vecdot(gm, xh).sum(axis=0)
+                if gamma.requires_grad:
+                    gamma._accumulate(s_gamma)
             if x.requires_grad:
-                gxh = g * gamma.data[None, :, None, None]
+                gm *= a[:, None]
                 if training:
-                    s1 = gxh.sum(axis=(0, 2, 3))
-                    s2 = (gxh * xhat).sum(axis=(0, 2, 3))
-                    dx = (gxh - (s1[None, :, None, None] + xhat * s2[None, :, None, None]) / n) \
-                        * inv[None, :, None, None]
-                else:
-                    dx = gxh * inv[None, :, None, None]
-                x._accumulate(dx)
+                    gm -= xh * (a * s_gamma / n)[:, None]
+                    gm -= (a * s_beta / n)[:, None]
+                x._accumulate(gm.reshape(b, c, h, w))
 
         out._backward = backward
     return out

@@ -199,6 +199,33 @@ class TestCheckpoint:
         save_checkpoint(net, tmp_path / "m.ckpt")
         assert (tmp_path / "m.ckpt").read_bytes() == p.read_bytes()
 
+    def test_header_records_provenance(self, tmp_path, monkeypatch):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        p = tmp_path / "p.ckpt"
+        for threads in ("3", None):
+            if threads is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            save_checkpoint(small_net(), p)
+            header = json.loads(p.read_bytes().split(b"\n", 1)[0])
+            assert header["provenance"] == {
+                "numpy": np.__version__, "blas": blas["name"],
+                "blas_version": blas["version"], "openblas_num_threads": threads}
+
+    def test_load_ignores_provenance(self, tmp_path):
+        net = small_net(seed=4)
+        x = Tensor(np.random.default_rng(5).normal(size=(1, 1, 32, 32)))
+        net.forward(x, training=True)
+        p = tmp_path / "p.ckpt"
+        want = net.forward(x, training=False).data
+        for edit in (lambda h: h.pop("provenance"),
+                     lambda h: h.update(provenance={"numpy": "0.0", "blas": None})):
+            save_checkpoint(net, p)
+            _edit_checkpoint(p, edit)
+            loaded, _ = load_checkpoint(p)
+            assert np.array_equal(loaded.forward(x, training=False).data, want)
+
     def test_bad_header_raises(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"not json\n\x00\x01")

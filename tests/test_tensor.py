@@ -1,5 +1,7 @@
 """Forward/backward checks for the autodiff core against independent oracles."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,8 @@ from condenseg.tensor import (
     scale_shift,
     softmax_channels,
 )
+
+EPS = inspect.signature(scale_shift).parameters["eps"].default
 
 
 def conv2d_direct(x, k, stride=1, padding=0):
@@ -330,7 +334,7 @@ class TestPointwise:
         beta = Tensor(np.full(5, -0.3))
         out = scale_shift(x, gamma, beta).data
         xhat = (x.data - x.data.mean(axis=(0, 2, 3), keepdims=True)) \
-            / x.data.std(axis=(0, 2, 3), keepdims=True)
+            / np.sqrt(x.data.var(axis=(0, 2, 3), keepdims=True) + EPS)
         assert np.max(np.abs(out - np.maximum(1.7 * xhat - 0.3, 0.0))) < 1e-6
         assert (out == 0).any() and (out > 0).any()
 
@@ -342,7 +346,7 @@ class TestPointwise:
         scale_shift(Tensor(x), gamma, beta, training=True, running=running, momentum=0.0)
         out = scale_shift(Tensor(x), gamma, beta, training=False, running=running)
         mu = x.mean(axis=(0, 2, 3))
-        sd = np.sqrt(x.var(axis=(0, 2, 3)) + 1e-8)
+        sd = np.sqrt(x.var(axis=(0, 2, 3)) + EPS)
         want = np.maximum((x - mu[None, :, None, None]) / sd[None, :, None, None], 0.0)
         assert np.max(np.abs(out.data - want)) < 1e-12
 
@@ -373,6 +377,21 @@ class TestPointwise:
         for target in (x, gamma, beta):
             assert grad_check(f, target) < T.GRAD_TOL
 
+    def test_scale_shift_inference_gradient(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=3) + 1.0, requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        running = T.RunningStats(3)
+        running.update(rng.normal(size=3), rng.uniform(0.5, 2.0, 3), 0.0)
+
+        def f(_):
+            return (scale_shift(x, gamma, beta, training=False, running=running) * w).sum()
+
+        for target in (x, gamma, beta):
+            assert grad_check(f, target) < T.GRAD_TOL
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
     def test_scale_shift_equals_clipped_affine(self, dtype, training):
@@ -382,17 +401,85 @@ class TestPointwise:
         beta = Tensor(rng.normal(size=4).astype(dtype))
         running = T.RunningStats(4, dtype=dtype)
         scale_shift(Tensor(x1), gamma, beta, running=running)
-        # the un-fused normalize-then-affine, in scale_shift's order of operations
+        # scale_shift's order of operations, over the (B, C, H*W) view
+        xv, ga, be = x2.reshape(3, 4, 25), gamma.data[:, None], beta.data[:, None]
         if training:
-            mu, var = x2.mean(axis=(0, 2, 3)), x2.var(axis=(0, 2, 3))
+            d = xv - xv.mean(axis=(0, 2))[:, None]
+            var = np.vecdot(d, d).sum(axis=0) / 75
+            affine = d * (1.0 / np.sqrt(var + EPS))[:, None] * ga + be
         else:
-            mu, var = running.mean, running.var
-        inv = 1.0 / np.sqrt(var + 1e-8)
-        xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
-        affine = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+            fold = gamma.data * (1.0 / np.sqrt(running.var + EPS))
+            affine = xv * fold[:, None] + (beta.data - running.mean * fold)[:, None]
         out = scale_shift(Tensor(x2), gamma, beta, training=training, running=running).data
-        assert out.dtype == dtype and out.tobytes() == np.maximum(affine, 0).tobytes()
+        assert out.dtype == dtype
+        assert out.tobytes() == np.maximum(affine, 0).reshape(x2.shape).tobytes()
         assert (out == 0).any() and (out > 0).any()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_scale_shift_output_dtype_follows_input(self, training):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.full(3, 1.2), requires_grad=True)
+        beta = Tensor(np.full(3, 0.1), requires_grad=True)
+        running = T.RunningStats(3)  # float64 buffers
+        scale_shift(x, gamma, beta, running=running)
+        out = scale_shift(x, gamma, beta, training=training, running=running)
+        assert out.dtype == np.float32
+        out.sum().backward()
+        assert x.grad.dtype == np.float32
+        assert gamma.grad.dtype == beta.grad.dtype == np.float64
+
+    def test_scale_shift_degenerate_variance(self):
+        # channel 0 is constant, channel 1 varies by a couple of float32 ulps
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        x[:, 0] = 7.3
+        x[:, 1] = 7.3 + rng.normal(scale=1e-6, size=(4, 8, 8))
+        xt = Tensor(x, requires_grad=True)
+        gamma = Tensor(np.array([1.3, 0.8, 1.1], np.float32), requires_grad=True)
+        beta = Tensor(np.array([0.4, 0.2, -0.1], np.float32), requires_grad=True)
+        out = scale_shift(xt, gamma, beta)
+        (out * Tensor(rng.normal(size=x.shape).astype(np.float32))).sum().backward()
+        for a in (out.data, xt.grad, gamma.grad, beta.grad):
+            assert np.isfinite(a).all()
+        assert np.abs(out.data[:, 0] - 0.4).max() < 1e-3
+        assert np.abs(xt.grad[:, 0]).max() < 5e3
+
+
+@st.composite
+def scale_shift_cases(draw):
+    """(shape, mean/sd ratio, sd, seed) for a float32 batch far off centre."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+             draw(st.integers(1, 6)), draw(st.integers(2, 6)))
+    ratio = draw(st.floats(-16.0, 16.0))
+    sd = 10.0 ** draw(st.floats(-2.0, 2.0))
+    return shape, ratio, sd, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestScaleShiftProperties:
+    @settings(max_examples=100, **PROPERTY)
+    @given(scale_shift_cases(), st.booleans())
+    def test_float32_matches_float64_textbook(self, case, training):
+        shape, ratio, sd, seed = case
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        x = (ratio * sd + sd * rng.standard_normal(shape)).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        beta = rng.normal(size=c).astype(np.float32)
+        running = T.RunningStats(c, dtype=np.float32)
+        if training:
+            mu, var = x.mean(axis=(0, 2, 3), dtype=np.float64), x.var(axis=(0, 2, 3), dtype=np.float64)
+        else:
+            running.update(ratio * sd * rng.uniform(0.9, 1.1, c),
+                           sd * sd * rng.uniform(0.5, 2.0, c), 0.0)
+            mu, var = running.mean.astype(np.float64), running.var.astype(np.float64)
+        out = scale_shift(Tensor(x), Tensor(gamma), Tensor(beta),
+                          training=training, running=running).data
+        xhat = (x - mu[None, :, None, None]) / np.sqrt(var[None, :, None, None] + EPS)
+        want = np.maximum(gamma.astype(np.float64)[None, :, None, None] * xhat
+                          + beta[None, :, None, None], 0.0)
+        assert out.dtype == np.float32
+        assert np.abs(out - want).max() < 1e-5
 
 
 class TestSoftmax:

@@ -7,6 +7,9 @@ A change meant to keep every number must print the same lines as its base:
     diff before.txt after.txt
 
 Artefacts, one line each:
+- float32 `scale_shift` on a seeded batch: the training-mode output, its
+  gradients for x, gamma and beta, and the inference-mode output with the
+  running stats that training pass left (one digest);
 - for seeded float64 and float32 nets, dense and after full condensation:
   the training-mode output, the loss with its group-lasso term, every
   parameter gradient (one digest over all of them, in parameter order) and
@@ -39,7 +42,7 @@ from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
                            load_checkpoint, save_checkpoint)
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: E402
 from condenseg.roi import first_harmonic_map, hough_circle  # noqa: E402
-from condenseg.tensor import Tensor  # noqa: E402
+from condenseg.tensor import RunningStats, Tensor, scale_shift  # noqa: E402
 from condenseg.train import TrainConfig, emit_report_csv, evaluate, train  # noqa: E402
 from condenseg.volume import LabelMask  # noqa: E402
 
@@ -51,6 +54,20 @@ def sha(*arrays):
     for a in arrays:
         h.update(a if isinstance(a, bytes) else np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
+
+
+def scale_shift_lines():
+    rng = np.random.default_rng(8)
+    f32 = np.float32
+    x = Tensor(rng.normal(0.5, 2.0, (4, 6, 8, 8)).astype(f32), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 6).astype(f32), requires_grad=True)
+    beta = Tensor(rng.normal(size=6).astype(f32), requires_grad=True)
+    running = RunningStats(6, dtype=f32)
+    out = scale_shift(x, gamma, beta, running=running)
+    (out * Tensor(rng.standard_normal(x.shape).astype(f32))).sum().backward()
+    x_eval = Tensor(rng.normal(0.5, 2.0, x.shape).astype(f32))
+    infer = scale_shift(x_eval, gamma, beta, training=False, running=running)
+    yield "tensor/scale_shift", sha(out.data, x.grad, gamma.grad, beta.grad, infer.data)
 
 
 def net_lines(dtype, condensed):
@@ -102,7 +119,8 @@ def roi_lines():
 
 def main():
     print("condenseg from %s" % os.path.dirname(condenseg.__file__), file=sys.stderr)
-    lines = [line for dtype in (np.float64, np.float32) for condensed in (False, True)
+    lines = list(scale_shift_lines())
+    lines += [line for dtype in (np.float64, np.float32) for condensed in (False, True)
              for line in net_lines(dtype, condensed)]
     with tempfile.TemporaryDirectory() as tmp:
         lines += determinism_run_lines(tmp)
