@@ -395,12 +395,17 @@ def apply_condensation(net: Network, epoch: int, sched: CondensationSchedule):
 
 def _provenance():
     """What trained bytes depend on besides code and seed: the NumPy
-    version, the BLAS it calls and the BLAS thread count the environment
-    sets (None when unset)."""
+    version, the BLAS it calls, and what fixes the BLAS thread count: the
+    environment variables OpenBLAS reads (None when unset) and the CPU
+    count it falls back to."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    # OpenBLAS takes the first of these that is set, capped at the CPUs the
+    # process may use; with none set it runs one thread per such CPU
+    threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "blas_thread_env": {v: os.environ.get(v) for v in threads},
+            "cpu_count": os.cpu_count()}
 
 
 def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):

@@ -441,6 +441,14 @@ class RunningStats:
             self.var += (1 - momentum) * var
 
 
+def _channel_dot(u, v):
+    """Per-channel sum of u*v over batch and space, for (B, C, N) arrays:
+    one BLAS dot per (b, c) row, then a sum over the batch.  The stacked
+    (1, N) @ (N, 1) products are the rows `np.vecdot` computes, which
+    NumPy 1.x lacks."""
+    return (u[:, :, None, :] @ v[:, :, :, None])[:, :, 0, 0].sum(axis=0)
+
+
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                 running: RunningStats | None = None, momentum: float = 0.9,
                 eps: float = 1e-5) -> Tensor:
@@ -456,7 +464,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
       ``dx = a*gm - xhat*(a*s_gamma/n) - a*s_beta/n`` with ``a = gamma/sd``;
     - inference: running stats, gamma and beta folded into one per-channel
       ``a = gamma/sd`` and ``b = beta - mean*a``, one multiply-add and an
-      in-place ReLU; the backward rebuilds xhat only for gamma's gradient.
+      in-place ReLU; its backward rebuilds xhat from x.
     ``sd = sqrt(var + eps)`` with ``eps = 1e-5``.  The output has x's dtype in
     both modes, whatever the dtype of gamma, beta and the running stats.
     """
@@ -469,7 +477,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     if training:
         mu = xv.mean(axis=(0, 2))
         xhat = xv - mu[:, None]
-        var = np.vecdot(xhat, xhat).sum(axis=0) / n
+        var = _channel_dot(xhat, xhat) / n
         if running is not None:
             running.update(mu, var, momentum)
         inv = 1.0 / np.sqrt(var + eps)
@@ -492,17 +500,14 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         def backward(g):
             gm = g.reshape(b, c, h * w) * (y > 0)
             xh = xhat
-            if xh is None and gamma.requires_grad:
+            if xh is None:
                 xh = (xv - mu.astype(dt)[:, None]) * inv.astype(dt)[:, None]
-            need_sums = training and x.requires_grad
-            if beta.requires_grad or need_sums:
-                s_beta = gm.sum(axis=(0, 2))
-                if beta.requires_grad:
-                    beta._accumulate(s_beta)
-            if gamma.requires_grad or need_sums:
-                s_gamma = np.vecdot(gm, xh).sum(axis=0)
-                if gamma.requires_grad:
-                    gamma._accumulate(s_gamma)
+            s_beta = gm.sum(axis=(0, 2))
+            s_gamma = _channel_dot(gm, xh)
+            if beta.requires_grad:
+                beta._accumulate(s_beta)
+            if gamma.requires_grad:
+                gamma._accumulate(s_gamma)
             if x.requires_grad:
                 gm *= a[:, None]
                 if training:

@@ -1,6 +1,7 @@
 """Architecture wiring, accounting, condensation scheduling, checkpoints."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -203,15 +204,19 @@ class TestCheckpoint:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         p = tmp_path / "p.ckpt"
         for threads in ("3", None):
-            if threads is None:
-                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                monkeypatch.delenv(var, raising=False)
+            if threads is not None:
+                monkeypatch.setenv("GOTO_NUM_THREADS", threads)
             save_checkpoint(small_net(), p)
             header = json.loads(p.read_bytes().split(b"\n", 1)[0])
             assert header["provenance"] == {
                 "numpy": np.__version__, "blas": blas["name"],
-                "blas_version": blas["version"], "openblas_num_threads": threads}
+                "blas_version": blas["version"],
+                "blas_thread_env": {"OPENBLAS_NUM_THREADS": None,
+                                    "GOTO_NUM_THREADS": threads,
+                                    "OMP_NUM_THREADS": None},
+                "cpu_count": os.cpu_count()}
 
     def test_load_ignores_provenance(self, tmp_path):
         net = small_net(seed=4)

@@ -405,7 +405,7 @@ class TestPointwise:
         xv, ga, be = x2.reshape(3, 4, 25), gamma.data[:, None], beta.data[:, None]
         if training:
             d = xv - xv.mean(axis=(0, 2))[:, None]
-            var = np.vecdot(d, d).sum(axis=0) / 75
+            var = (d[:, :, None, :] @ d[:, :, :, None])[:, :, 0, 0].sum(axis=0) / 75
             affine = d * (1.0 / np.sqrt(var + EPS))[:, None] * ga + be
         else:
             fold = gamma.data * (1.0 / np.sqrt(running.var + EPS))
