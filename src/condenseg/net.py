@@ -11,7 +11,7 @@ class probabilities.
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,8 +113,10 @@ def _walk(parts):
 class BatchNorm:
     """Batch normalization + ReLU in one op (`scale_shift`, eps 1e-5), with
     running stats: batch statistics in training, the running stats folded
-    into one per-channel multiply-add at inference.  The output has the
-    input's dtype in both modes."""
+    into one per-channel multiply-add at inference.  Inference is
+    forward-only: its output is a leaf, so an eval forward records no
+    graph behind any BatchNorm.  The output has the input's dtype in both
+    modes."""
 
     def __init__(self, channels, dtype, name):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True,
@@ -437,7 +439,9 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a Network from a checkpoint file; returns (net, header)."""
+    """Rebuild a Network from a checkpoint file; returns (net, header).
+
+    A malformed header or buffer raises ValueError naming the field."""
     with open(path, "rb") as f:
         line = f.readline()
         try:
@@ -448,6 +452,11 @@ def load_checkpoint(path):
             raise ValueError("checkpoint %s: unrecognized format %r"
                              % (path, header.get("format")))
         blob = f.read()
+    for key in ("config", "manifest", "history"):
+        if key not in header:
+            raise ValueError("checkpoint %s: header has no %s" % (path, key))
+    _require_names(path, "config key", list(header["config"]),
+                   [f.name for f in fields(NetConfig)])
     config = NetConfig.from_dict(header["config"])
     manifest = header["manifest"]
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
@@ -482,9 +491,17 @@ def load_checkpoint(path):
     if offset != len(blob):
         raise ValueError("checkpoint %s: %d trailing bytes" % (path, len(blob) - offset))
     for lg in net.lg_layers():
-        lg.stage = header["lg_stages"][lg.name]
+        stage = header["lg_stages"][lg.name]
+        # type(), not isinstance: JSON true loads as a bool, which is an int
+        if type(stage) is not int or not 0 <= stage < lg.condensation_factor:
+            raise ValueError("checkpoint %s: lg_stages %s is %r, expected an int in [0, %d]"
+                             % (path, lg.name, stage, lg.condensation_factor - 1))
+        lg.stage = stage
         lg.history = header["history"].get(lg.name, [])
     for bn, flag in zip(bns, flags):
+        if type(flag) is not bool:
+            raise ValueError("checkpoint %s: bn_initialized entry %r is not a bool"
+                             % (path, flag))
         bn.stats.initialized = flag
     return net, header
 

@@ -165,11 +165,6 @@ class Tensor:
         return self._binary(other, lambda a, b: a / b,
                             lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b))
 
-    def __rtruediv__(self, other):
-        recip = self._binary(float(other), lambda a, c: c / a,
-                             lambda g, a, c: -g * c / (a * a), None)
-        return recip
-
     def log(self):
         out = _result(np.log(self.data), (self,))
         if out.requires_grad:
@@ -454,17 +449,18 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                 eps: float = 1e-5) -> Tensor:
     """Per-channel normalize, affine, then ReLU over batch+space of (B,C,H,W).
 
-    Three paths, each one pass per step:
-    - training forward: batch mean, one centred copy ``d = x - mean``, the
-      variance as a per-channel dot of ``d`` with itself, ``d`` scaled in
-      place to xhat (kept for the backward), then ``xhat*gamma + beta`` and
-      an in-place ReLU; ``running`` is updated if given;
-    - training backward: the gradient masked by the ReLU, the two
-      per-channel sums that are beta's and gamma's gradients, and
-      ``dx = a*gm - xhat*(a*s_gamma/n) - a*s_beta/n`` with ``a = gamma/sd``;
-    - inference: running stats, gamma and beta folded into one per-channel
-      ``a = gamma/sd`` and ``b = beta - mean*a``, one multiply-add and an
-      in-place ReLU; its backward rebuilds xhat from x.
+    Training mode, one pass per step:
+    - forward: batch mean, one centred copy ``d = x - mean``, the variance
+      as a per-channel dot of ``d`` with itself, ``d`` scaled in place to
+      xhat (kept for the backward), then ``xhat*gamma + beta`` and an
+      in-place ReLU; ``running`` is updated if given;
+    - backward: the gradient masked by the ReLU, the two per-channel sums
+      that are beta's and gamma's gradients, and
+      ``dx = a*gm - xhat*(a*s_gamma/n) - a*s_beta/n`` with ``a = gamma/sd``.
+    Inference mode is forward-only: running stats, gamma and beta folded
+    into one per-channel ``a = gamma/sd`` and ``b = beta - mean*a``, one
+    multiply-add and an in-place ReLU.  It returns a leaf that requires no
+    grad, whatever its inputs require, so the graph starts afresh there.
     ``sd = sqrt(var + eps)`` with ``eps = 1e-5``.  The output has x's dtype in
     both modes, whatever the dtype of gamma, beta and the running stats.
     """
@@ -474,24 +470,24 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     n = b * h * w
     dt = x.dtype
     xv = x.data.reshape(b, c, h * w)
-    if training:
-        mu = xv.mean(axis=(0, 2))
-        xhat = xv - mu[:, None]
-        var = _channel_dot(xhat, xhat) / n
-        if running is not None:
-            running.update(mu, var, momentum)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv[:, None]
-        y = xhat * gamma.data.astype(dt, copy=False)[:, None]
-        y += beta.data.astype(dt, copy=False)[:, None]
-    else:
+    if not training:
         if running is None or not running.initialized:
             raise UninitializedStatsError(
                 "scale_shift inference mode needs initialized running stats")
-        mu, inv, xhat = running.mean, 1.0 / np.sqrt(running.var + eps), None
-        fold = gamma.data * inv
+        fold = gamma.data * (1.0 / np.sqrt(running.var + eps))
         y = xv * fold.astype(dt)[:, None]
-        y += (beta.data - mu * fold).astype(dt)[:, None]
+        y += (beta.data - running.mean * fold).astype(dt)[:, None]
+        np.maximum(y, 0, out=y)
+        return Tensor(y.reshape(b, c, h, w))
+    mu = xv.mean(axis=(0, 2))
+    xhat = xv - mu[:, None]
+    var = _channel_dot(xhat, xhat) / n
+    if running is not None:
+        running.update(mu, var, momentum)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv[:, None]
+    y = xhat * gamma.data.astype(dt, copy=False)[:, None]
+    y += beta.data.astype(dt, copy=False)[:, None]
     np.maximum(y, 0, out=y)
     out = _result(y.reshape(b, c, h, w), (x, gamma, beta))
     if out.requires_grad:
@@ -499,20 +495,16 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
 
         def backward(g):
             gm = g.reshape(b, c, h * w) * (y > 0)
-            xh = xhat
-            if xh is None:
-                xh = (xv - mu.astype(dt)[:, None]) * inv.astype(dt)[:, None]
             s_beta = gm.sum(axis=(0, 2))
-            s_gamma = _channel_dot(gm, xh)
+            s_gamma = _channel_dot(gm, xhat)
             if beta.requires_grad:
                 beta._accumulate(s_beta)
             if gamma.requires_grad:
                 gamma._accumulate(s_gamma)
             if x.requires_grad:
                 gm *= a[:, None]
-                if training:
-                    gm -= xh * (a * s_gamma / n)[:, None]
-                    gm -= (a * s_beta / n)[:, None]
+                gm -= xhat * (a * s_gamma / n)[:, None]
+                gm -= (a * s_beta / n)[:, None]
                 x._accumulate(gm.reshape(b, c, h, w))
 
         out._backward = backward

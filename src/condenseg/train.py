@@ -114,11 +114,14 @@ def _training_slices(subjects, size, central=False):
     return np.concatenate(images), np.concatenate(labels)
 
 
-def _forward_batches(net, images, chunk=8):
-    """Inference over (N,1,H,W) in chunks; returns stacked probabilities."""
+CHUNK = 8  # slices per inference forward
+
+
+def _forward_batches(net, images):
+    """Inference over (N,1,H,W) in chunks of CHUNK; returns stacked probabilities."""
     outs = []
-    for i in range(0, len(images), chunk):
-        x = Tensor(images[i:i + chunk].astype(net.dtype), requires_grad=False)
+    for i in range(0, len(images), CHUNK):
+        x = Tensor(images[i:i + CHUNK].astype(net.dtype), requires_grad=False)
         outs.append(net.forward(x, training=False).data)
     return np.concatenate(outs, axis=0)
 

@@ -132,6 +132,22 @@ class TestForward:
         with pytest.raises(UninitializedStatsError):
             small_net().forward(Tensor(np.zeros((1, 1, 32, 32))), training=False)
 
+    def test_eval_graph_starts_at_head_batchnorm(self):
+        # inference-mode BatchNorm returns a leaf, so the eval output reaches
+        # only the head: softmax <- conv <- (BatchNorm output, head kernel)
+        net = small_net()
+        x = Tensor(np.random.default_rng(6).normal(size=(1, 1, 32, 32)))
+        net.forward(x, training=True)
+        reached, stack = {}, [net.forward(x, training=False)]
+        while stack:
+            t = stack.pop()
+            if id(t) not in reached:
+                reached[id(t)] = t
+                stack.extend(t._parents)
+        params = {id(p) for p in net.parameters()}
+        assert len(reached) == 4
+        assert [t for t in reached.values() if id(t) in params] == [net.head.kernel]
+
     def test_deterministic(self):
         x = Tensor(np.random.default_rng(7).normal(size=(1, 1, 32, 32)))
         a = small_net(seed=5).forward(x, training=True).data
@@ -293,6 +309,22 @@ class TestIncompleteCheckpoint:
             load_checkpoint(ckpt)
         _edit_checkpoint(ckpt, lambda h: h["lg_stages"].update({"enc1.layer0.lg": 0, "extra.lg": 0}))
         with pytest.raises(ValueError, match="unknown lg_stages key extra.lg"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: h.pop("config"), "header has no config"),
+        (lambda h: h.pop("manifest"), "header has no manifest"),
+        (lambda h: h.pop("history"), "header has no history"),
+        (lambda h: h["config"].update(dropout=0.1), "unknown config key dropout"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": "x"}), "lg_stages enc1.layer0.lg"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": 99}), "lg_stages enc1.layer0.lg"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": True}), "lg_stages enc1.layer0.lg"),
+        (lambda h: h["bn_initialized"].__setitem__(0, "yes"), "bn_initialized"),
+    ], ids=["no_config", "no_manifest", "no_history", "unknown_config_key",
+            "stage_str", "stage_out_of_range", "stage_bool", "flag_str"])
+    def test_malformed_header(self, ckpt, edit, field):
+        _edit_checkpoint(ckpt, edit)
+        with pytest.raises(ValueError, match=field):
             load_checkpoint(ckpt)
 
     def test_mixed_dtype(self, tmp_path):
