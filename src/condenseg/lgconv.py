@@ -42,11 +42,11 @@ class LGConvLayer:
     shape (N, h) with entries in {0, 1}; rows belonging to the same
     filter-group are always identical, so pruning removes an input channel
     from an entire group at once. `stage` counts completed condensing stages.
+    The kernel starts at zero; `tensor.he_normal` draws it.
     """
 
     def __init__(self, in_channels, out_channels, kernel_size=3, groups=1,
-                 condensation_factor=1, rng=None, name="lgconv",
-                 dtype=np.float64):
+                 condensation_factor=1, name="lgconv", dtype=np.float64):
         if out_channels % groups != 0:
             raise ShapeError(
                 "out_channels %d not divisible by groups %d" % (out_channels, groups))
@@ -63,14 +63,8 @@ class LGConvLayer:
         self.kernel_size = kernel_size
         self.name = name
         self.stage = 0
-        if rng is None:
-            rng = np.random.default_rng()
-        # He-style scaling over the receptive field
-        scale = np.sqrt(2.0 / (in_channels * kernel_size * kernel_size))
-        w = rng.normal(0.0, scale, size=(out_channels, in_channels,
-                                         kernel_size, kernel_size))
-        self.kernel = Tensor(w.astype(dtype), requires_grad=True,
-                             name=name + ".kernel")
+        self.kernel = Tensor(np.zeros((out_channels, in_channels, kernel_size, kernel_size),
+                                      dtype=dtype), requires_grad=True, name=name + ".kernel")
         self.mask = np.ones((out_channels, in_channels), dtype=dtype)
         self.history = []  # one report dict per completed condensing stage
 

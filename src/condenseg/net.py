@@ -12,13 +12,13 @@ class probabilities.
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
 from .lgconv import (
     CondensationSchedule,
     LGConvLayer,
+    _alive_per_group,
     condense,
     group_lasso_penalty,
     lg_forward,
@@ -31,6 +31,7 @@ from .tensor import (
     concat_channels,
     conv2d,
     conv2d_transpose,
+    he_normal,
     max_pool2d,
     scale_shift,
     softmax_channels,
@@ -88,14 +89,14 @@ class NetConfig:
     @staticmethod
     def from_dict(d):
         d = dict(d)
-        d["layers_per_block"] = tuple(d["layers_per_block"])
+        if "layers_per_block" in d:
+            d["layers_per_block"] = tuple(d["layers_per_block"])
         return NetConfig(**d)
 
 
-def _kernel(rng, cout, cin, kh, kw, dtype, name):
-    scale = np.sqrt(2.0 / (cin * kh * kw))
-    w = rng.normal(0.0, scale, size=(cout, cin, kh, kw)).astype(dtype)
-    return Tensor(w, requires_grad=True, name=name)
+def _kernel(cout, cin, kh, kw, dtype, name):
+    """A zero (cout, cin, kh, kw) parameter; `build` draws its values."""
+    return Tensor(np.zeros((cout, cin, kh, kw), dtype=dtype), requires_grad=True, name=name)
 
 
 # Module protocol: every network part lists, in checkpoint order, its `parts`
@@ -138,12 +139,12 @@ class Stem:
     """Two stacked separable convolutions (3x3 and 5x5 receptive fields),
     concatenated channel-wise."""
 
-    def __init__(self, out_channels, res, rng, dtype, name="stem"):
+    def __init__(self, out_channels, res, dtype, name="stem"):
         half = out_channels // 2
-        self.dw3 = _kernel(rng, 1, 1, 3, 3, dtype, name + ".dw3")
-        self.pw3 = _kernel(rng, half, 1, 1, 1, dtype, name + ".pw3")
-        self.dw5 = _kernel(rng, 1, 1, 5, 5, dtype, name + ".dw5")
-        self.pw5 = _kernel(rng, half, 1, 1, 1, dtype, name + ".pw5")
+        self.dw3 = _kernel(1, 1, 3, 3, dtype, name + ".dw3")
+        self.pw3 = _kernel(half, 1, 1, 1, dtype, name + ".pw3")
+        self.dw5 = _kernel(1, 1, 5, 5, dtype, name + ".dw5")
+        self.pw5 = _kernel(half, 1, 1, 1, dtype, name + ".pw5")
         self.parts = (self.dw3, self.pw3, self.dw5, self.pw5)
         self.kernels = [(k, res) for k in self.parts]
 
@@ -156,12 +157,12 @@ class Stem:
 class DenseLayer:
     """Pre-activation unit: norm + ReLU -> 3x3 learned group conv."""
 
-    def __init__(self, in_channels, cfg: NetConfig, rng, dtype, name):
+    def __init__(self, in_channels, cfg: NetConfig, dtype, name):
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
         self.lg = LGConvLayer(in_channels, cfg.growth_rate, kernel_size=3,
                               groups=cfg.groups,
                               condensation_factor=cfg.condensation_factor,
-                              rng=rng, dtype=dtype, name=name + ".lg")
+                              dtype=dtype, name=name + ".lg")
         self.parts = (self.bn, self.lg.kernel, self.lg)
 
     def forward(self, x, training):
@@ -172,12 +173,11 @@ class CondenseBlock:
     """Densely connected stack: layer i sees the block input plus every
     earlier layer's output and appends growth_rate feature maps."""
 
-    def __init__(self, in_channels, n_layers, res, cfg, rng, dtype, name):
+    def __init__(self, in_channels, n_layers, res, cfg, dtype, name):
         self.layers = []
         c = in_channels
         for i in range(n_layers):
-            self.layers.append(DenseLayer(c, cfg, rng, dtype,
-                                          "%s.layer%d" % (name, i)))
+            self.layers.append(DenseLayer(c, cfg, dtype, "%s.layer%d" % (name, i)))
             c += cfg.growth_rate
         self.out_channels = c
         self.parts = self.layers
@@ -192,11 +192,10 @@ class CondenseBlock:
 class Transition:
     """norm + ReLU -> channel-halving 1x1 conv -> 2x2 max pool."""
 
-    def __init__(self, in_channels, res, rng, dtype, name):
+    def __init__(self, in_channels, res, dtype, name):
         self.out_channels = (in_channels + 1) // 2
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
-        self.kernel = _kernel(rng, self.out_channels, in_channels, 1, 1, dtype,
-                              name + ".kernel")
+        self.kernel = _kernel(self.out_channels, in_channels, 1, 1, dtype, name + ".kernel")
         self.parts = (self.bn, self.kernel)
         self.kernels = [(self.kernel, res)]
 
@@ -209,15 +208,14 @@ class UpBlock:
     projection of the encoder skip; the two branches are added element-wise.
     `res` is the input resolution; the output is twice that."""
 
-    def __init__(self, in_channels, skip_channels, res, rng, dtype, name):
+    def __init__(self, in_channels, skip_channels, res, dtype, name):
         self.out_channels = (skip_channels + 1) // 2
         d = self.out_channels
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
-        self.reduce = _kernel(rng, d, in_channels, 1, 1, dtype, name + ".reduce")
+        self.reduce = _kernel(d, in_channels, 1, 1, dtype, name + ".reduce")
         # transposed-conv layout: (in, out, kh, kw)
-        self.up = _kernel(rng, d, d, 3, 3, dtype, name + ".up")
-        self.skip_proj = _kernel(rng, d, skip_channels, 1, 1, dtype,
-                                 name + ".skip_proj")
+        self.up = _kernel(d, d, 3, 3, dtype, name + ".up")
+        self.skip_proj = _kernel(d, skip_channels, 1, 1, dtype, name + ".skip_proj")
         self.parts = (self.bn, self.reduce, self.up, self.skip_proj)
         self.kernels = [(self.reduce, res), (self.up, 2 * res),
                         (self.skip_proj, 2 * res)]
@@ -231,10 +229,9 @@ class UpBlock:
 class Head:
     """norm + ReLU -> 1x1 conv to class logits -> per-pixel softmax."""
 
-    def __init__(self, in_channels, num_classes, res, rng, dtype, name="head"):
+    def __init__(self, in_channels, num_classes, res, dtype, name="head"):
         self.bn = BatchNorm(in_channels, dtype, name + ".bn")
-        self.kernel = _kernel(rng, num_classes, in_channels, 1, 1, dtype,
-                              name + ".kernel")
+        self.kernel = _kernel(num_classes, in_channels, 1, 1, dtype, name + ".kernel")
         self.parts = (self.bn, self.kernel)
         self.kernels = [(self.kernel, res)]
 
@@ -243,17 +240,42 @@ class Head:
 
 
 class Network:
-    def __init__(self, config, stem, encoders, transitions, bottleneck,
-                 up_blocks, decoders, head, dtype):
+    """The modules `config` describes, wired with zero kernels; `build`
+    draws them and `load_checkpoint` reads them."""
+
+    def __init__(self, config: NetConfig, dtype=np.float64):
+        bad = config.violations()
+        if bad:
+            raise ConfigError("invalid network config:\n  " + "\n  ".join(bad))
         self.config = config
-        self.stem = stem
-        self.encoders = encoders
-        self.transitions = transitions
-        self.bottleneck = bottleneck
-        self.up_blocks = up_blocks
-        self.decoders = decoders
-        self.head = head
         self.dtype = dtype
+        p = config.pool_layers
+        lb = list(config.layers_per_block)
+        res = config.input_size
+
+        self.stem = Stem(config.initial_features, res, dtype)
+        c = config.initial_features
+        self.encoders, self.transitions = [], []
+        for i in range(p):
+            enc = CondenseBlock(c, lb[i], res, config, dtype, "enc%d" % i)
+            self.encoders.append(enc)
+            self.transitions.append(Transition(enc.out_channels, res, dtype, "trans%d" % i))
+            c = self.transitions[i].out_channels
+            res //= 2
+
+        self.bottleneck = CondenseBlock(c, lb[p], res, config, dtype, "bottleneck")
+        c = self.bottleneck.out_channels
+
+        self.up_blocks, self.decoders = [], []
+        for j in range(p):
+            up = UpBlock(c, self.encoders[p - 1 - j].out_channels, res, dtype, "up%d" % j)
+            res *= 2
+            self.up_blocks.append(up)
+            self.decoders.append(CondenseBlock(up.out_channels, lb[p + 1 + j], res, config,
+                                               dtype, "dec%d" % j))
+            c = self.decoders[j].out_channels
+
+        self.head = Head(c, config.num_classes, res, dtype)
         # the structure is fixed once built, so walk it once
         self._walked = [p for _, m in self.named_modules() for p in _walk(m.parts)]
 
@@ -343,40 +365,15 @@ class Network:
 
 
 def build(config: NetConfig, rng=None, dtype=np.float64) -> Network:
-    bad = config.violations()
-    if bad:
-        raise ConfigError("invalid network config:\n  " + "\n  ".join(bad))
+    """A network with every kernel drawn He-normal from `rng` (a fresh
+    generator if None), in parameter order."""
+    net = Network(config, dtype)
     if rng is None:
         rng = np.random.default_rng()
-    p = config.pool_layers
-    lb = list(config.layers_per_block)
-    res = config.input_size
-
-    stem = Stem(config.initial_features, res, rng, dtype)
-    c = config.initial_features
-    encoders, transitions = [], []
-    for i in range(p):
-        encoders.append(CondenseBlock(c, lb[i], res, config, rng, dtype, "enc%d" % i))
-        transitions.append(Transition(encoders[i].out_channels, res, rng, dtype,
-                                      "trans%d" % i))
-        c = transitions[i].out_channels
-        res //= 2
-
-    bottleneck = CondenseBlock(c, lb[p], res, config, rng, dtype, "bottleneck")
-    c = bottleneck.out_channels
-
-    up_blocks, decoders = [], []
-    for j in range(p):
-        up_blocks.append(UpBlock(c, encoders[p - 1 - j].out_channels, res, rng, dtype,
-                                 "up%d" % j))
-        res *= 2
-        decoders.append(CondenseBlock(up_blocks[j].out_channels, lb[p + 1 + j], res,
-                                      config, rng, dtype, "dec%d" % j))
-        c = decoders[j].out_channels
-
-    head = Head(c, config.num_classes, res, rng, dtype)
-    return Network(config, stem, encoders, transitions, bottleneck,
-                   up_blocks, decoders, head, dtype)
+    for p in net.parameters():
+        if p.data.ndim == 4:
+            he_normal(p, rng)
+    return net
 
 
 def apply_condensation(net: Network, epoch: int, sched: CondensationSchedule):
@@ -441,7 +438,10 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
 def load_checkpoint(path):
     """Rebuild a Network from a checkpoint file; returns (net, header).
 
-    A malformed header or buffer raises ValueError naming the field."""
+    A malformed header or buffer raises ValueError naming the field, and
+    condensation state that contradicts itself (a history whose length is
+    not the layer's stage, or a mask whose filter-groups are not identical
+    0/1 rows keeping the stage's channel count) raises one naming the layer."""
     with open(path, "rb") as f:
         line = f.readline()
         try:
@@ -460,13 +460,14 @@ def load_checkpoint(path):
     config = NetConfig.from_dict(header["config"])
     manifest = header["manifest"]
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
-    # every weight is read from the file below: draw none
-    net = build(config, rng=SimpleNamespace(normal=lambda loc, scale, size: np.zeros(size)),
-                dtype=dtype)
+    net = Network(config, dtype)
     arrays = dict(net.state_entries())
     _require_names(path, "buffer", [item["name"] for item in manifest], list(arrays))
-    _require_names(path, "lg_stages key", list(header.get("lg_stages", {})),
-                   [lg.name for lg in net.lg_layers()])
+    lg_names = [lg.name for lg in net.lg_layers()]
+    _require_names(path, "lg_stages key", list(header.get("lg_stages", {})), lg_names)
+    if not isinstance(header["history"], dict):
+        raise ValueError("checkpoint %s: history is not a dict" % path)
+    _require_names(path, "history key", list(header["history"]), lg_names)
     flags, bns = header.get("bn_initialized", []), net.bn_modules()
     if len(flags) != len(bns):
         raise ValueError("checkpoint %s: bn_initialized has %d entries, expected %d"
@@ -496,8 +497,20 @@ def load_checkpoint(path):
         if type(stage) is not int or not 0 <= stage < lg.condensation_factor:
             raise ValueError("checkpoint %s: lg_stages %s is %r, expected an int in [0, %d]"
                              % (path, lg.name, stage, lg.condensation_factor - 1))
+        history = header["history"][lg.name]
+        if not isinstance(history, list) or len(history) != stage:
+            raise ValueError("checkpoint %s: history %s does not list %d stages"
+                             % (path, lg.name, stage))
+        _, mask = lg.grouped()
+        if (mask != mask[:, :1]).any():
+            raise ValueError("checkpoint %s: %s mask rows differ within a filter-group"
+                             % (path, lg.name))
+        want = _alive_per_group(lg.in_channels, lg.condensation_factor, stage)
+        if ((mask != 0) & (mask != 1)).any() or lg.alive_per_group() != [want] * lg.groups:
+            raise ValueError("checkpoint %s: %s mask is not 0/1 keeping %d channels per"
+                             " group at stage %d" % (path, lg.name, want, stage))
         lg.stage = stage
-        lg.history = header["history"].get(lg.name, [])
+        lg.history = history
     for bn, flag in zip(bns, flags):
         if type(flag) is not bool:
             raise ValueError("checkpoint %s: bn_initialized entry %r is not a bool"

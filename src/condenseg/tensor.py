@@ -5,8 +5,8 @@ convolution and its transpose, max pooling, a batch-statistics
 normalize + ReLU (`scale_shift`), channel softmax, reductions, and the
 small elementwise algebra the losses are written in.  Each forward op
 records a backward closure; ``Tensor.backward`` replays them in reverse
-topological order.  The Adam optimizer and a central finite-difference
-gradient checker live here as well.
+topological order.  The weight initialiser ``he_normal``, the Adam optimizer
+and a central finite-difference gradient checker live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
@@ -419,21 +419,23 @@ def softmax_channels(x: Tensor) -> Tensor:
 class RunningStats:
     """Exponential running mean/variance for scale_shift at inference."""
 
+    MOMENTUM = 0.9  # share of the old value each update after the first keeps
+
     def __init__(self, channels, dtype=np.float64):
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
         self.initialized = False
 
-    def update(self, mean, var, momentum):
+    def update(self, mean, var):
         if not self.initialized:
             self.mean[...] = mean
             self.var[...] = var
             self.initialized = True
         else:
-            self.mean *= momentum
-            self.mean += (1 - momentum) * mean
-            self.var *= momentum
-            self.var += (1 - momentum) * var
+            self.mean *= self.MOMENTUM
+            self.mean += (1 - self.MOMENTUM) * mean
+            self.var *= self.MOMENTUM
+            self.var += (1 - self.MOMENTUM) * var
 
 
 def _channel_dot(u, v):
@@ -445,8 +447,7 @@ def _channel_dot(u, v):
 
 
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
-                running: RunningStats | None = None, momentum: float = 0.9,
-                eps: float = 1e-5) -> Tensor:
+                running: RunningStats | None = None, eps: float = 1e-5) -> Tensor:
     """Per-channel normalize, affine, then ReLU over batch+space of (B,C,H,W).
 
     Training mode, one pass per step:
@@ -483,7 +484,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     xhat = xv - mu[:, None]
     var = _channel_dot(xhat, xhat) / n
     if running is not None:
-        running.update(mu, var, momentum)
+        running.update(mu, var)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv[:, None]
     y = xhat * gamma.data.astype(dt, copy=False)[:, None]
@@ -511,7 +512,14 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     return out
 
 
-# -- optimizer --------------------------------------------------------
+# -- initialisation and optimizer -------------------------------------
+
+
+def he_normal(kernel: Tensor, rng):
+    """Fill a (Cout, Cin, kh, kw) kernel in place with N(0, 2/(Cin*kh*kw))
+    draws: one float64 `rng.normal` call, cast to the kernel's dtype."""
+    scale = np.sqrt(2.0 / int(np.prod(kernel.shape[1:])))
+    kernel.data[...] = rng.normal(0.0, scale, size=kernel.shape).astype(kernel.dtype)
 
 
 @dataclass

@@ -61,14 +61,11 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, obj):
         obj = dict(obj)
+        _check_fields(cls, obj, "config")
         if "loss" in obj:
-            obj["loss"] = LossConfig(**obj["loss"])
+            obj["loss"] = LossConfig(**_check_fields(LossConfig, obj["loss"], "loss config"))
         if "net" in obj:
-            obj["net"] = NetConfig.from_dict(obj["net"])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError("unknown config fields: %s" % ", ".join(sorted(unknown)))
+            obj["net"] = NetConfig.from_dict(_check_fields(NetConfig, obj["net"], "net config"))
         cfg = cls(**obj)
         cfg.validate()
         return cfg
@@ -77,6 +74,17 @@ class TrainConfig:
     def from_json(cls, path):
         with open(path) as f:
             return cls.from_dict(json.load(f))
+
+
+def _check_fields(cls, obj, kind):
+    """`obj` if it is a dict of `cls`'s fields; else ConfigError naming the
+    unknown keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be an object, got %r" % (kind, obj))
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError("unknown %s fields: %s" % (kind, ", ".join(sorted(unknown))))
+    return obj
 
 
 def normalize_slice(plane):

@@ -31,6 +31,7 @@ from condenseg.tensor import (
     conv2d,
     conv2d_transpose,
     grad_check,
+    he_normal,
     max_pool2d,
     scale_shift,
     softmax_channels,
@@ -79,8 +80,8 @@ def test_criterion_1_gradients():
         _prober(lambda t: scale_shift(t, gamma, beta, training=True), x, rng), x, rng=rng)
     worst["softmax"] = grad_check(_prober(softmax_channels, x, rng), x, rng=rng)
 
-    lg = LGConvLayer(8, 8, kernel_size=3, groups=4, condensation_factor=4,
-                     rng=np.random.default_rng(0))
+    lg = LGConvLayer(8, 8, kernel_size=3, groups=4, condensation_factor=4)
+    he_normal(lg.kernel, np.random.default_rng(0))
     condense(lg)
     xl = Tensor(rng.standard_normal((2, 8, 6, 6)), requires_grad=True)
     worst["lg_forward"] = grad_check(
@@ -124,8 +125,8 @@ def test_criterion_1_gradients():
 
 def test_criterion_2_condensation_invariant():
     """Alive counts 12/8/4, bottom-k oracle agreement, monotone pruning."""
-    layer = LGConvLayer(16, 16, kernel_size=3, groups=4, condensation_factor=4,
-                        rng=np.random.default_rng(7))
+    layer = LGConvLayer(16, 16, kernel_size=3, groups=4, condensation_factor=4)
+    he_normal(layer.kernel, np.random.default_rng(7))
     alive_history = []
     masks = [layer.mask.copy()]
     for stage in (1, 2, 3):
@@ -151,8 +152,8 @@ def test_criterion_2_condensation_invariant():
 
 
 def test_criterion_3_inference_conversion():
-    layer = LGConvLayer(8, 8, kernel_size=3, groups=4, condensation_factor=4,
-                        rng=np.random.default_rng(1))
+    layer = LGConvLayer(8, 8, kernel_size=3, groups=4, condensation_factor=4)
+    he_normal(layer.kernel, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     for _ in range(3):
         layer.kernel.data += rng.standard_normal(layer.kernel.shape) * 0.05

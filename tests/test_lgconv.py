@@ -15,12 +15,13 @@ from condenseg.lgconv import (
     schedule_stage,
     to_inference,
 )
-from condenseg.tensor import ShapeError, Tensor, conv2d, grad_check
+from condenseg.tensor import ShapeError, Tensor, conv2d, grad_check, he_normal
 
 
 def make_layer(h, n, groups=1, C=1, k=3, seed=0):
-    return LGConvLayer(h, n, kernel_size=k, groups=groups,
-                       condensation_factor=C, rng=np.random.default_rng(seed))
+    layer = LGConvLayer(h, n, kernel_size=k, groups=groups, condensation_factor=C)
+    he_normal(layer.kernel, np.random.default_rng(seed))
+    return layer
 
 
 class TestForward:

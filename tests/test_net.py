@@ -46,6 +46,19 @@ class TestConfig:
         cfg = NetConfig(input_size=100)
         assert any("divisible" in v for v in cfg.violations())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_build_draws_kernels_in_parameter_order(self, dtype):
+        # every 4-D parameter gets one He-normal draw, in parameter order;
+        # nothing else draws, so the generator ends where the loop's does
+        net_rng, loop_rng = np.random.default_rng(21), np.random.default_rng(21)
+        net = build(small_config(), rng=net_rng, dtype=dtype)
+        for p in net.parameters():
+            if p.data.ndim == 4:
+                fan_in = int(np.prod(p.shape[1:]))
+                want = loop_rng.normal(0.0, np.sqrt(2.0 / fan_in), size=p.shape).astype(dtype)
+                assert np.array_equal(p.data, want), p.name
+        assert net_rng.integers(2 ** 63) == loop_rng.integers(2 ** 63)
+
     def test_error_lists_all_violations(self):
         cfg = NetConfig(input_size=100, num_classes=1, growth_rate=15)
         try:
@@ -333,6 +346,48 @@ class TestIncompleteCheckpoint:
                               dtype=np.float32), p)
         _edit_checkpoint(p, lambda h: None, retype="enc1.layer0.bn.gamma")
         with pytest.raises(ValueError, match="enc1.layer0.bn.gamma has dtype <f8"):
+            load_checkpoint(p)
+
+
+LG = "enc1.layer0.lg"
+
+
+def _flip_one_row(lg):
+    lg.mask[0, 0] = 1 - lg.mask[0, 0]
+
+
+def _drop_group_channel(lg):
+    group = lg.grouped()[1][0]
+    group[:, np.flatnonzero(group[0])[0]] = 0
+
+
+def _non_binary_group(lg):
+    # the group's alive count stays right: one channel doubled, one dropped
+    group = lg.grouped()[1][0]
+    first, second = np.flatnonzero(group[0])[:2]
+    group[:, first], group[:, second] = 2, 0
+
+
+class TestCondensationState:
+    @pytest.mark.parametrize("mask_edit, header_edit, field", [
+        (None, lambda h: h.update(history=[]), "history is not a dict"),
+        (None, lambda h: h["lg_stages"].update({LG: 0}), "history " + LG),
+        (None, lambda h: h["history"][LG].pop(), "history " + LG),
+        (_flip_one_row, None, LG + " mask rows differ"),
+        (_drop_group_channel, None, LG + " mask is not 0/1 keeping 6 channels"),
+        (_non_binary_group, None, LG + " mask is not 0/1 keeping 6 channels"),
+    ], ids=["history_list", "stage_edited_to_0", "history_short", "group_rows_differ",
+            "group_alive_count", "group_mask_not_binary"])
+    def test_inconsistent_state_rejected(self, tmp_path, mask_edit, header_edit, field):
+        net = small_net()
+        apply_condensation(net, 5, CondensationSchedule(10, 4))  # fully condensed
+        if mask_edit is not None:
+            mask_edit(next(lg for lg in net.lg_layers() if lg.name == LG))
+        p = tmp_path / "c.ckpt"
+        save_checkpoint(net, p)
+        if header_edit is not None:
+            _edit_checkpoint(p, header_edit)
+        with pytest.raises(ValueError, match=field):
             load_checkpoint(p)
 
 

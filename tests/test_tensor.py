@@ -343,7 +343,7 @@ class TestPointwise:
         gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
         running = T.RunningStats(3)
         x = rng.normal(size=(2, 3, 4, 4))
-        scale_shift(Tensor(x), gamma, beta, training=True, running=running, momentum=0.0)
+        scale_shift(Tensor(x), gamma, beta, training=True, running=running)
         out = scale_shift(Tensor(x), gamma, beta, training=False, running=running)
         mu = x.mean(axis=(0, 2, 3))
         sd = np.sqrt(x.var(axis=(0, 2, 3)) + EPS)
@@ -383,7 +383,7 @@ class TestPointwise:
         gamma = Tensor(rng.normal(size=3) + 1.0, requires_grad=True)
         beta = Tensor(rng.normal(size=3), requires_grad=True)
         running = T.RunningStats(3)
-        running.update(rng.normal(size=3), rng.uniform(0.5, 2.0, 3), 0.0)
+        running.update(rng.normal(size=3), rng.uniform(0.5, 2.0, 3))
         out = scale_shift(x, gamma, beta, training=False, running=running)
         assert out.requires_grad is False
         assert out._parents == () and out._backward is None
@@ -468,7 +468,7 @@ class TestScaleShiftProperties:
             mu, var = x.mean(axis=(0, 2, 3), dtype=np.float64), x.var(axis=(0, 2, 3), dtype=np.float64)
         else:
             running.update(ratio * sd * rng.uniform(0.9, 1.1, c),
-                           sd * sd * rng.uniform(0.5, 2.0, c), 0.0)
+                           sd * sd * rng.uniform(0.5, 2.0, c))
             mu, var = running.mean.astype(np.float64), running.var.astype(np.float64)
         out = scale_shift(Tensor(x), Tensor(gamma), Tensor(beta),
                           training=training, running=running).data

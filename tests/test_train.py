@@ -67,6 +67,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="momentum"):
             TrainConfig.from_dict({"epochs": 3, "momentum": 0.9})
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"net": {"input_size": 32, "dropout": 0.1}}, "net config fields: dropout"),
+        ({"loss": {"gamma": 2.0}}, "loss config fields: gamma"),
+        ({"net": [32]}, "net config must be an object"),
+    ], ids=["net", "loss", "net_not_object"])
+    def test_unknown_nested_field_rejected(self, obj, key):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict(obj)
+
+    def test_nested_fields_default(self):
+        cfg = TrainConfig.from_dict({"net": {"input_size": 32}})
+        assert cfg.net == NetConfig(input_size=32)
+
 
 class TestTrainLoop:
     def test_zero_lr_leaves_weights(self):
