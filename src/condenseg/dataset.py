@@ -85,8 +85,6 @@ def stratified_kfold(subjects, k=5, seed=0):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if k == 1:
-        return [list(range(len(subjects)))]
     groups = _group_indices(subjects)
     for tag, members in groups.items():
         if len(members) < k:

@@ -66,7 +66,6 @@ class LGConvLayer:
         self.kernel = Tensor(np.zeros((out_channels, in_channels, kernel_size, kernel_size),
                                       dtype=dtype), requires_grad=True, name=name + ".kernel")
         self.mask = np.ones((out_channels, in_channels), dtype=dtype)
-        self.history = []  # one report dict per completed condensing stage
 
     def grouped(self):
         """Writable views of the kernel as (M, N/M, h, kh, kw) and of the
@@ -133,9 +132,7 @@ def condense(layer: LGConvLayer):
         w[g, :, drop] = 0.0
         pruned.append([int(j) for j in drop])
     layer.stage += 1
-    report = {"stage": layer.stage, "pruned": pruned, "alive_per_group": target}
-    layer.history.append(report)
-    return report
+    return {"stage": layer.stage, "pruned": pruned, "alive_per_group": target}
 
 
 def group_lasso_penalty(layer: LGConvLayer) -> Tensor:

@@ -10,6 +10,7 @@ class probabilities.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -38,6 +39,10 @@ from .tensor import (
 )
 
 CHECKPOINT_MAGIC = "condenseg-net"
+# version 1 files also carry a per-layer pruning log, `history`, which
+# loading ignores: a layer's condensation state is its mask and its stage
+CHECKPOINT_VERSIONS = (1, 2)
+CHECKPOINT_DTYPES = ("<f4", "<f8")
 
 
 class ConfigError(ValueError):
@@ -88,10 +93,37 @@ class NetConfig:
 
     @staticmethod
     def from_dict(d):
-        d = dict(d)
+        d = dict(_check_fields(NetConfig, d, "net config"))
         if "layers_per_block" in d:
             d["layers_per_block"] = tuple(d["layers_per_block"])
         return NetConfig(**d)
+
+
+def _fits(kind, value):
+    """Whether a JSON value suits a config field of type `kind`: an int field
+    takes an int, a float field an int or a float, a tuple field a list of
+    ints; a bool is neither."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(type(n) is int for n in value)
+    return type(value) is not bool and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_fields(cls, obj, kind):
+    """`obj` if it is a dict of `cls`'s fields whose int, float and tuple
+    values have their field's type; else ConfigError naming the unknown or
+    wrongly typed keys.  Fields of other types are left to their own check."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be an object, got %r" % (kind, obj))
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise ConfigError("unknown %s fields: %s" % (kind, ", ".join(sorted(unknown))))
+    wrong = sorted(k for k, v in obj.items()
+                   if types[k] in (int, float, tuple) and not _fits(types[k], v))
+    if wrong:
+        raise ConfigError("%s fields of the wrong type: %s" % (
+            kind, ", ".join("%s=%r" % (k, obj[k]) for k in wrong)))
+    return obj
 
 
 def _kernel(cout, cin, kh, kw, dtype, name):
@@ -112,7 +144,7 @@ def _walk(parts):
 
 
 class BatchNorm:
-    """Batch normalization + ReLU in one op (`scale_shift`, eps 1e-5), with
+    """Batch normalization + ReLU in one op (`scale_shift`, eps `BN_EPS`), with
     running stats: batch statistics in training, the running stats folded
     into one per-channel multiply-add at inference.  Inference is
     forward-only: its output is a leaf, so an eval forward records no
@@ -364,12 +396,10 @@ class Network:
                 + [(lg.name + ".mask", lg.mask) for lg in self.lg_layers()])
 
 
-def build(config: NetConfig, rng=None, dtype=np.float64) -> Network:
-    """A network with every kernel drawn He-normal from `rng` (a fresh
-    generator if None), in parameter order."""
+def build(config: NetConfig, rng, dtype=np.float64) -> Network:
+    """A network with every kernel drawn He-normal from `rng`, in parameter
+    order."""
     net = Network(config, dtype)
-    if rng is None:
-        rng = np.random.default_rng()
     for p in net.parameters():
         if p.data.ndim == 4:
             he_normal(p, rng)
@@ -417,11 +447,10 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
                 for n, a in entries]
     header = {
         "format": CHECKPOINT_MAGIC,
-        "version": 1,
+        "version": CHECKPOINT_VERSIONS[-1],
         "config": net.config.to_dict(),
         "epoch": epoch,
         "lg_stages": {lg.name: lg.stage for lg in net.lg_layers()},
-        "history": {lg.name: lg.history for lg in net.lg_layers()},
         "bn_initialized": [bn.stats.initialized for bn in net.bn_modules()],
         "manifest": manifest,
         "provenance": _provenance(),
@@ -436,39 +465,43 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
 
 
 def load_checkpoint(path):
-    """Rebuild a Network from a checkpoint file; returns (net, header).
+    """Rebuild a Network from a checkpoint file of version 1 or 2; returns
+    (net, header).
 
-    A malformed header or buffer raises ValueError naming the field, and
-    condensation state that contradicts itself (a history whose length is
-    not the layer's stage, or a mask whose filter-groups are not identical
-    0/1 rows keeping the stage's channel count) raises one naming the layer."""
+    A malformed header or buffer raises ValueError naming the field (a
+    ConfigError for a bad `config`).  Condensation state that contradicts
+    itself raises one naming the layer: a mask whose filter-groups are not
+    identical 0/1 rows keeping the stage's channel count, or a nonzero
+    kernel weight where the mask is 0."""
     with open(path, "rb") as f:
         line = f.readline()
         try:
             header = json.loads(line)
         except ValueError:
             raise ValueError("checkpoint %s: header is not valid JSON" % path)
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint %s: header is not a JSON object" % path)
         if header.get("format") != CHECKPOINT_MAGIC:
             raise ValueError("checkpoint %s: unrecognized format %r"
                              % (path, header.get("format")))
         blob = f.read()
-    for key in ("config", "manifest", "history"):
-        if key not in header:
-            raise ValueError("checkpoint %s: header has no %s" % (path, key))
-    _require_names(path, "config key", list(header["config"]),
+    version = header.get("version")
+    # type(), not isinstance: JSON true loads as a bool, which is an int
+    if type(version) is not int or version not in CHECKPOINT_VERSIONS:
+        raise ValueError("checkpoint %s: version %r is not 1 or 2" % (path, version))
+    _require_names(path, "config key", list(_field(path, header, "config", dict)),
                    [f.name for f in fields(NetConfig)])
     config = NetConfig.from_dict(header["config"])
-    manifest = header["manifest"]
+    manifest = _field(path, header, "manifest", list)
+    for item in manifest:
+        _check_manifest_item(path, item)
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
     net = Network(config, dtype)
     arrays = dict(net.state_entries())
     _require_names(path, "buffer", [item["name"] for item in manifest], list(arrays))
-    lg_names = [lg.name for lg in net.lg_layers()]
-    _require_names(path, "lg_stages key", list(header.get("lg_stages", {})), lg_names)
-    if not isinstance(header["history"], dict):
-        raise ValueError("checkpoint %s: history is not a dict" % path)
-    _require_names(path, "history key", list(header["history"]), lg_names)
-    flags, bns = header.get("bn_initialized", []), net.bn_modules()
+    stages = _field(path, header, "lg_stages", dict)
+    _require_names(path, "lg_stages key", list(stages), [lg.name for lg in net.lg_layers()])
+    flags, bns = _field(path, header, "bn_initialized", list), net.bn_modules()
     if len(flags) != len(bns):
         raise ValueError("checkpoint %s: bn_initialized has %d entries, expected %d"
                          % (path, len(flags), len(bns)))
@@ -477,7 +510,7 @@ def load_checkpoint(path):
         if np.dtype(item["dtype"]) != dtype:
             raise ValueError("checkpoint %s: %s has dtype %s, expected %s"
                              % (path, item["name"], item["dtype"], dtype.str))
-        n = int(np.prod(item["shape"])) if item["shape"] else 1
+        n = math.prod(item["shape"])
         end = offset + n * dtype.itemsize
         if end > len(blob):
             raise ValueError("checkpoint %s: truncated buffer for %s"
@@ -492,15 +525,10 @@ def load_checkpoint(path):
     if offset != len(blob):
         raise ValueError("checkpoint %s: %d trailing bytes" % (path, len(blob) - offset))
     for lg in net.lg_layers():
-        stage = header["lg_stages"][lg.name]
-        # type(), not isinstance: JSON true loads as a bool, which is an int
+        stage = stages[lg.name]
         if type(stage) is not int or not 0 <= stage < lg.condensation_factor:
             raise ValueError("checkpoint %s: lg_stages %s is %r, expected an int in [0, %d]"
                              % (path, lg.name, stage, lg.condensation_factor - 1))
-        history = header["history"][lg.name]
-        if not isinstance(history, list) or len(history) != stage:
-            raise ValueError("checkpoint %s: history %s does not list %d stages"
-                             % (path, lg.name, stage))
         _, mask = lg.grouped()
         if (mask != mask[:, :1]).any():
             raise ValueError("checkpoint %s: %s mask rows differ within a filter-group"
@@ -509,14 +537,43 @@ def load_checkpoint(path):
         if ((mask != 0) & (mask != 1)).any() or lg.alive_per_group() != [want] * lg.groups:
             raise ValueError("checkpoint %s: %s mask is not 0/1 keeping %d channels per"
                              " group at stage %d" % (path, lg.name, want, stage))
+        if (lg.kernel.data[lg.mask == 0] != 0).any():  # -0.0 == 0
+            raise ValueError("checkpoint %s: %s kernel has nonzero weights where its"
+                             " mask is 0" % (path, lg.name))
         lg.stage = stage
-        lg.history = history
     for bn, flag in zip(bns, flags):
         if type(flag) is not bool:
             raise ValueError("checkpoint %s: bn_initialized entry %r is not a bool"
                              % (path, flag))
         bn.stats.initialized = flag
     return net, header
+
+
+def _field(path, header, key, kind):
+    """header[key], or ValueError naming the field when it is absent or not
+    a `kind`."""
+    if key not in header:
+        raise ValueError("checkpoint %s: header has no %s" % (path, key))
+    if not isinstance(header[key], kind):
+        raise ValueError("checkpoint %s: %s is %r, not a %s"
+                         % (path, key, header[key], kind.__name__))
+    return header[key]
+
+
+def _check_manifest_item(path, item):
+    """ValueError naming the field unless `item` is an object with a string
+    name, a shape of non-negative ints and a float32 or float64 dtype."""
+    if not isinstance(item, dict):
+        raise ValueError("checkpoint %s: manifest entry %r is not an object" % (path, item))
+    shape = item.get("shape")
+    for key, ok, want in (
+            ("name", isinstance(item.get("name"), str), "a string"),
+            ("shape", isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape),
+             "a list of non-negative ints"),
+            ("dtype", item.get("dtype") in CHECKPOINT_DTYPES, "one of %s" % (CHECKPOINT_DTYPES,))):
+        if not ok:
+            raise ValueError("checkpoint %s: manifest entry %r needs a %s that is %s"
+                             % (path, item, key, want))
 
 
 def _require_names(path, kind, got, want):

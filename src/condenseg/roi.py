@@ -110,12 +110,11 @@ def make_box(center, radius, image_shape, size: int = ROI_SIZE) -> RoiBox:
                   corner=(x0, y0), size=size, pad=(pad_x, pad_y))
 
 
-def radius_band(image_shape, r_min: int = DEFAULT_R_MIN,
-                r_max: int = DEFAULT_R_MAX):
-    """Shrink the default search band so it stays legal for small images."""
+def radius_band(image_shape):
+    """The default search band, shrunk so it stays legal for small images."""
     h, w = image_shape
-    top = min(r_max, min(h, w) // 2 - 1)
-    return min(r_min, max(top - 1, 1)), top
+    top = min(DEFAULT_R_MAX, min(h, w) // 2 - 1)
+    return min(DEFAULT_R_MIN, max(top - 1, 1)), top
 
 
 def detect_roi(vol: CineVolume, r_min: int | None = None,

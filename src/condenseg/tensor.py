@@ -2,17 +2,18 @@
 
 Implements exactly the operations the segmentation network needs: 2-D
 convolution and its transpose, max pooling, a batch-statistics
-normalize + ReLU (`scale_shift`), channel softmax, reductions, and the
-small elementwise algebra the losses are written in.  Each forward op
-records a backward closure; ``Tensor.backward`` replays them in reverse
-topological order.  The weight initialiser ``he_normal``, the Adam optimizer
-and a central finite-difference gradient checker live here as well.
+normalize + ReLU (`scale_shift`, whose variance epsilon is ``BN_EPS``),
+channel softmax, reductions, and the small elementwise algebra the
+losses are written in.  Each forward op records a backward closure;
+``Tensor.backward`` replays them in reverse topological order.  The weight
+initialiser ``he_normal``, the Adam optimizer and a central
+finite-difference gradient checker live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
 scatter-add gives the transposed conv and both gradients.
-No general broadcasting: tensor-tensor arithmetic requires identical
-shapes, scalars are the only exception.
+No broadcasting: tensor-tensor arithmetic requires identical shapes;
+a Python number combines with a tensor of any shape.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ CONV_ORACLE_TOL = 1e-10    # conv vs direct-loop oracle
 ADJOINT_TOL = 1e-8         # <conv(x),y> == <x, conv_T(y)>
 SOFTMAX_SUM_TOL = 1e-9     # per-pixel probability normalization
 INFERENCE_MATCH_TOL = 1e-5 # compact vs masked-dense forward
+
+BN_EPS = 1e-5  # added to the variance before `scale_shift` takes its root
 
 
 class ShapeError(ValueError):
@@ -113,7 +116,7 @@ class Tensor:
 
     def _binary(self, other, fwd, bwd_self, bwd_other):
         if isinstance(other, Tensor):
-            if other.shape != self.shape and other.shape != () and self.shape != ():
+            if other.shape != self.shape:
                 raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
             out = _result(fwd(self.data, other.data), (self, other))
             if out.requires_grad:
@@ -121,9 +124,9 @@ class Tensor:
 
                 def backward(g):
                     if a.requires_grad:
-                        a._accumulate(_reduce_to(bwd_self(g, a.data, b.data), a.shape))
+                        a._accumulate(bwd_self(g, a.data, b.data))
                     if b.requires_grad:
-                        b._accumulate(_reduce_to(bwd_other(g, a.data, b.data), b.shape))
+                        b._accumulate(bwd_other(g, a.data, b.data))
 
                 out._backward = backward
             return out
@@ -204,13 +207,6 @@ def _result(data, parents):
     if req:
         out._parents = tuple(parents)
     return out
-
-
-def _reduce_to(g, shape):
-    # gradient of a scalar operand used against a full tensor
-    if shape == () and np.ndim(g) != 0:
-        return np.sum(g)
-    return g
 
 
 def concat_channels(tensors) -> Tensor:
@@ -447,7 +443,7 @@ def _channel_dot(u, v):
 
 
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
-                running: RunningStats | None = None, eps: float = 1e-5) -> Tensor:
+                running: RunningStats | None = None) -> Tensor:
     """Per-channel normalize, affine, then ReLU over batch+space of (B,C,H,W).
 
     Training mode, one pass per step:
@@ -462,7 +458,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     into one per-channel ``a = gamma/sd`` and ``b = beta - mean*a``, one
     multiply-add and an in-place ReLU.  It returns a leaf that requires no
     grad, whatever its inputs require, so the graph starts afresh there.
-    ``sd = sqrt(var + eps)`` with ``eps = 1e-5``.  The output has x's dtype in
+    ``sd = sqrt(var + BN_EPS)``.  The output has x's dtype in
     both modes, whatever the dtype of gamma, beta and the running stats.
     """
     b, c, h, w = x.shape
@@ -475,7 +471,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         if running is None or not running.initialized:
             raise UninitializedStatsError(
                 "scale_shift inference mode needs initialized running stats")
-        fold = gamma.data * (1.0 / np.sqrt(running.var + eps))
+        fold = gamma.data * (1.0 / np.sqrt(running.var + BN_EPS))
         y = xv * fold.astype(dt)[:, None]
         y += (beta.data - running.mean * fold).astype(dt)[:, None]
         np.maximum(y, 0, out=y)
@@ -485,7 +481,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     var = _channel_dot(xhat, xhat) / n
     if running is not None:
         running.update(mu, var)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv[:, None]
     y = xhat * gamma.data.astype(dt, copy=False)[:, None]
     y += beta.data.astype(dt, copy=False)[:, None]
@@ -526,10 +522,11 @@ def he_normal(kernel: Tensor, rng):
 class AdamState:
     """Adam moment buffers, positionally aligned with a fixed parameter list."""
 
+    BETA1 = 0.9           # decay of the first moment
+    BETA2 = 0.999         # decay of the second moment
+    EPSILON_HAT = 1e-8    # added to the root of the second moment
+
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_hat: float = 1e-8
     step_count: int = 0
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
@@ -556,7 +553,7 @@ def adam_step(params, state: AdamState):
             raise NumericsError(f"adam_step: parameter {p.name or i!r} has a non-finite gradient")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = state.BETA1, state.BETA2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
     for p, m, v in zip(params, state.first_moment, state.second_moment):
@@ -564,19 +561,18 @@ def adam_step(params, state: AdamState):
         m += (1 - b1) * p.grad
         v *= b2
         v += (1 - b2) * np.square(p.grad)
-        p.data -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.epsilon_hat)
+        p.data -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.EPSILON_HAT)
 
 
 # -- finite-difference checking ---------------------------------------
 
 
-def grad_check(f, x: Tensor, h: float = 1e-5, indices=None, rng=None) -> float:
+def grad_check(f, x: Tensor, h: float = 1e-5, rng=None) -> float:
     """Compare f's backward gradient at x against central differences.
 
     f must be a deterministic scalar-valued function of x (double
-    precision).  Checks all entries of x unless `indices` (flat) or an
-    rng for subsampling up to 64 entries is given.  Returns the max
-    relative error.
+    precision).  Checks all entries of x unless an rng for subsampling up
+    to 64 entries is given.  Returns the max relative error.
     """
     x.zero_grad()
     out = f(x)
@@ -584,12 +580,9 @@ def grad_check(f, x: Tensor, h: float = 1e-5, indices=None, rng=None) -> float:
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
     flat = x.data.reshape(-1)
-    if indices is None:
-        idx = np.arange(flat.size)
-        if rng is not None and flat.size > 64:
-            idx = np.sort(rng.choice(flat.size, size=64, replace=False))
-    else:
-        idx = np.asarray(indices)
+    idx = np.arange(flat.size)
+    if rng is not None and flat.size > 64:
+        idx = np.sort(rng.choice(flat.size, size=64, replace=False))
 
     ana_flat = analytic.reshape(-1)
     worst = 0.0

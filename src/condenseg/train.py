@@ -13,7 +13,7 @@ from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
-from .net import ConfigError, NetConfig, apply_condensation, build
+from .net import ConfigError, NetConfig, _check_fields, apply_condensation, build
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
 from .tensor import AdamState, NumericsError, Tensor, adam_step
 from .volume import LV, LabelMask
@@ -65,7 +65,7 @@ class TrainConfig:
         if "loss" in obj:
             obj["loss"] = LossConfig(**_check_fields(LossConfig, obj["loss"], "loss config"))
         if "net" in obj:
-            obj["net"] = NetConfig.from_dict(_check_fields(NetConfig, obj["net"], "net config"))
+            obj["net"] = NetConfig.from_dict(obj["net"])
         cfg = cls(**obj)
         cfg.validate()
         return cfg
@@ -74,17 +74,6 @@ class TrainConfig:
     def from_json(cls, path):
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-
-def _check_fields(cls, obj, kind):
-    """`obj` if it is a dict of `cls`'s fields; else ConfigError naming the
-    unknown keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError("%s must be an object, got %r" % (kind, obj))
-    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError("unknown %s fields: %s" % (kind, ", ".join(sorted(unknown))))
-    return obj
 
 
 def normalize_slice(plane):

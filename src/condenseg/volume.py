@@ -11,6 +11,7 @@ label maps (LabelMask, stored with T=1).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,8 @@ def load_volume(path):
         header = json.loads(line)
     except ValueError:
         raise HeaderError("%s: header line is not valid JSON" % path)
+    if not isinstance(header, dict):
+        raise HeaderError("%s: header is not a JSON object" % path)
     for key in ("dims", "dtype", "spacing_mm", "slice_thickness_mm", "slice_gap_mm"):
         if key not in header:
             raise HeaderError("%s: header missing %r" % (path, key))
@@ -167,10 +170,10 @@ def load_volume(path):
             or any(type(d) is not int or d < 1 for d in dims)):
         raise HeaderError("%s: dims must be 4 positive ints, got %s" % (path, dims))
     tag = header["dtype"]
-    if tag not in _DTYPES:
+    if not isinstance(tag, str) or tag not in _DTYPES:
         raise DtypeError("%s: unsupported dtype %r (want f32 or u8)" % (path, tag))
     dt = _DTYPES[tag]
-    expected = int(np.prod(dims)) * dt.itemsize
+    expected = math.prod(dims) * dt.itemsize
     if len(blob) != expected:
         raise TruncationError("%s: buffer is %d bytes, header dims need %d"
                               % (path, len(blob), expected))
@@ -183,6 +186,11 @@ def load_volume(path):
     if tag == "f32":
         return CineVolume(arr.copy(), geom)
     names = header.get("label_names") or LABEL_NAMES
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise HeaderError("%s: label_names must be a list of strings, got %r" % (path, names))
     if dims[0] != 1:
         raise HeaderError("%s: label masks must have T=1, got %d" % (path, dims[0]))
-    return LabelMask(arr[0].copy(), num_classes=len(names), label_names=names)
+    try:
+        return LabelMask(arr[0].copy(), num_classes=len(names), label_names=names)
+    except ValueError as err:  # a label outside label_names
+        raise HeaderError("%s: %s" % (path, err)) from None

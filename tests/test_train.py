@@ -76,6 +76,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             TrainConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"epochs": "5"}, "epochs"), ({"epochs": True}, "epochs"),
+        ({"seed": 1.5}, "seed"), ({"learning_rate": None}, "learning_rate"),
+        ({"learning_rate": False}, "learning_rate"), ({"loss": {"alpha": "0.5"}}, "alpha"),
+        ({"net": {"groups": "4"}}, "groups"), ({"net": {"layers_per_block": 3}}, "layers_per_block"),
+        ({"net": {"layers_per_block": [1, 1.0, 1]}}, "layers_per_block"),
+    ], ids=["epochs_str", "epochs_bool", "seed_float", "lr_null", "lr_bool", "alpha_str",
+            "groups_str", "blocks_int", "blocks_float_entry"])
+    def test_wrongly_typed_value_rejected(self, obj, key):
+        with pytest.raises(ConfigError, match="wrong type: " + key):
+            TrainConfig.from_dict(obj)
+
+    def test_int_accepted_for_float_field(self):
+        cfg = TrainConfig.from_dict({"learning_rate": 1, "loss": {"alpha": 1}})
+        assert cfg.learning_rate == 1 and cfg.loss.alpha == 1
+
     def test_nested_fields_default(self):
         cfg = TrainConfig.from_dict({"net": {"input_size": 32}})
         assert cfg.net == NetConfig(input_size=32)

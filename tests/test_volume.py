@@ -144,6 +144,34 @@ class TestFileFormat:
         with pytest.raises(HeaderError, match="bad geometry"):
             load_volume(self._with_header_field(tmp_path, key, value))
 
+    @pytest.mark.parametrize("line", [b"[]", b"1", b"null", b'"x"'])
+    def test_header_not_object(self, tmp_path, line):
+        path = tmp_path / "v.bin"
+        path.write_bytes(line + b"\n" + b"\x00" * 16)
+        with pytest.raises(HeaderError, match="not a JSON object"):
+            load_volume(path)
+
+    @pytest.mark.parametrize("names, match", [
+        (5, "label_names must be a list of strings"),
+        ([1, 2, 3, 4], "label_names must be a list of strings"),
+        (["background", "lv"], "labels outside"),
+    ], ids=["int", "int_entries", "too_few"])
+    def test_bad_label_names(self, tmp_path, names, match):
+        path = tmp_path / "m.bin"
+        save_volume(path, LabelMask(np.full((1, 2, 2), LV, dtype=np.uint8)))
+        raw = path.read_bytes()
+        split = raw.index(b"\n")
+        header = json.loads(raw[:split])
+        header["label_names"] = names
+        path.write_bytes(json.dumps(header).encode() + raw[split:])
+        with pytest.raises(HeaderError, match=match):
+            load_volume(path)
+
+    @pytest.mark.parametrize("tag", [["f32"], {"f32": 1}, 4])
+    def test_dtype_not_a_string(self, tmp_path, tag):
+        with pytest.raises(DtypeError):
+            load_volume(self._with_header_field(tmp_path, "dtype", tag))
+
     def test_truncated_payload(self, tmp_path):
         vol = CineVolume(np.ones((2, 2, 8, 8), dtype=np.float32))
         path = tmp_path / "v.bin"
@@ -210,3 +238,45 @@ class TestRoundTripProperty:
         else:
             assert back.num_classes == obj.num_classes
             assert back.label_names == obj.label_names
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+def _load_with_header(header, blob):
+    """load_volume on `header` as the JSON header line before `blob`; a
+    VolumeFormatError is the documented rejection, anything else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.bin")
+        with open(path, "wb") as f:
+            f.write(json.dumps(header).encode() + b"\n" + blob)
+        try:
+            load_volume(path)
+        except VolumeFormatError:
+            pass
+
+
+class TestHeaderFuzz:
+    @settings(max_examples=100, **PROPERTY)
+    @given(json_values)
+    def test_any_json_header(self, value):
+        _load_with_header(value, b"\x00" * 16)
+
+    @settings(max_examples=100, **PROPERTY)
+    @given(st.data())
+    def test_one_field_replaced(self, data):
+        obj = data.draw(st.sampled_from([
+            CineVolume(np.ones((2, 1, 2, 2), dtype=np.float32)),
+            LabelMask(np.full((1, 2, 2), LV, dtype=np.uint8))]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.bin")
+            save_volume(path, obj)
+            with open(path, "rb") as f:
+                head, blob = f.read().split(b"\n", 1)
+        header = json.loads(head)
+        header[data.draw(st.sampled_from(sorted(header)))] = data.draw(json_values)
+        _load_with_header(header, blob)
