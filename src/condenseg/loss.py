@@ -7,11 +7,13 @@ structures count as much as large ones. Both terms differentiate through the
 prediction tensor.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .net import ConfigError
 from .tensor import Tensor
 from .volume import LabelMask
 
@@ -28,9 +30,9 @@ class LossConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1], got %r" % self.alpha)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("alpha must lie in [0, 1], got %r" % self.alpha)
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError("epsilon must be finite and positive, got %r" % self.epsilon)
 
     @property
     def beta(self):

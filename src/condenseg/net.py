@@ -9,6 +9,7 @@ filter sizes feeds the first block and a 1x1 + softmax head emits per-pixel
 class probabilities.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .tensor import (
     conv2d_transpose,
     he_normal,
     max_pool2d,
+    no_graph,
     scale_shift,
     softmax_channels,
 )
@@ -43,6 +45,10 @@ CHECKPOINT_MAGIC = "condenseg-net"
 # loading ignores: a layer's condensation state is its mask and its stage
 CHECKPOINT_VERSIONS = (1, 2)
 CHECKPOINT_DTYPES = ("<f4", "<f8")
+# What fixes the threads each BLAS call takes: OpenBLAS reads the first of
+# these that holds a positive int, capped at the CPUs the process may use;
+# with none such it runs one thread per such CPU
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -133,8 +139,9 @@ def _kernel(cout, cin, kh, kw, dtype, name):
 
 # Module protocol: every network part lists, in checkpoint order, its `parts`
 # (parameter Tensors, BatchNorms, LGConvLayers and child parts) and, for MAC
-# counting, its `kernels` as (kernel, output resolution) pairs. Tensors carry
-# their full state names, so one walk yields parameters, state and layers.
+# counting, its `kernels` as (kernel, resolution of the input its GEMM runs
+# over) pairs. Tensors carry their full state names, so one walk yields
+# parameters, state and layers.
 
 
 def _walk(parts):
@@ -147,9 +154,8 @@ class BatchNorm:
     """Batch normalization + ReLU in one op (`scale_shift`, eps `BN_EPS`), with
     running stats: batch statistics in training, the running stats folded
     into one per-channel multiply-add at inference.  Inference is
-    forward-only: its output is a leaf, so an eval forward records no
-    graph behind any BatchNorm.  The output has the input's dtype in both
-    modes."""
+    forward-only: its output is a leaf.  The output has the input's dtype
+    in both modes."""
 
     def __init__(self, channels, dtype, name):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True,
@@ -238,7 +244,8 @@ class Transition:
 class UpBlock:
     """norm + ReLU -> 1x1 reduce -> stride-2 transposed conv, plus a 1x1
     projection of the encoder skip; the two branches are added element-wise.
-    `res` is the input resolution; the output is twice that."""
+    `res` is the input resolution; the output is twice that.  The transposed
+    conv's GEMM runs on its `res` input, never on the output frame."""
 
     def __init__(self, in_channels, skip_channels, res, dtype, name):
         self.out_channels = (skip_channels + 1) // 2
@@ -249,7 +256,7 @@ class UpBlock:
         self.up = _kernel(d, d, 3, 3, dtype, name + ".up")
         self.skip_proj = _kernel(d, skip_channels, 1, 1, dtype, name + ".skip_proj")
         self.parts = (self.bn, self.reduce, self.up, self.skip_proj)
-        self.kernels = [(self.reduce, res), (self.up, 2 * res),
+        self.kernels = [(self.reduce, res), (self.up, res),
                         (self.skip_proj, 2 * res)]
 
     def forward(self, x, skip, training):
@@ -314,20 +321,24 @@ class Network:
     # -- wiring ---------------------------------------------------------
 
     def forward(self, x: Tensor, training: bool = False) -> Tensor:
+        """Class probabilities of a (B,1,S,S) batch.  An eval forward
+        records no graph (`no_graph`): its output is a leaf, and each
+        activation is freed once the next op has read it."""
         s = self.config.input_size
         if x.data.ndim != 4 or x.shape[1] != 1 or x.shape[2:] != (s, s):
             raise ShapeError("expected input (B,1,%d,%d), got %s" % (s, s, x.shape))
-        h = self.stem.forward(x, training)
-        skips = []
-        for enc, tr in zip(self.encoders, self.transitions):
-            h = enc.forward(h, training)
-            skips.append(h)
-            h = tr.forward(h, training)
-        h = self.bottleneck.forward(h, training)
-        for up, dec, skip in zip(self.up_blocks, self.decoders, reversed(skips)):
-            h = up.forward(h, skip, training)
-            h = dec.forward(h, training)
-        return self.head.forward(h, training)
+        with contextlib.nullcontext() if training else no_graph():
+            h = self.stem.forward(x, training)
+            skips = []
+            for enc, tr in zip(self.encoders, self.transitions):
+                h = enc.forward(h, training)
+                skips.append(h)
+                h = tr.forward(h, training)
+            h = self.bottleneck.forward(h, training)
+            for up, dec, skip in zip(self.up_blocks, self.decoders, reversed(skips)):
+                h = up.forward(h, skip, training)
+                h = dec.forward(h, training)
+            return self.head.forward(h, training)
 
     def named_modules(self):
         mods = [("stem", self.stem)]
@@ -382,7 +393,10 @@ class Network:
         return int(sum(self._weights(mode).values()))
 
     def flop_count(self, mode: str = "dense") -> int:
-        """Forward multiply-accumulates, counted as weights x output positions."""
+        """Forward multiply-accumulates per image: each kernel's weights times
+        the positions of the input its GEMM runs over.  For the stride-1
+        convs those are the output positions; a stride-2 transposed conv's
+        GEMM runs on its narrow input, a quarter of its output."""
         sizes = self._weights(mode)
         return int(sum(sizes[k.name] * res * res
                        for _, m in self.named_modules() for k, res in m.kernels))
@@ -428,12 +442,9 @@ def _provenance():
     environment variables OpenBLAS reads (None when unset) and the CPU
     count it falls back to."""
     blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
-    # OpenBLAS takes the first of these that is set, capped at the CPUs the
-    # process may use; with none set it runs one thread per such CPU
-    threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     return {"numpy": np.__version__, "blas": blas.get("name"),
             "blas_version": blas.get("version"),
-            "blas_thread_env": {v: os.environ.get(v) for v in threads},
+            "blas_thread_env": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "cpu_count": os.cpu_count()}
 
 

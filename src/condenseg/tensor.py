@@ -5,7 +5,10 @@ convolution and its transpose, max pooling, a batch-statistics
 normalize + ReLU (`scale_shift`, whose variance epsilon is ``BN_EPS``),
 channel softmax, reductions, and the small elementwise algebra the
 losses are written in.  Each forward op records a backward closure;
-``Tensor.backward`` replays them in reverse topological order.  The weight
+``Tensor.backward`` replays them in reverse topological order.  Inside
+``no_graph()`` ops record nothing and return leaves; an eval forward of
+the network runs there, so it keeps no graph and frees each activation
+once the next op has read it.  The state is per thread.  The weight
 initialiser ``he_normal``, the Adam optimizer and a central
 finite-difference gradient checker live here as well.
 
@@ -18,6 +21,8 @@ a Python number combines with a tensor of any shape.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,8 +206,26 @@ class Tensor:
         return out
 
 
+class _GraphState(threading.local):
+    recording = True  # each thread starts recording
+
+
+_graph = _GraphState()
+
+
+@contextmanager
+def no_graph():
+    """Ops this thread runs inside the block return leaves that require no
+    grad: no parents, no backward closure.  Other threads are unaffected."""
+    was, _graph.recording = _graph.recording, False
+    try:
+        yield
+    finally:
+        _graph.recording = was
+
+
 def _result(data, parents):
-    req = any(p.requires_grad for p in parents)
+    req = _graph.recording and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = tuple(parents)

@@ -13,7 +13,8 @@ from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
-from .net import ConfigError, NetConfig, _check_fields, apply_condensation, build
+from .net import (BLAS_THREAD_VARS, ConfigError, NetConfig, _check_fields,
+                  apply_condensation, build)
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
 from .tensor import AdamState, NumericsError, Tensor, adam_step
 from .volume import LV, LabelMask
@@ -38,10 +39,10 @@ class TrainConfig:
             problems.append("epochs must be >= 1")
         if self.batch_size < 1 or self.batches_per_epoch < 1:
             problems.append("batch counts must be >= 1")
-        if self.learning_rate < 0:
-            problems.append("learning_rate must be nonnegative")
-        if self.group_lasso_coefficient < 0:
-            problems.append("group_lasso_coefficient must be nonnegative")
+        for name in ("learning_rate", "group_lasso_coefficient"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                problems.append("%s must be finite and nonnegative, got %r" % (name, value))
         try:
             check_fractions(self.train_fraction, self.val_fraction)
         except ValueError as err:
@@ -111,16 +112,57 @@ def _training_slices(subjects, size, central=False):
     return np.concatenate(images), np.concatenate(labels)
 
 
-CHUNK = 8  # slices per inference forward
+CHUNK = 8  # most slices per inference forward
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _inference_threads():
+    """Threads `_forward_batches` runs on: the CPUs this process may use
+    over the threads each BLAS call takes, by OpenBLAS's rule at
+    BLAS_THREAD_VARS; one when none of those variables is set."""
+    cpus = _usable_cpus()
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return cpus // min(blas, cpus)
+    return 1
 
 
 def _forward_batches(net, images):
-    """Inference over (N,1,H,W) in chunks of CHUNK; returns stacked probabilities."""
-    outs = []
-    for i in range(0, len(images), CHUNK):
-        x = Tensor(images[i:i + CHUNK].astype(net.dtype), requires_grad=False)
-        outs.append(net.forward(x, training=False).data)
-    return np.concatenate(outs, axis=0)
+    """Inference over (N,1,H,W); returns the stacked probabilities.
+
+    W = `_inference_threads()` threads share the slices: W*ceil(N/(W*CHUNK))
+    near-equal contiguous chunks (N if fewer), chunk j on thread j mod W,
+    thread 0 the caller.  An eval forward treats each slice on its own
+    (per-slice GEMMs, running-stat normalization, per-pixel softmax), so
+    the bytes depend neither on W nor on the chunks.  The pool lives only
+    for this call and starts at most W - 1 threads."""
+    lanes, n = _inference_threads(), len(images)
+    chunks = np.array_split(images, min(n, lanes * -(-n // (lanes * CHUNK))))
+    lanes = min(lanes, len(chunks))
+
+    def lane(j):
+        return [net.forward(Tensor(c.astype(net.dtype)), training=False).data
+                for c in chunks[j::lanes]]
+
+    if lanes == 1:
+        return np.concatenate(lane(0), axis=0)
+    # imported here: it loads `logging`, about 10 ms that a process which
+    # never splits its slices should not pay at start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        others = [pool.submit(lane, j) for j in range(1, lanes)]
+        done = [lane(0)] + [f.result() for f in others]
+    return np.concatenate([done[j % lanes][j // lanes] for j in range(len(chunks))], axis=0)
 
 
 def train(subjects, cfg: TrainConfig, val_subjects=None):

@@ -102,8 +102,8 @@ class TestAccounting:
         assert net.flop_count("alive") < dense
 
     @pytest.mark.parametrize("config, dense, alive", [
-        (NetConfig(), (1_022_185_472, 297_194), (527_507_456, 140_378)),
-        (small_config(), (19_913_728, 38_026), (12_116_992, 21_178)),
+        (NetConfig(), (846_012_416, 297_194), (351_334_400, 140_378)),
+        (small_config(), (15_241_216, 38_026), (7_444_480, 21_178)),
     ])
     def test_pinned_counts(self, config, dense, alive):
         net = build(config, rng=np.random.default_rng(0))
@@ -111,6 +111,24 @@ class TestAccounting:
         apply_condensation(net, 59, CondensationSchedule(60, 4))
         assert (net.flop_count("alive"), net.param_count("alive")) == alive
         assert (net.flop_count("dense"), net.param_count("dense")) == dense
+
+    @pytest.mark.parametrize("condensed", [False, True], ids=["dense", "condensed"])
+    def test_flop_count_is_the_conv_gemms(self, monkeypatch, condensed):
+        # every conv runs one GEMM of all kernel weights over its input
+        # positions; LG layers run masked dense, so "dense" counts them all
+        net = small_net()
+        if condensed:
+            apply_condensation(net, 59, CondensationSchedule(60, 4))
+        run = []
+        conv = T._conv
+
+        def counted(x, kernel, *args, **kwargs):
+            run.append(kernel.data.size * x.shape[2] * x.shape[3])
+            return conv(x, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(T, "_conv", counted)
+        net.forward(Tensor(np.zeros((1, 1, 32, 32))), training=True)
+        assert sum(run) == net.flop_count("dense")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -150,20 +168,25 @@ class TestForward:
             small_net().forward(Tensor(np.zeros((1, 1, 32, 32))), training=False)
 
     def test_eval_graph_starts_at_head_batchnorm(self):
-        # inference-mode BatchNorm returns a leaf, so the eval output reaches
-        # only the head: softmax <- conv <- (BatchNorm output, head kernel)
+        # an eval forward records no graph at all: its output is a leaf
         net = small_net()
         x = Tensor(np.random.default_rng(6).normal(size=(1, 1, 32, 32)))
         net.forward(x, training=True)
-        reached, stack = {}, [net.forward(x, training=False)]
-        while stack:
-            t = stack.pop()
-            if id(t) not in reached:
-                reached[id(t)] = t
-                stack.extend(t._parents)
-        params = {id(p) for p in net.parameters()}
-        assert len(reached) == 4
-        assert [t for t in reached.values() if id(t) in params] == [net.head.kernel]
+        out = net.forward(x, training=False)
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+
+    def test_training_forward_after_eval_records_graph(self):
+        net = small_net()
+        x = Tensor(np.random.default_rng(6).normal(size=(2, 1, 32, 32)))
+        net.forward(x, training=True)
+        net.forward(x, training=False)
+        out = net.forward(x, training=True)
+        assert out.requires_grad and out._parents
+        for p in net.parameters():
+            p.grad = None
+        out.sum().backward()
+        assert all(p.grad is not None for p in net.parameters())
 
     def test_deterministic(self):
         x = Tensor(np.random.default_rng(7).normal(size=(1, 1, 32, 32)))

@@ -1,5 +1,7 @@
 """Forward/backward checks for the autodiff core against independent oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -569,6 +571,28 @@ class TestStructural:
         assert np.array_equal(cat.data[:, 3:5], b.data)
         err = grad_check(lambda t: (concat_channels([a, b]) * concat_channels([a, b])).sum(), a)
         assert err < T.GRAD_TOL_POINTWISE
+
+
+class TestNoGraph:
+    def test_ops_return_leaves_inside_and_record_after(self):
+        x = Tensor(np.ones((1, 2, 4, 4)), requires_grad=True)
+        k = Tensor(np.ones((3, 2, 1, 1)), requires_grad=True)
+        with T.no_graph():
+            inside = (conv2d(x, k) * 2.0).sum()
+        assert not inside.requires_grad and inside._parents == ()
+        after = conv2d(x, k).sum()
+        after.backward()
+        assert np.array_equal(k.grad, np.full(k.shape, 16.0))
+
+    def test_per_thread(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = []
+        with T.no_graph():
+            worker = threading.Thread(target=lambda: seen.append((x * 2.0).requires_grad))
+            worker.start()
+            worker.join(timeout=60)
+            seen.append((x * 2.0).requires_grad)
+        assert not worker.is_alive() and seen == [True, False]
 
 
 class TestGradCheckHarness:

@@ -1,14 +1,19 @@
 """Training loop behavior, evaluation pipeline, and report files."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import types
 
 import numpy as np
 import pytest
 
-from condenseg.net import ConfigError, NetConfig
+from condenseg import train as train_mod
+from condenseg.net import ConfigError, NetConfig, build
 from condenseg.phantom import PhantomSpec, generate_phantom
-from condenseg.tensor import NumericsError
+from condenseg.tensor import NumericsError, Tensor
 from condenseg.train import (
     TrainConfig,
     emit_report_csv,
@@ -87,6 +92,25 @@ class TestConfig:
     def test_wrongly_typed_value_rejected(self, obj, key):
         with pytest.raises(ConfigError, match="wrong type: " + key):
             TrainConfig.from_dict(obj)
+
+    @pytest.mark.parametrize("obj, key", [
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"group_lasso_coefficient": float("inf")}, "group_lasso_coefficient"),
+        ({"group_lasso_coefficient": float("nan")}, "group_lasso_coefficient"),
+    ], ids=["lr_nan", "lr_inf", "lasso_inf", "lasso_nan"])
+    def test_non_finite_value_rejected(self, obj, key):
+        with pytest.raises(ConfigError, match=key + " must be finite"):
+            TrainConfig.from_dict(obj)
+
+    @pytest.mark.parametrize("loss, key", [
+        ({"alpha": 2}, "alpha"), ({"alpha": float("nan")}, "alpha"),
+        ({"epsilon": 0}, "epsilon"), ({"epsilon": float("nan")}, "epsilon"),
+        ({"epsilon": float("inf")}, "epsilon"),
+    ], ids=["alpha_2", "alpha_nan", "epsilon_0", "epsilon_nan", "epsilon_inf"])
+    def test_bad_loss_value_is_config_error(self, loss, key):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict({"loss": loss})
 
     def test_int_accepted_for_float_field(self):
         cfg = TrainConfig.from_dict({"learning_rate": 1, "loss": {"alpha": 1}})
@@ -170,6 +194,74 @@ class TestTrainLoop:
     def test_empty_training_set(self):
         with pytest.raises(ValueError):
             train([], tiny_config())
+
+
+class TestInferenceThreads:
+    @pytest.mark.parametrize("env, threads", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1), ({"OPENBLAS_NUM_THREADS": "junk"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "9"}, 1), ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "junk", "GOTO_NUM_THREADS": "2"}, 2),
+    ], ids=["unset", "1", "2", "0", "junk", "above_cpus", "omp_1", "junk_then_goto_2"])
+    def test_cpus_over_blas_threads(self, monkeypatch, env, threads):
+        # on 4 usable CPUs, whatever this machine has
+        monkeypatch.setattr(train_mod, "_usable_cpus", lambda: 4)
+        for var in train_mod.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert train_mod._inference_threads() == threads
+
+    @pytest.mark.parametrize("n", [1, 3, 20])
+    def test_split_matches_one_forward(self, monkeypatch, n):
+        # three threads in this process, switching as often as the interpreter
+        # allows: bytes and order as one batch-n forward, no thread left over
+        monkeypatch.setattr(train_mod, "_inference_threads", lambda: 3)
+        net = build(tiny_net(), rng=np.random.default_rng(1), dtype=np.float32)
+        net.forward(Tensor(np.ones((2, 1, 32, 32), dtype=np.float32)), training=True)
+        images = np.random.default_rng(n).normal(size=(n, 1, 32, 32)).astype(np.float32)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            probs = train_mod._forward_batches(net, images)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert probs.tobytes() == net.forward(Tensor(images)).data.tobytes()
+
+    @pytest.mark.skipif(train_mod._usable_cpus() < 2,
+                        reason="one CPU: inference runs on the calling thread only")
+    def test_parallel_bytes_equal_one_slice_forwards(self):
+        # at one BLAS thread every usable CPU runs a share of the slices
+        env = {k: v for k, v in os.environ.items() if k not in train_mod.BLAS_THREAD_VARS}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(p for p in [
+            os.path.dirname(os.path.dirname(train_mod.__file__)),
+            env.get("PYTHONPATH")] if p)
+        done = subprocess.run([sys.executable, "-c", PARALLEL_CHECK], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["threads", str(train_mod._usable_cpus()), "same"]
+
+
+PARALLEL_CHECK = """
+import threading
+import numpy as np
+from condenseg.net import NetConfig, build
+from condenseg.tensor import Tensor
+from condenseg import train as t
+
+net = build(NetConfig(input_size=32, layers_per_block=(1, 1, 2, 1, 1), pool_layers=2),
+            rng=np.random.default_rng(1), dtype=np.float32)
+net.forward(Tensor(np.random.default_rng(2).normal(size=(4, 1, 32, 32))
+                   .astype(np.float32)), training=True)
+images = np.random.default_rng(3).normal(size=(20, 1, 32, 32)).astype(np.float32)
+print("threads", t._inference_threads())
+probs = t._forward_batches(net, images)
+assert threading.active_count() == 1, "a pool thread outlived the call"
+one = [net.forward(Tensor(images[i:i + 1]), training=False).data for i in range(20)]
+print("same" if probs.tobytes() == np.concatenate(one).tobytes() else "differ")
+"""
 
 
 class TestEvaluate:
