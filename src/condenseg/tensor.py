@@ -15,15 +15,26 @@ finite-difference gradient checker live here as well.
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
 scatter-add gives the transposed conv and both gradients.
+
+Lanes (`_lanes`) are worker threads that the thread opening them shares
+the per-sample work of the recording ops with: convolution forward and
+backward and training `scale_shift`.  Lane j computes a contiguous range of
+samples into preallocated arrays, each sample with the same NumPy and BLAS
+calls it gets alone; the reductions across samples stay on the caller, in
+one order.  So the bytes do not depend on the lane count.  An op whose
+per-sample work is below ``SPLIT_WORK`` runs on the caller alone.
+
 No broadcasting: tensor-tensor arithmetic requires identical shapes;
 a Python number combines with a tensor of any shape.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +47,10 @@ SOFTMAX_SUM_TOL = 1e-9     # per-pixel probability normalization
 INFERENCE_MATCH_TOL = 1e-5 # compact vs masked-dense forward
 
 BN_EPS = 1e-5  # added to the variance before `scale_shift` takes its root
+# Per-sample elements (tap planes of a conv, x of a normalize) below which
+# an op runs on the caller alone: on 2 vCPUs a 16x16 conv with 9*16*256
+# such elements ran slower split, a 32x32 one with 9*16*1024 faster.
+SPLIT_WORK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -88,9 +103,14 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, fresh=False):
+        """Add g to the gradient.  A `fresh` g is an array the op made for
+        this tensor alone: the first gradient takes it without a copy."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if fresh and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -232,6 +252,86 @@ def _result(data, parents):
     return out
 
 
+# -- lanes --------------------------------------------------------------
+
+
+class _Lanes:
+    """The opening thread plus `count` - 1 worker threads.  `run` gives
+    task j to lane j, lane 0 being the caller, and returns their results
+    once every task is done; it raises the first task's error, if any."""
+
+    def __init__(self, count):
+        self.count = count
+        self._boxes = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in range(count - 1)]
+        self._threads = [threading.Thread(target=self._serve, args=box, daemon=True)
+                         for box in self._boxes]
+        for thread in self._threads:
+            thread.start()
+
+    @staticmethod
+    def _serve(inbox, outbox):
+        for task in iter(inbox.get, None):
+            try:
+                outbox.put((None, task()))
+            except BaseException as err:  # handed to the caller to raise
+                outbox.put((err, None))
+
+    def run(self, tasks):
+        for (inbox, _), task in zip(self._boxes, tasks[1:]):
+            inbox.put(task)
+        done = []
+        try:
+            done.append((None, tasks[0]()))
+        finally:  # the workers may still write into the caller's arrays
+            done += [outbox.get() for _, outbox in self._boxes[:len(tasks) - 1]]
+        for err, _ in done:
+            if err is not None:
+                raise err
+        return [value for _, value in done]
+
+    def close(self):
+        for inbox, _ in self._boxes:
+            inbox.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
+class _LaneState(threading.local):
+    pool = None  # the _Lanes this thread opened
+
+
+_lane_state = _LaneState()
+
+
+@contextmanager
+def _lanes(count):
+    """Lanes for this thread's block: `count` - 1 worker threads, stopped
+    and joined when the block ends (none for a count of one).  Inside lanes
+    already open on this thread the block reuses those.  Yields the _Lanes."""
+    if _lane_state.pool is not None:
+        yield _lane_state.pool
+        return
+    pool = _lane_state.pool = _Lanes(count)
+    try:
+        yield pool
+    finally:
+        _lane_state.pool = None
+        pool.close()
+
+
+def _split(fn, b, work):
+    """Run fn(samples) over the slice [0, b) of a batch: one contiguous
+    near-equal range per lane when this thread opened lanes, records a
+    graph, and one sample's `work` reaches SPLIT_WORK; else fn(slice(0, b))
+    on the caller.  fn calls only private helpers and NumPy."""
+    pool = _lane_state.pool
+    if pool is None or pool.count < 2 or work < SPLIT_WORK or not _graph.recording:
+        fn(slice(0, b))
+        return
+    n = min(pool.count, b)
+    pool.run([partial(fn, slice(b * j // n, b * (j + 1) // n)) for j in range(n)])
+
+
 def concat_channels(tensors) -> Tensor:
     """Concatenate (B,C_i,H,W) tensors along the channel axis."""
     tensors = list(tensors)
@@ -283,17 +383,16 @@ def _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
             yield t, (Ellipsis, rows[0], cols[0]), (Ellipsis, rows[1], cols[1])
 
 
-def _move(a, kh, kw, stride, padding, size, to_frame):
-    """Move tap planes between the narrow side and the frame; `size` is the
-    destination (h, w), the frame when `to_frame`, else the narrow side.
+def _move(a, out, kh, kw, stride, padding, to_frame):
+    """Move tap planes from `a` between the narrow side and the frame into
+    the zeroed `out`, the frame when `to_frame`, else the narrow side.
 
     A (B,T,C,.,.) stack of per-tap planes is shift-added into one (B,C,.,.)
     plane; one (B,C,.,.) plane is read by every tap into a (B,T,C,.,.)
     stack.  Each form is the adjoint of the other form moving the other way.
     """
     per_tap = a.ndim == 5
-    b, c = a.shape[0], a.shape[-3]
-    out = np.zeros((b, c) + size if per_tap else (b, kh * kw, c) + size, dtype=a.dtype)
+    size = out.shape[-2:]
     narrow_hw, frame_hw = (a.shape[-2:], size) if to_frame else (size, a.shape[-2:])
     for t, narrow, frame in _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
         src, dst = (narrow, frame) if to_frame else (frame, narrow)
@@ -301,7 +400,6 @@ def _move(a, kh, kw, stride, padding, size, to_frame):
             out[dst] += a[:, t][src]
         else:
             out[:, t][dst] = a[src]
-    return out
 
 
 def _tap_matrix(kernel):
@@ -310,38 +408,53 @@ def _tap_matrix(kernel):
     return kernel.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
 
 
-def _tap_matrix_grad(taps, a, kernel_shape):
-    """Kernel-layout gradient of the tap matrix in `_conv`'s GEMM over `a`,
-    given the (B,T,Cout,H,W) gradient of its output."""
-    cout, cin, kh, kw = kernel_shape
-    b = a.shape[0]
-    d = taps.reshape(b, kh * kw * cout, -1) @ a.reshape(b, cin, -1).transpose(0, 2, 1)
-    return d.sum(axis=0).reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)
-
-
 def _conv(x, kernel, stride, padding, size, transposed):
     """Body of conv2d and conv2d_transpose: one GEMM applies every kernel
     tap to the input, then a move takes the tap planes to the `size`
     output.  conv2d moves to the narrow side; conv2d_transpose reads its
     (C1,C2,kh,kw) kernel as (C2,C1,kh,kw) and moves to the frame, so its
     GEMM runs on the narrow input, never on the stride^2-times larger frame.
-    The backward moves the output gradient once, the other way."""
+    The backward moves the output gradient once, the other way, then runs
+    the kernel- and input-gradient GEMMs per sample; the kernel gradient is
+    their sum over the batch.  Both directions run per sample on the lanes."""
     k = kernel.data.swapaxes(0, 1) if transposed else kernel.data
     b, cin, h, w = x.shape
-    kh, kw = k.shape[2:]
+    cout, _, kh, kw = k.shape
     mat = _tap_matrix(k)  # (T*Cout, Cin)
-    taps = (mat @ x.data.reshape(b, cin, h * w)).reshape(b, kh * kw, -1, h, w)
-    out = _result(_move(taps, kh, kw, stride, padding, size, transposed), (x, kernel))
+    xv = x.data.reshape(b, cin, h * w)
+    work = mat.shape[0] * h * w  # one sample's tap planes
+    y = np.zeros((b, cout) + size, dtype=np.result_type(mat, xv))
+
+    def forward(s):
+        taps = (mat @ xv[s]).reshape(-1, kh * kw, cout, h, w)
+        _move(taps, y[s], kh, kw, stride, padding, transposed)
+
+    _split(forward, b, work)
+    out = _result(y, (x, kernel))
     if out.requires_grad:
 
         def backward(g):
-            taps = _move(g, kh, kw, stride, padding, (h, w), not transposed)
+            dk = dx = None
             if kernel.requires_grad:
-                dk = _tap_matrix_grad(taps, x.data, k.shape)
-                kernel._accumulate(dk.swapaxes(0, 1) if transposed else dk)
+                dk = np.empty((b, mat.shape[0], cin), dtype=np.result_type(g, xv))
             if x.requires_grad:
-                dx = mat.T @ taps.reshape(b, mat.shape[0], h * w)
-                x._accumulate(dx.reshape(x.shape))
+                dx = np.empty((b, cin, h * w), dtype=np.result_type(mat, g))
+
+            def lane(s):
+                taps = np.zeros((s.stop - s.start, kh * kw, cout, h, w), dtype=g.dtype)
+                _move(g[s], taps, kh, kw, stride, padding, not transposed)
+                taps = taps.reshape(-1, mat.shape[0], h * w)
+                if dk is not None:
+                    np.matmul(taps, xv[s].transpose(0, 2, 1), out=dk[s])
+                if dx is not None:
+                    np.matmul(mat.T, taps, out=dx[s])
+
+            _split(lane, b, work)
+            if dk is not None:
+                dk = dk.sum(axis=0).reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)
+                kernel._accumulate(dk.swapaxes(0, 1) if transposed else dk, fresh=True)
+            if dx is not None:
+                x._accumulate(dx.reshape(x.shape), fresh=True)
 
         out._backward = backward
     return out
@@ -409,7 +522,7 @@ def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
                 hit = free & (v == pooled)
                 np.copyto(full[..., i::window, j::window], g, where=hit)
                 free &= ~hit
-            x._accumulate(full)
+            x._accumulate(full, fresh=True)
 
         out._backward = backward
     return out
@@ -457,12 +570,11 @@ class RunningStats:
             self.var += (1 - self.MOMENTUM) * var
 
 
-def _channel_dot(u, v):
-    """Per-channel sum of u*v over batch and space, for (B, C, N) arrays:
-    one BLAS dot per (b, c) row, then a sum over the batch.  The stacked
-    (1, N) @ (N, 1) products are the rows `np.vecdot` computes, which
-    NumPy 1.x lacks."""
-    return (u[:, :, None, :] @ v[:, :, :, None])[:, :, 0, 0].sum(axis=0)
+def _row_dots(u, v):
+    """Per-(b, c) sum of u*v over space, for (B, C, N) arrays: one BLAS dot
+    per row.  The stacked (1, N) @ (N, 1) products are the rows
+    `np.vecdot` computes, which NumPy 1.x lacks."""
+    return (u[:, :, None, :] @ v[:, :, :, None])[:, :, 0, 0]
 
 
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
@@ -477,6 +589,9 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     - backward: the gradient masked by the ReLU, the two per-channel sums
       that are beta's and gamma's gradients, and
       ``dx = a*gm - xhat*(a*s_gamma/n) - a*s_beta/n`` with ``a = gamma/sd``.
+    The per-channel dots are per-(b, c) row dots summed over the batch.
+    Everything per sample runs on the lanes, in two phases each way; the
+    mean, the sums over the batch and ``s_beta`` stay on the caller.
     Inference mode is forward-only: running stats, gamma and beta folded
     into one per-channel ``a = gamma/sd`` and ``b = beta - mean*a``, one
     multiply-add and an in-place ReLU.  It returns a leaf that requires no
@@ -499,33 +614,64 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         y += (beta.data - running.mean * fold).astype(dt)[:, None]
         np.maximum(y, 0, out=y)
         return Tensor(y.reshape(b, c, h, w))
+    work = c * h * w
     mu = xv.mean(axis=(0, 2))
-    xhat = xv - mu[:, None]
-    var = _channel_dot(xhat, xhat) / n
+    xhat = np.empty(xv.shape, dtype=np.result_type(xv, mu))
+    dots = np.empty((b, c), dtype=xhat.dtype)
+
+    def centre(s):
+        np.subtract(xv[s], mu[:, None], out=xhat[s])
+        dots[s] = _row_dots(xhat[s], xhat[s])
+
+    _split(centre, b, work)
+    var = dots.sum(axis=0) / n
     if running is not None:
         running.update(mu, var)
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv[:, None]
-    y = xhat * gamma.data.astype(dt, copy=False)[:, None]
-    y += beta.data.astype(dt, copy=False)[:, None]
-    np.maximum(y, 0, out=y)
+    scale = gamma.data.astype(dt, copy=False)[:, None]
+    shift = beta.data.astype(dt, copy=False)[:, None]
+    y = np.empty(xv.shape, dtype=np.result_type(xhat, scale))
+
+    def normalize(s):
+        xs, ys = xhat[s], y[s]
+        xs *= inv[:, None]
+        np.multiply(xs, scale, out=ys)
+        ys += shift
+        np.maximum(ys, 0, out=ys)
+
+    _split(normalize, b, work)
     out = _result(y.reshape(b, c, h, w), (x, gamma, beta))
     if out.requires_grad:
         a = (gamma.data * inv).astype(dt)
 
         def backward(g):
-            gm = g.reshape(b, c, h * w) * (y > 0)
+            gv = g.reshape(b, c, h * w)
+            gm = np.empty(gv.shape, dtype=gv.dtype)
+            dots = np.empty((b, c), dtype=np.result_type(gm, xhat))
+
+            def mask(s):
+                np.multiply(gv[s], y[s] > 0, out=gm[s])
+                dots[s] = _row_dots(gm[s], xhat[s])
+
+            _split(mask, b, work)
             s_beta = gm.sum(axis=(0, 2))
-            s_gamma = _channel_dot(gm, xhat)
+            s_gamma = dots.sum(axis=0)
             if beta.requires_grad:
                 beta._accumulate(s_beta)
             if gamma.requires_grad:
                 gamma._accumulate(s_gamma)
             if x.requires_grad:
-                gm *= a[:, None]
-                gm -= xhat * (a * s_gamma / n)[:, None]
-                gm -= (a * s_beta / n)[:, None]
-                x._accumulate(gm.reshape(b, c, h, w))
+                slope = (a * s_gamma / n)[:, None]
+                offset = (a * s_beta / n)[:, None]
+
+                def input_grad(s):
+                    gs = gm[s]
+                    gs *= a[:, None]
+                    gs -= xhat[s] * slope
+                    gs -= offset
+
+                _split(input_grad, b, work)
+                x._accumulate(gm.reshape(b, c, h, w), fresh=True)
 
         out._backward = backward
     return out

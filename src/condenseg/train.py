@@ -1,6 +1,7 @@
 """Training loop, evaluation pipeline, and report emission."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from .metrics import dice_score, hausdorff, pearson
 from .net import (BLAS_THREAD_VARS, ConfigError, NetConfig, _check_fields,
                   apply_condensation, build)
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
-from .tensor import AdamState, NumericsError, Tensor, adam_step
+from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
 from .volume import LV, LabelMask
 
 
@@ -123,8 +124,8 @@ def _usable_cpus():
 
 
 def _inference_threads():
-    """Threads `_forward_batches` runs on: the CPUs this process may use
-    over the threads each BLAS call takes, by OpenBLAS's rule at
+    """Lanes `train` and `_forward_batches` run on: the CPUs this process
+    may use over the threads each BLAS call takes, by OpenBLAS's rule at
     BLAS_THREAD_VARS; one when none of those variables is set."""
     cpus = _usable_cpus()
     for var in BLAS_THREAD_VARS:
@@ -140,28 +141,22 @@ def _inference_threads():
 def _forward_batches(net, images):
     """Inference over (N,1,H,W); returns the stacked probabilities.
 
-    W = `_inference_threads()` threads share the slices: W*ceil(N/(W*CHUNK))
-    near-equal contiguous chunks (N if fewer), chunk j on thread j mod W,
-    thread 0 the caller.  An eval forward treats each slice on its own
-    (per-slice GEMMs, running-stat normalization, per-pixel softmax), so
-    the bytes depend neither on W nor on the chunks.  The pool lives only
-    for this call and starts at most W - 1 threads."""
-    lanes, n = _inference_threads(), len(images)
-    chunks = np.array_split(images, min(n, lanes * -(-n // (lanes * CHUNK))))
-    lanes = min(lanes, len(chunks))
+    The W lanes open on this thread, or W = `_inference_threads()` lanes
+    opened for this call, share the slices: W*ceil(N/(W*CHUNK)) near-equal
+    contiguous chunks (N if fewer), chunk j on lane j mod W, lane 0 the
+    caller.  An eval forward treats each slice on its own (per-slice GEMMs,
+    running-stat normalization, per-pixel softmax), so the bytes depend
+    neither on W nor on the chunks."""
+    n = len(images)
+    with _lanes(_inference_threads()) as pool:
+        chunks = np.array_split(images, min(n, pool.count * -(-n // (pool.count * CHUNK))))
+        lanes = min(pool.count, len(chunks))
 
-    def lane(j):
-        return [net.forward(Tensor(c.astype(net.dtype)), training=False).data
-                for c in chunks[j::lanes]]
+        def lane(j):
+            return [net.forward(Tensor(c.astype(net.dtype)), training=False).data
+                    for c in chunks[j::lanes]]
 
-    if lanes == 1:
-        return np.concatenate(lane(0), axis=0)
-    # imported here: it loads `logging`, about 10 ms that a process which
-    # never splits its slices should not pay at start-up
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(lanes - 1) as pool:
-        others = [pool.submit(lane, j) for j in range(1, lanes)]
-        done = [lane(0)] + [f.result() for f in others]
+        done = pool.run([functools.partial(lane, j) for j in range(lanes)])
     return np.concatenate([done[j % lanes][j // lanes] for j in range(len(chunks))], axis=0)
 
 
@@ -171,7 +166,9 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     When `val_subjects` is None the configured split fractions carve a
     validation set out of `subjects`.  Returns (net, history) where
     history tracks per-epoch loss, validation LV Dice on central slices,
-    and the alive parameter count.
+    and the alive parameter count.  The epochs run on the
+    `_inference_threads()` lanes (tensor.py): the training ops split their
+    samples over them, and validation's `_forward_batches` reuses them.
     """
     cfg.validate()
     if not subjects:
@@ -196,46 +193,45 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
 
     params = net.parameters()
     history = {"loss": [], "val_dice": [], "alive_params": [], "condensation": []}
+    with _lanes(_inference_threads()):
+        for epoch in range(cfg.epochs):
+            for name, event in apply_condensation(net, epoch, sched):
+                history["condensation"].append(
+                    {"epoch": epoch, "layer": name, "stage": event["stage"]})
+            condensing = schedule_stage(sched, epoch) < cfg.net.condensation_factor - 1
 
-    for epoch in range(cfg.epochs):
-        for name, event in apply_condensation(net, epoch, sched):
-            history["condensation"].append(
-                {"epoch": epoch, "layer": name, "stage": event["stage"]})
-        condensing = schedule_stage(sched, epoch) < cfg.net.condensation_factor - 1
+            epoch_loss = 0.0
+            for step in range(cfg.batches_per_epoch):
+                pick = rng.integers(0, len(images), size=cfg.batch_size)
+                x = Tensor(images[pick], requires_grad=False)
+                y = LabelMask(labels[pick])
+                try:
+                    pred = net.forward(x, training=True)
+                    loss = total_loss(pred, y, cfg.loss)
+                    if condensing and cfg.group_lasso_coefficient:
+                        loss = loss + net.lasso_penalty() * cfg.group_lasso_coefficient
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise NumericsError("non-finite loss %r" % value)
+                    for p in params:
+                        p.grad = None
+                    loss.backward()
+                    adam_step(params, adam)
+                except NumericsError as err:
+                    raise NumericsError(
+                        "training aborted at epoch %d, batch %d: %s"
+                        % (epoch, step, err)) from err
+                epoch_loss += value
+                net.apply_masks()
 
-        epoch_loss = 0.0
-        for step in range(cfg.batches_per_epoch):
-            pick = rng.integers(0, len(images), size=cfg.batch_size)
-            x = Tensor(images[pick], requires_grad=False)
-            y = LabelMask(labels[pick])
-            try:
-                pred = net.forward(x, training=True)
-                loss = total_loss(pred, y, cfg.loss)
-                if condensing and cfg.group_lasso_coefficient:
-                    loss = loss + net.lasso_penalty() * cfg.group_lasso_coefficient
-                value = float(loss.data)
-                if not math.isfinite(value):
-                    raise NumericsError("non-finite loss %r" % value)
-                for p in params:
-                    p.grad = None
-                loss.backward()
-                adam_step(params, adam)
-            except NumericsError as err:
-                raise NumericsError(
-                    "training aborted at epoch %d, batch %d: %s"
-                    % (epoch, step, err)) from err
-            epoch_loss += value
-            net.apply_masks()
-
-        history["loss"].append(epoch_loss / cfg.batches_per_epoch)
-        if val_images is not None:
-            probs = _forward_batches(net, val_images)
-            history["val_dice"].append(
-                dice_score(np.argmax(probs, axis=1), val_labels, LV))
-        else:
-            history["val_dice"].append(float("nan"))
-        history["alive_params"].append(net.param_count("alive"))
-
+            history["loss"].append(epoch_loss / cfg.batches_per_epoch)
+            if val_images is not None:
+                probs = _forward_batches(net, val_images)
+                history["val_dice"].append(
+                    dice_score(np.argmax(probs, axis=1), val_labels, LV))
+            else:
+                history["val_dice"].append(float("nan"))
+            history["alive_params"].append(net.param_count("alive"))
     return net, history
 
 

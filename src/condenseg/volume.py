@@ -139,6 +139,8 @@ def save_volume(path, obj):
     else:
         raise TypeError("save_volume handles CineVolume or LabelMask, not %r"
                         % type(obj).__name__)
+    if 0 in dims:  # load_volume accepts positive dims only
+        raise ValueError("refusing to save an empty volume of shape %s" % (obj.data.shape,))
     header = {"dims": dims, "dtype": dtype_tag,
               "spacing_mm": list(geom.pixel_spacing_mm),
               "slice_thickness_mm": geom.slice_thickness_mm,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condenseg import tensor as T
-from condenseg.lgconv import CondensationSchedule
+from condenseg.lgconv import CondensationSchedule, condense
 from condenseg.net import (
     ConfigError,
     NetConfig,
@@ -544,6 +544,37 @@ class TestHeaderFuzz:
         header = json.loads(head)
         header[data.draw(st.sampled_from(sorted(header)))] = data.draw(json_values)
         _load_with_header(header, blob)
+
+
+class TestCheckpointRoundTrip:
+    @settings(**dict(FUZZ, max_examples=25))
+    @given(st.data())
+    def test_state_stages_flags_and_eval_bytes(self, data):
+        outer, inner = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        groups = data.draw(st.sampled_from([1, 2, 4]))
+        config = NetConfig(input_size=16, growth_rate=groups * data.draw(st.integers(1, 2)),
+                           groups=groups, condensation_factor=data.draw(st.integers(1, 4)),
+                           layers_per_block=(outer, inner, outer), initial_features=8,
+                           pool_layers=1)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        net = build(config, rng=np.random.default_rng(data.draw(st.integers(0, 99))), dtype=dtype)
+        x = Tensor(np.random.default_rng(1).normal(size=(2, 1, 16, 16)).astype(dtype))
+        warm = data.draw(st.booleans())
+        if warm:
+            net.forward(x, training=True)  # running stats and their flags
+        for lg in net.lg_layers():
+            for _ in range(data.draw(st.integers(0, config.condensation_factor - 1))):
+                condense(lg)
+        with tempfile.TemporaryDirectory() as tmp:
+            p = os.path.join(tmp, "r.ckpt")
+            save_checkpoint(net, p)
+            back, _ = load_checkpoint(p)
+        assert [(n, a.dtype, a.tobytes()) for n, a in back.state_entries()] == \
+               [(n, a.dtype, a.tobytes()) for n, a in net.state_entries()]
+        assert [lg.stage for lg in back.lg_layers()] == [lg.stage for lg in net.lg_layers()]
+        assert [bn.stats.initialized for bn in back.bn_modules()] == [warm] * len(net.bn_modules())
+        if warm:
+            assert back.forward(x).data.tobytes() == net.forward(x).data.tobytes()
 
 
 class TestGradients:

@@ -1,5 +1,6 @@
 """Forward/backward checks for the autodiff core against independent oracles."""
 
+import sys
 import threading
 
 import numpy as np
@@ -593,6 +594,98 @@ class TestNoGraph:
             worker.join(timeout=60)
             seen.append((x * 2.0).requires_grad)
         assert not worker.is_alive() and seen == [True, False]
+
+
+class TestFirstGradient:
+    def test_add_parents_get_distinct_arrays(self):
+        # the add passes one gradient array to both parents: each keeps a copy
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+
+    def test_fresh_array_taken_when_dtype_matches(self):
+        t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.ones(3, dtype=np.float32)
+        t._accumulate(g, fresh=True)
+        assert t.grad is g
+        u = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        u._accumulate(np.ones(3), fresh=True)
+        assert u.grad.dtype == np.float32
+
+
+def _lane_op(op, dtype, b):
+    """(output, gradients) bytes of one op on seeded inputs, weighted sum backward."""
+    rng = np.random.default_rng(b)
+    if op == "conv2d":
+        params = [rng.normal(size=(b, 3, 9, 9)), rng.normal(size=(4, 3, 3, 3))]
+        fn = lambda x, k: conv2d(x, k, padding=1)  # noqa: E731
+    elif op == "conv2d_transpose":
+        params = [rng.normal(size=(b, 4, 5, 5)), rng.normal(size=(4, 3, 3, 3))]
+        fn = lambda x, k: conv2d_transpose(x, k, stride=2, padding=1, size=(10, 10))  # noqa: E731
+    else:
+        params = [rng.normal(size=(b, 5, 6, 6)), rng.normal(size=5), rng.normal(size=5)]
+        fn = lambda x, g, be: scale_shift(x, g, be, training=True)  # noqa: E731
+    params = [Tensor(p.astype(dtype), requires_grad=True) for p in params]
+    out = fn(*params)
+    (out * Tensor(rng.normal(size=out.shape).astype(dtype))).sum().backward()
+    return [out.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+
+class TestLanes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 2, 3, 5])
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "scale_shift"])
+    def test_bytes_do_not_depend_on_lanes(self, monkeypatch, op, b, dtype):
+        # every op splits, on three lanes switching as often as the
+        # interpreter allows: the bytes of one lane
+        monkeypatch.setattr(T, "SPLIT_WORK", 0)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for count in (1, 3):
+                with T._lanes(count):
+                    runs.append(_lane_op(op, dtype, b))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == _lane_op(op, dtype, b)
+        assert threading.active_count() == before
+
+    def test_split_ranges(self, monkeypatch):
+        monkeypatch.setattr(T, "SPLIT_WORK", 10)
+        seen = []
+        with T._lanes(3):
+            T._split(lambda s: seen.append((s.start, s.stop)), 7, 10)
+            T._split(lambda s: seen.append(("small", s.start, s.stop)), 7, 9)
+            with T.no_graph():
+                T._split(lambda s: seen.append(("eval", s.start, s.stop)), 7, 10)
+        assert sorted(seen[:3]) == [(0, 2), (2, 4), (4, 7)]
+        assert seen[3:] == [("small", 0, 7), ("eval", 0, 7)]
+
+    def test_one_lane_starts_no_thread_and_nested_blocks_reuse(self):
+        before = threading.active_count()
+        with T._lanes(1) as one:
+            assert threading.active_count() == before and one.count == 1
+        with T._lanes(3) as outer:
+            with T._lanes(2) as inner:
+                assert inner is outer and threading.active_count() == before + 2
+        assert threading.active_count() == before
+
+    def test_task_error_raised_after_every_lane_is_done(self):
+        finished = []
+
+        def task(s):
+            if s.start == 0:
+                raise ValueError("lane 0")
+            finished.append(s.start)
+
+        with T._lanes(3):
+            with pytest.raises(ValueError):
+                T._split(task, 3, T.SPLIT_WORK)
+            assert sorted(finished) == [1, 2]
 
 
 class TestGradCheckHarness:

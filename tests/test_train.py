@@ -10,8 +10,9 @@ import types
 import numpy as np
 import pytest
 
+from condenseg import tensor as tensor_mod
 from condenseg import train as train_mod
-from condenseg.net import ConfigError, NetConfig, build
+from condenseg.net import ConfigError, NetConfig, build, save_checkpoint
 from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.tensor import NumericsError, Tensor
 from condenseg.train import (
@@ -261,6 +262,70 @@ probs = t._forward_batches(net, images)
 assert threading.active_count() == 1, "a pool thread outlived the call"
 one = [net.forward(Tensor(images[i:i + 1]), training=False).data for i in range(20)]
 print("same" if probs.tobytes() == np.concatenate(one).tobytes() else "differ")
+"""
+
+
+class TestTrainingLanes:
+    def test_bytes_and_history_do_not_depend_on_lanes(self, monkeypatch, tmp_path):
+        # one lane, then three with every op split and the interpreter
+        # switching threads as often as it allows: same checkpoint, same history
+        subs = tiny_cohort(5)
+        cfg = tiny_config(epochs=4, batch_size=3, net=tiny_net(condensation_factor=2))
+        monkeypatch.setattr(tensor_mod, "SPLIT_WORK", 0)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        runs = []
+        try:
+            for lanes in (1, 3):
+                monkeypatch.setattr(train_mod, "_inference_threads", lambda: lanes)
+                net, history = train(subs[:4], cfg, val_subjects=subs[4:])
+                path = tmp_path / ("%d.ckpt" % lanes)
+                save_checkpoint(net, path)
+                runs.append((path.read_bytes(), history))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(train_mod._usable_cpus() < 2,
+                        reason="one CPU: training runs on the calling thread only")
+    def test_parallel_training_bytes_equal_one_lane(self):
+        # at one BLAS thread every usable CPU is a lane, at the real SPLIT_WORK
+        env = {k: v for k, v in os.environ.items() if k not in train_mod.BLAS_THREAD_VARS}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(p for p in [
+            os.path.dirname(os.path.dirname(train_mod.__file__)),
+            env.get("PYTHONPATH")] if p)
+        done = subprocess.run([sys.executable, "-c", TRAIN_LANES_CHECK], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["lanes", str(train_mod._usable_cpus()), "same"]
+
+
+TRAIN_LANES_CHECK = """
+import os, tempfile, threading
+from condenseg.net import NetConfig, save_checkpoint
+from condenseg.phantom import PhantomSpec, generate_phantom
+from condenseg import train as t
+
+spec = PhantomSpec(image_size=64, frames=4, slices=3, endo_radius_px=(7.0, 8.5),
+                   wall_px=(2.5, 3.0), contraction=(0.3, 0.4), center_jitter_px=2)
+subs = [generate_phantom(spec, 100 + i, name="s%02d" % i) for i in range(5)]
+cfg = t.TrainConfig(epochs=4, batch_size=3, batches_per_epoch=2, seed=3,
+                    net=NetConfig(input_size=32, layers_per_block=(1, 1, 2, 1, 1),
+                                  pool_layers=2, condensation_factor=2))
+print("lanes", t._inference_threads())
+runs = []
+with tempfile.TemporaryDirectory() as tmp:
+    for rule in (t._inference_threads, lambda: 1):
+        t._inference_threads = rule
+        net, history = t.train(subs[:4], cfg, val_subjects=subs[4:])
+        assert threading.active_count() == 1, "a lane outlived train()"
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(net, path)
+        with open(path, "rb") as f:
+            runs.append((f.read(), history))
+print("same" if runs[0] == runs[1] else "differ")
 """
 
 

@@ -94,6 +94,21 @@ class TestFileFormat:
         assert np.array_equal(back.data, m.data)
         assert back.label_names == m.label_names
 
+    @pytest.mark.parametrize("obj", [
+        CineVolume(np.zeros((0, 2, 8, 8), dtype=np.float32)),
+        CineVolume(np.zeros((2, 0, 8, 8), dtype=np.float32)),
+        CineVolume(np.zeros((2, 2, 0, 8), dtype=np.float32)),
+        CineVolume(np.zeros((2, 2, 8, 0), dtype=np.float32)),
+        LabelMask(np.zeros((0, 8, 8), dtype=np.uint8)),
+        LabelMask(np.zeros((2, 0, 8), dtype=np.uint8)),
+    ], ids=["cine_t0", "cine_z0", "cine_h0", "cine_w0", "mask_z0", "mask_h0"])
+    def test_empty_refused_before_writing(self, tmp_path, obj):
+        # load_volume refuses a zero dim, so save_volume writes no such file
+        path = tmp_path / "empty.bin"
+        with pytest.raises(ValueError):
+            save_volume(path, obj)
+        assert not path.exists()
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not json at all\n" + b"\x00" * 16)
