@@ -4,8 +4,14 @@ A layer's N filters are split into M equal filter-groups. Every group starts
 connected to all h input channels; over C-1 condensing stages each group drops
 its least important connections until only ceil(h/C) per group survive. A
 group-lasso penalty pushes whole (group, channel) weight blocks toward zero so
-the pruning decision is cheap to make. After the last stage the layer can be
-converted to a compact gather + grouped convolution for inference.
+the pruning decision is cheap to make.
+
+After the last stage a layer runs gathered: its forward reads each group's
+alive channels only (conv2d's `index`), with the masked dense conv's bytes,
+and its backward stays the masked dense one. `to_inference` builds the
+compact kernel plus indices, `InferenceLGConv`: a per-group conv loop of its
+own that is the reference the gathered forward is checked against, and the
+layer's weight count.
 """
 
 import numpy as np
@@ -84,14 +90,22 @@ class LGConvLayer:
 
 
 def lg_forward(layer: LGConvLayer, x: Tensor, padding: int = 0) -> Tensor:
-    """Masked dense convolution; pruned connections contribute nothing."""
+    """Masked dense convolution; pruned connections contribute nothing.
+
+    A fully condensed layer (C > 1) runs its forward over each group's
+    alive channels only; the masked products it skips are zeros, so its
+    output and gradients keep the masked dense conv's bytes."""
     if x.shape[1] != layer.in_channels:
         raise ShapeError("expected %d input channels, got %d"
                          % (layer.in_channels, x.shape[1]))
     k = layer.kernel
     mask4 = np.broadcast_to(layer.mask[:, :, None, None], k.shape)
     masked = k * Tensor(np.ascontiguousarray(mask4, dtype=k.data.dtype))
-    return conv2d(x, masked, padding=padding)
+    C = layer.condensation_factor
+    index = None
+    if C > 1 and layer.stage == C - 1:  # each group's ascending alive channels
+        index = np.stack([np.flatnonzero(m) for m in layer.grouped()[1][:, 0]])
+    return conv2d(x, masked, padding=padding, index=index)
 
 
 def importance_scores(layer: LGConvLayer) -> np.ndarray:
@@ -187,7 +201,9 @@ def schedule_stage(sched: CondensationSchedule, epoch: int) -> int:
 
 
 class InferenceLGConv:
-    """Compact inference form: per-group channel gather plus grouped conv."""
+    """Compact form: a channel gather plus one conv per filter-group.  Its
+    own loop, kept apart from `lg_forward`'s gathered path so that checks
+    comparing the two compare independent code."""
 
     def __init__(self, index, grouped_kernel):
         self.index = index                    # (M, alive) int

@@ -14,7 +14,13 @@ finite-difference gradient checker live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
-scatter-add gives the transposed conv and both gradients.
+scatter-add gives the transposed conv and both gradients.  Three forwards
+skip work and keep every byte: a stride-1 conv whose output has its input's
+size adds each tap plane as one flat slice over H*W; a 1x1 one has the
+GEMM write the output; and a conv told the input channels each of its
+filter-groups reads (`conv2d`'s `index`, which a fully condensed LG layer
+passes) gathers them and runs one GEMM per group over those alone.  The
+tap windows and shifts are planned once per shape.
 
 Lanes (`_lanes`) are worker threads that the thread opening them shares
 the per-sample work of the recording ops with: convolution forward and
@@ -34,7 +40,7 @@ import queue
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -374,60 +380,126 @@ def _tap_window(offset, stride, narrow, frame):
     return slice(lo, hi), slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride)
 
 
+@lru_cache(maxsize=256)
 def _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
-    """Yield (tap index, narrow index, frame index) for every linking tap."""
+    """(tap index, narrow index, frame index) of every linking tap; one
+    tuple per shape."""
+    windows = []
     for t, (u, v) in enumerate(np.ndindex(kh, kw)):
         rows = _tap_window(u - padding, stride, narrow_hw[0], frame_hw[0])
         cols = _tap_window(v - padding, stride, narrow_hw[1], frame_hw[1])
         if rows and cols:
-            yield t, (Ellipsis, rows[0], cols[0]), (Ellipsis, rows[1], cols[1])
+            windows.append((t, (Ellipsis, rows[0], cols[0]), (Ellipsis, rows[1], cols[1])))
+    return tuple(windows)
 
 
 def _move(a, out, kh, kw, stride, padding, to_frame):
     """Move tap planes from `a` between the narrow side and the frame into
     the zeroed `out`, the frame when `to_frame`, else the narrow side.
 
-    A (B,T,C,.,.) stack of per-tap planes is shift-added into one (B,C,.,.)
-    plane; one (B,C,.,.) plane is read by every tap into a (B,T,C,.,.)
-    stack.  Each form is the adjoint of the other form moving the other way.
+    A (...,T,C,.,.) stack of per-tap planes is shift-added into one
+    (...,C,.,.) plane; one (...,C,.,.) plane is read by every tap into a
+    (...,T,C,.,.) stack.  Each form is the adjoint of the other form moving
+    the other way.
     """
-    per_tap = a.ndim == 5
+    per_tap = a.ndim == out.ndim + 1
     size = out.shape[-2:]
     narrow_hw, frame_hw = (a.shape[-2:], size) if to_frame else (size, a.shape[-2:])
     for t, narrow, frame in _tap_windows(kh, kw, stride, padding, narrow_hw, frame_hw):
         src, dst = (narrow, frame) if to_frame else (frame, narrow)
         if per_tap:
-            out[dst] += a[:, t][src]
+            out[dst] += a[..., t, :, :, :][src]
         else:
-            out[:, t][dst] = a[src]
+            out[..., t, :, :, :][dst] = a[src]
 
 
-def _tap_matrix(kernel):
-    """(Cout,Cin,kh,kw) -> (kh*kw*Cout, Cin): one Cout x Cin block per tap."""
+@lru_cache(maxsize=256)
+def _shift_plan(kh, kw, padding, h, w, sign):
+    """Flat form of the move of a stride-1 conv whose output has its input's
+    h x w size: out[i, j] += tap[i + du, j + dv] with (du, dv) = sign *
+    (u - padding, v - padding).  Per reaching tap: (tap index, out's flat
+    slice, the tap plane's flat slice, and the tap plane's columns that the
+    flat slice reads across a row end, or None)."""
+    plan = []
+    for t, (u, v) in enumerate(np.ndindex(kh, kw)):
+        du, dv = sign * (u - padding), sign * (v - padding)
+        if abs(du) >= h or abs(dv) >= w:
+            continue
+        d = du * w + dv
+        wrap = slice(0, dv) if dv > 0 else slice(w + dv, w) if dv < 0 else None
+        plan.append((t, slice(max(0, -d), h * w - max(0, d)),
+                     slice(max(0, d), h * w - max(0, -d)), wrap))
+    return tuple(plan)
+
+
+def _shift_add(a, out, plan):
+    """Shift-add the (...,T,C,H,W) tap planes `a` into the zeroed
+    (...,C,H,W) `out`, one flat slice-add per tap of `plan` (_shift_plan).
+    A tap plane's wrap columns are zeroed first, so every pixel of `out`
+    sums the values the windowed `_move` adds, in the same tap order."""
+    src = a.reshape(a.shape[:-2] + (-1,))
+    dst = out.reshape(out.shape[:-2] + (-1,))
+    for t, o, i, wrap in plan:
+        if wrap is not None:
+            a[..., t, :, :, wrap] = 0
+        dst[..., o] += src[..., t, :, i]
+
+
+def _tap_matrix(kernel, index=None):
+    """(Cout,Cin,kh,kw) -> (kh*kw*Cout, Cin): one Cout x Cin block per tap.
+    With the (M, a) input channels each of M filter-groups reads:
+    (M, kh*kw*Cout/M, a), the same blocks cut to a group's own rows and
+    channels."""
     cout, cin, kh, kw = kernel.shape
-    return kernel.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    if index is None:
+        return kernel.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    m, a = index.shape
+    k = kernel.reshape(m, cout // m, cin, kh, kw)[np.arange(m)[:, None], :, index]
+    return k.transpose(0, 3, 4, 2, 1).reshape(m, -1, a)  # from (M, a, Cout/M, kh, kw)
 
 
-def _conv(x, kernel, stride, padding, size, transposed):
+def _conv(x, kernel, stride, padding, size, transposed, index=None):
     """Body of conv2d and conv2d_transpose: one GEMM applies every kernel
     tap to the input, then a move takes the tap planes to the `size`
     output.  conv2d moves to the narrow side; conv2d_transpose reads its
     (C1,C2,kh,kw) kernel as (C2,C1,kh,kw) and moves to the frame, so its
     GEMM runs on the narrow input, never on the stride^2-times larger frame.
+    A stride-1 conv whose output keeps the input's size moves by flat
+    shifts, and a 1x1 one has the GEMM write the output itself.  With an
+    (M, a) `index` the forward gathers those input channels and runs one
+    GEMM per filter-group over its own a channels.
     The backward moves the output gradient once, the other way, then runs
-    the kernel- and input-gradient GEMMs per sample; the kernel gradient is
-    their sum over the batch.  Both directions run per sample on the lanes."""
+    the kernel- and input-gradient GEMMs per sample over every channel; the
+    kernel gradient is their sum over the batch.  Both directions run per
+    sample on the lanes."""
     k = kernel.data.swapaxes(0, 1) if transposed else kernel.data
     b, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     mat = _tap_matrix(k)  # (T*Cout, Cin)
     xv = x.data.reshape(b, cin, h * w)
     work = mat.shape[0] * h * w  # one sample's tap planes
-    y = np.zeros((b, cout) + size, dtype=np.result_type(mat, xv))
+    flat = stride == 1 and size == (h, w)
+    direct = flat and kh * kw == 1
+    y = (np.empty if direct else np.zeros)((b, cout) + size, dtype=np.result_type(mat, xv))
+    if index is None:
+        weights, lead = mat, (cin,)
+    else:
+        weights, lead = _tap_matrix(k, index), index.shape
+        index = index.ravel()
+    yv = y.reshape((b,) + lead[:-1] + (-1,) + size)  # (B, [M,] Cout[/M], H', W')
 
     def forward(s):
-        taps = (mat @ xv[s]).reshape(-1, kh * kw, cout, h, w)
-        _move(taps, y[s], kh, kw, stride, padding, transposed)
+        src = xv[s] if index is None else np.take(xv[s], index, axis=1)
+        src = src.reshape((-1,) + lead + (h * w,))
+        if direct:
+            ys = yv[s]
+            np.matmul(weights, src, out=ys.reshape(ys.shape[:-2] + (h * w,)))
+            return
+        taps = (weights @ src).reshape((-1,) + lead[:-1] + (kh * kw, yv.shape[-3], h, w))
+        if flat:
+            _shift_add(taps, yv[s], _shift_plan(kh, kw, padding, h, w, -1 if transposed else 1))
+        else:
+            _move(taps, yv[s], kh, kw, stride, padding, transposed)
 
     _split(forward, b, work)
     out = _result(y, (x, kernel))
@@ -441,8 +513,11 @@ def _conv(x, kernel, stride, padding, size, transposed):
                 dx = np.empty((b, cin, h * w), dtype=np.result_type(mat, g))
 
             def lane(s):
-                taps = np.zeros((s.stop - s.start, kh * kw, cout, h, w), dtype=g.dtype)
-                _move(g[s], taps, kh, kw, stride, padding, not transposed)
+                if direct:  # the move would copy g whole
+                    taps = np.ascontiguousarray(g[s])
+                else:
+                    taps = np.zeros((s.stop - s.start, kh * kw, cout, h, w), dtype=g.dtype)
+                    _move(g[s], taps, kh, kw, stride, padding, not transposed)
                 taps = taps.reshape(-1, mat.shape[0], h * w)
                 if dk is not None:
                     np.matmul(taps, xv[s].transpose(0, 2, 1), out=dk[s])
@@ -460,8 +535,16 @@ def _conv(x, kernel, stride, padding, size, transposed):
     return out
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw); H' = (H+2p-kh)//s + 1."""
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
+           index=None) -> Tensor:
+    """Cross-correlate (B,Cin,H,W) with (Cout,Cin,kh,kw); H' = (H+2p-kh)//s + 1.
+
+    `index`, an (M, a) int array, says that filter-group g (the g-th of M
+    equal runs of output channels) reads only the input channels
+    index[g], in ascending order: the kernel is zero elsewhere.  The
+    forward then skips those zero products, with the same bytes; the
+    backward is the dense one.
+    """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
     _, cin, h, w = x.shape
@@ -472,8 +555,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
+    if index is not None and (index.ndim != 2 or kernel.shape[0] % len(index)):
+        raise ShapeError(f"conv2d index {index.shape} does not split {kernel.shape[0]} filters")
     size = ((h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
-    return _conv(x, kernel, stride, padding, size, transposed=False)
+    return _conv(x, kernel, stride, padding, size, transposed=False, index=index)
 
 
 def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,

@@ -148,6 +148,8 @@ def _forward_batches(net, images):
     running-stat normalization, per-pixel softmax), so the bytes depend
     neither on W nor on the chunks."""
     n = len(images)
+    if n == 0:
+        raise ValueError("_forward_batches: the batch has no slices, shape %s" % (images.shape,))
     with _lanes(_inference_threads()) as pool:
         chunks = np.array_split(images, min(n, pool.count * -(-n // (pool.count * CHUNK))))
         lanes = min(pool.count, len(chunks))

@@ -74,6 +74,9 @@ class CineVolume:
             data = data.astype(np.float32)
         if data.ndim != 4:
             raise ValueError("cine volume needs (T,Z,H,W) data, got %s" % (data.shape,))
+        for dim, n in zip("TZHW", data.shape):
+            if n == 0:
+                raise ValueError("cine volume has an empty %s dim: shape %s" % (dim, data.shape))
         self.data = data
         self.geometry = geometry or Geometry()
 

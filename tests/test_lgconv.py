@@ -1,8 +1,12 @@
 """Pruning arithmetic, penalty values, and inference-form equivalence."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from condenseg import lgconv
 from condenseg import tensor as T
 from condenseg.lgconv import (
     CondensationSchedule,
@@ -15,7 +19,7 @@ from condenseg.lgconv import (
     schedule_stage,
     to_inference,
 )
-from condenseg.tensor import ShapeError, Tensor, conv2d, grad_check, he_normal
+from condenseg.tensor import ShapeError, Tensor, conv2d, grad_check, he_normal, no_graph
 
 
 def make_layer(h, n, groups=1, C=1, k=3, seed=0):
@@ -277,3 +281,96 @@ class TestInferenceForm:
             compact = inf.forward(x, padding=1)
             worst = max(worst, float(np.max(np.abs(dense - compact))))
         assert worst < T.INFERENCE_MATCH_TOL
+
+
+ALIVE = {"disjoint": [[0, 1, 2, 3], [4, 5, 6, 7]],
+         "overlapping": [[0, 2, 3, 5], [1, 2, 5, 7]]}
+
+
+def condensed_layer(alive, k, dtype, seed):
+    """A fully condensed 8-channel, 2-group layer of 6 filters keeping `alive`."""
+    layer = LGConvLayer(8, 6, kernel_size=k, groups=2, condensation_factor=2, dtype=dtype)
+    he_normal(layer.kernel, np.random.default_rng(seed))
+    _, mask = layer.grouped()
+    mask[...] = 0
+    for g, channels in enumerate(ALIVE[alive]):
+        mask[g, :, channels] = 1
+    layer.apply_mask()
+    layer.stage = 1
+    return layer
+
+
+def gathered_and_dense(layer, x0, g, training):
+    """(output, x gradient, kernel gradient) bytes of lg_forward and of
+    conv2d over the masked kernel, for output gradient g."""
+    runs = []
+    for gathered in (True, False):
+        x = Tensor(x0.copy(), requires_grad=True)
+        layer.kernel.zero_grad()
+        k = layer.kernel
+        if gathered:
+            forward = lambda: lg_forward(layer, x, padding=k.shape[2] // 2)  # noqa: E731
+        else:
+            mask4 = np.ascontiguousarray(np.broadcast_to(layer.mask[:, :, None, None], k.shape))
+            forward = lambda: conv2d(x, k * Tensor(mask4), padding=k.shape[2] // 2)  # noqa: E731
+        if not training:
+            with no_graph():
+                runs.append([forward().data.tobytes()])
+            continue
+        out = forward()
+        (out * Tensor(g)).sum().backward()
+        runs.append([out.data.tobytes(), x.grad.tobytes(), k.grad.tobytes()])
+    return runs
+
+
+class TestGatheredForward:
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("alive", sorted(ALIVE))
+    def test_bytes_equal_masked_dense(self, alive, k, dtype, training):
+        layer = condensed_layer(alive, k, dtype, seed=k)
+        rng = np.random.default_rng(20 + k)
+        x0 = rng.normal(size=(3, 8, 7, 5)).astype(dtype)
+        g = rng.normal(size=(3, 6, 7, 5)).astype(dtype)
+        gathered, dense = gathered_and_dense(layer, x0, g, training)
+        assert gathered == dense
+
+    def test_only_the_last_stage_gathers(self, monkeypatch):
+        indices = []
+
+        def recording(x, kernel, padding=0, index=None):
+            indices.append(index)
+            return conv2d(x, kernel, padding=padding, index=index)
+
+        monkeypatch.setattr(lgconv, "conv2d", recording)
+        layer = make_layer(8, 4, groups=2, C=4, seed=3)
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 8, 5, 5)))
+        for _ in range(3):
+            lg_forward(layer, x, padding=1)
+            condense(layer)
+        lg_forward(layer, x, padding=1)
+        assert [index is None for index in indices] == [True, True, True, False]
+        assert np.array_equal(indices[-1], to_inference(layer).index)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b", [1, 2, 3, 5])
+    def test_bytes_do_not_depend_on_lanes(self, monkeypatch, b, dtype):
+        # every conv splits, on three lanes switching as often as the
+        # interpreter allows: the bytes of one lane
+        layer = condensed_layer("overlapping", 3, dtype, seed=b)
+        rng = np.random.default_rng(b)
+        x0 = rng.normal(size=(b, 8, 9, 9)).astype(dtype)
+        g = rng.normal(size=(b, 6, 9, 9)).astype(dtype)
+        monkeypatch.setattr(T, "SPLIT_WORK", 0)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = []
+            for count in (1, 3):
+                with T._lanes(count):
+                    runs.append(gathered_and_dense(layer, x0, g, training=True)[0])
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[0] == runs[1] == gathered_and_dense(layer, x0, g, training=True)[1]
+        assert threading.active_count() == before

@@ -253,6 +253,73 @@ class TestConvProperties:
             assert err < T.GRAD_TOL
 
 
+def windowed_conv(x, k, padding, g, transposed):
+    """Stride-1 conv2d (or conv2d_transpose) the windowed way, tap by tap:
+    output, x gradient and kernel gradient for the output gradient g.  The
+    reference that flat shifts and GEMM-written 1x1 outputs keep the bytes of."""
+    kk = k.swapaxes(0, 1) if transposed else k
+    b, cin, h, w = x.shape
+    cout, _, kh, kw = kk.shape
+    mat = kk.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    xv = x.reshape(b, cin, h * w)
+    sign = -1 if transposed else 1
+    size = (h + sign * (2 * padding - kh + 1), w + sign * (2 * padding - kw + 1))
+
+    def window(d, n_in, n_out):  # in [i + d] <-> out [i], clipped to both sides
+        lo, hi = max(0, -d), min(n_out, n_in - d)
+        return (slice(lo, hi), slice(lo + d, hi + d)) if hi > lo else None
+
+    links = []
+    for t, (u, v) in enumerate(np.ndindex(kh, kw)):
+        rows = window(sign * (u - padding), h, size[0])
+        cols = window(sign * (v - padding), w, size[1])
+        if rows and cols:
+            links.append((t, (Ellipsis, rows[0], cols[0]), (Ellipsis, rows[1], cols[1])))
+    y = np.zeros((b, cout) + size, dtype=np.result_type(mat, xv))
+    taps = (mat @ xv).reshape(b, kh * kw, cout, h, w)
+    for t, out_px, in_px in links:
+        y[out_px] += taps[:, t][in_px]
+    gt = np.zeros((b, kh * kw, cout, h, w), dtype=g.dtype)
+    for t, out_px, in_px in links:
+        gt[:, t][in_px] = g[out_px]
+    gt = gt.reshape(b, -1, h * w)
+    dk = np.matmul(gt, xv.transpose(0, 2, 1)).sum(axis=0)
+    dk = dk.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)
+    return y, (mat.T @ gt).reshape(x.shape), dk.swapaxes(0, 1) if transposed else dk
+
+
+@st.composite
+def same_size_cases(draw):
+    k = draw(st.sampled_from([1, 3, 5]))
+    h, w = draw(st.sampled_from([1, 2, 3, 6, 9])), draw(st.sampled_from([1, 2, 4, 7]))
+    b, cin, cout = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return (b, cin, h, w), (cout, cin, k, k), dtype, draw(st.booleans()), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestSameSizeBytes:
+    @settings(max_examples=150, **PROPERTY)
+    @given(same_size_cases())
+    def test_equals_windowed_move(self, case):
+        # stride 1 at same-size padding: flat shifts, or a 1x1 output the GEMM
+        # writes, give the windowed conv's output and gradients, bit for bit
+        x_shape, k_shape, dtype, transposed, seed = case
+        rng = np.random.default_rng(seed)
+        if transposed:
+            k_shape = (k_shape[1], k_shape[0]) + k_shape[2:]
+        x0, k0 = (rng.normal(size=shape).astype(dtype) for shape in (x_shape, k_shape))
+        x, k = Tensor(x0.copy(), requires_grad=True), Tensor(k0.copy(), requires_grad=True)
+        padding = k_shape[2] // 2
+        op = conv2d_transpose if transposed else conv2d
+        out = op(x, k, padding=padding)
+        g = rng.normal(size=out.shape).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        want = windowed_conv(x0, k0, padding, g, transposed)
+        assert out.shape == want[0].shape == x_shape[:1] + out.shape[1:2] + x_shape[2:]
+        for got, ref in zip((out.data, x.grad, k.grad), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def max_pool2d_argmax(x, g, window=2):
     """Argmax max pooling: (output, input gradient for output gradient g),
     ties to the first max in scan order. The reference for max_pool2d."""

@@ -230,6 +230,12 @@ class TestInferenceThreads:
         assert threading.active_count() == before
         assert probs.tobytes() == net.forward(Tensor(images)).data.tobytes()
 
+    @pytest.mark.parametrize("shape", [(0, 1, 32, 32), (0, 1, 64, 64)], ids=["32", "64"])
+    def test_no_slices_rejected(self, shape):
+        net = build(tiny_net(), rng=np.random.default_rng(1), dtype=np.float32)
+        with pytest.raises(ValueError, match="no slices"):
+            train_mod._forward_batches(net, np.zeros(shape, np.float32))
+
     @pytest.mark.skipif(train_mod._usable_cpus() < 2,
                         reason="one CPU: inference runs on the calling thread only")
     def test_parallel_bytes_equal_one_slice_forwards(self):

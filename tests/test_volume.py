@@ -53,6 +53,13 @@ class TestContainers:
         with pytest.raises(ValueError):
             CineVolume(np.zeros((8, 64, 64), dtype=np.float32))
 
+    @pytest.mark.parametrize("shape, dim", [
+        ((0, 2, 8, 8), "T"), ((2, 0, 64, 64), "Z"), ((2, 2, 0, 8), "H"), ((2, 2, 8, 0), "W"),
+    ], ids=["t0", "z0", "h0", "w0"])
+    def test_cine_empty_dim_rejected(self, shape, dim):
+        with pytest.raises(ValueError, match="empty %s dim" % dim):
+            CineVolume(np.zeros(shape, dtype=np.float32))
+
     def test_cine_preserves_float64(self):
         v = CineVolume(np.zeros((2, 2, 4, 4), dtype=np.float64))
         assert v.data.dtype == np.float64
@@ -94,19 +101,20 @@ class TestFileFormat:
         assert np.array_equal(back.data, m.data)
         assert back.label_names == m.label_names
 
-    @pytest.mark.parametrize("obj", [
-        CineVolume(np.zeros((0, 2, 8, 8), dtype=np.float32)),
-        CineVolume(np.zeros((2, 0, 8, 8), dtype=np.float32)),
-        CineVolume(np.zeros((2, 2, 0, 8), dtype=np.float32)),
-        CineVolume(np.zeros((2, 2, 8, 0), dtype=np.float32)),
-        LabelMask(np.zeros((0, 8, 8), dtype=np.uint8)),
-        LabelMask(np.zeros((2, 0, 8), dtype=np.uint8)),
+    @pytest.mark.parametrize("make", [
+        lambda: CineVolume(np.zeros((0, 2, 8, 8), dtype=np.float32)),
+        lambda: CineVolume(np.zeros((2, 0, 8, 8), dtype=np.float32)),
+        lambda: CineVolume(np.zeros((2, 2, 0, 8), dtype=np.float32)),
+        lambda: CineVolume(np.zeros((2, 2, 8, 0), dtype=np.float32)),
+        lambda: LabelMask(np.zeros((0, 8, 8), dtype=np.uint8)),
+        lambda: LabelMask(np.zeros((2, 0, 8), dtype=np.uint8)),
     ], ids=["cine_t0", "cine_z0", "cine_h0", "cine_w0", "mask_z0", "mask_h0"])
-    def test_empty_refused_before_writing(self, tmp_path, obj):
-        # load_volume refuses a zero dim, so save_volume writes no such file
+    def test_empty_refused_before_writing(self, tmp_path, make):
+        # load_volume refuses a zero dim, so no such file is written: an
+        # empty cine is refused when built, an empty mask by save_volume
         path = tmp_path / "empty.bin"
         with pytest.raises(ValueError):
-            save_volume(path, obj)
+            save_volume(path, make())
         assert not path.exists()
 
     def test_malformed_header(self, tmp_path):
