@@ -6,6 +6,7 @@ import os
 import numpy as np
 
 from .phantom import PhantomSubject as Subject
+from .schema import PRESENT, check, is_int, optional
 from .volume import Geometry, load_volume, save_volume
 
 DATASET_MAGIC = "condenseg-dataset"
@@ -30,12 +31,9 @@ def save_dataset(root, subjects):
         save_volume(os.path.join(folder, "cine.bin"), sub.cine)
         save_volume(os.path.join(folder, "ed_mask.bin"), sub.ed_mask)
         save_volume(os.path.join(folder, "es_mask.bin"), sub.es_mask)
-        truth = dict(sub.truth)
-        if "roi_center" in truth:
-            truth["roi_center"] = list(truth["roi_center"])
         meta = {"name": sub.name, "group": sub.group,
                 "ed_frame": sub.ed_frame, "es_frame": sub.es_frame,
-                "geometry": sub.geometry.to_dict(), "truth": truth}
+                "geometry": sub.geometry.to_dict(), "truth": sub.truth}
         with open(os.path.join(folder, "meta.json"), "w") as f:
             json.dump(meta, f, sort_keys=True, separators=(",", ":"))
             f.write("\n")
@@ -45,29 +43,41 @@ def save_dataset(root, subjects):
         f.write("\n")
 
 
+_MANIFEST = {"magic": (lambda m: m == DATASET_MAGIC, repr(DATASET_MAGIC)),
+             "subjects": (lambda names: isinstance(names, list)
+                          and all(isinstance(n, str) and n not in ("", ".", "..")
+                                  and os.path.basename(n) == n for n in names)
+                          and len(set(names)) == len(names),
+                          "a list of distinct subject folder names")}
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+
 def load_dataset(root):
-    """Read back what save_dataset wrote; subject order follows the manifest."""
+    """Read back what save_dataset wrote, subjects in manifest order.  A bad
+    manifest.json or meta.json field raises ValueError naming the file and
+    the field; a listed subject folder that does not exist, OSError."""
     path = os.path.join(root, "manifest.json")
     with open(path) as f:
-        manifest = json.load(f)
-    if manifest.get("magic") != DATASET_MAGIC:
-        raise ValueError("%s is not a dataset manifest" % path)
+        manifest = check(json.load(f), _MANIFEST, ValueError, path)
     subjects = []
     for name in manifest["subjects"]:
         folder = os.path.join(root, name)
-        with open(os.path.join(folder, "meta.json")) as f:
+        meta_path = os.path.join(folder, "meta.json")
+        with open(meta_path) as f:
             meta = json.load(f)
-        truth = meta.get("truth", {})
-        if "roi_center" in truth:
-            truth["roi_center"] = tuple(truth["roi_center"])
         cine = load_volume(os.path.join(folder, "cine.bin"))
-        cine.geometry = Geometry.from_dict(meta["geometry"])
+        frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
+        check(meta, {"name": _STRING, "group": _STRING, "ed_frame": frame, "es_frame": frame,
+                     "geometry": PRESENT, "truth": optional((lambda t: isinstance(t, dict),
+                                                            "an object"))},
+              ValueError, meta_path)
+        cine.geometry = Geometry.from_dict(meta["geometry"], meta_path + " geometry")
         subjects.append(Subject(
             name=meta["name"], group=meta["group"], cine=cine,
             ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
             ed_mask=load_volume(os.path.join(folder, "ed_mask.bin")),
             es_mask=load_volume(os.path.join(folder, "es_mask.bin")),
-            truth=truth))
+            truth=meta.get("truth", {})))
     return subjects
 
 

@@ -26,6 +26,7 @@ from .lgconv import (
     lg_forward,
     schedule_stage,
 )
+from .schema import check, config_spec, is_int, optional
 from .tensor import (
     RunningStats,
     ShapeError,
@@ -93,43 +94,14 @@ class NetConfig:
         return v
 
     def to_dict(self):
-        d = asdict(self)
-        d["layers_per_block"] = list(self.layers_per_block)
-        return d
+        return asdict(self)  # JSON writes the tuple as a list, which from_dict takes
 
     @staticmethod
     def from_dict(d):
-        d = dict(_check_fields(NetConfig, d, "net config"))
+        d = dict(check(d, config_spec(NetConfig), ConfigError, "net config", closed=True))
         if "layers_per_block" in d:
             d["layers_per_block"] = tuple(d["layers_per_block"])
         return NetConfig(**d)
-
-
-def _fits(kind, value):
-    """Whether a JSON value suits a config field of type `kind`: an int field
-    takes an int, a float field an int or a float, a tuple field a list of
-    ints; a bool is neither."""
-    if kind is tuple:
-        return isinstance(value, (list, tuple)) and all(type(n) is int for n in value)
-    return type(value) is not bool and isinstance(value, (int, float) if kind is float else kind)
-
-
-def _check_fields(cls, obj, kind):
-    """`obj` if it is a dict of `cls`'s fields whose int, float and tuple
-    values have their field's type; else ConfigError naming the unknown or
-    wrongly typed keys.  Fields of other types are left to their own check."""
-    if not isinstance(obj, dict):
-        raise ConfigError("%s must be an object, got %r" % (kind, obj))
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(obj) - set(types)
-    if unknown:
-        raise ConfigError("unknown %s fields: %s" % (kind, ", ".join(sorted(unknown))))
-    wrong = sorted(k for k, v in obj.items()
-                   if types[k] in (int, float, tuple) and not _fits(types[k], v))
-    if wrong:
-        raise ConfigError("%s fields of the wrong type: %s" % (
-            kind, ", ".join("%s=%r" % (k, obj[k]) for k in wrong)))
-    return obj
 
 
 def _kernel(cout, cin, kh, kw, dtype, name):
@@ -475,6 +447,17 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
                                          .newbyteorder("<")).tobytes())
 
 
+_HEADER = {"format": (lambda f: f == CHECKPOINT_MAGIC, repr(CHECKPOINT_MAGIC)),
+           "config": (lambda c: isinstance(c, dict), "a dict"),
+           "manifest": (lambda m: isinstance(m, list), "a list"),
+           "lg_stages": (lambda s: isinstance(s, dict), "a dict"),
+           "epoch": optional((is_int, "an int"))}
+_MANIFEST_ENTRY = {"name": (lambda n: isinstance(n, str), "a string"),
+                   "shape": (lambda s: isinstance(s, list) and all(is_int(d) and d >= 0 for d in s),
+                             "a list of non-negative ints"),
+                   "dtype": (lambda t: t in CHECKPOINT_DTYPES, "one of %s" % (CHECKPOINT_DTYPES,))}
+
+
 def load_checkpoint(path):
     """Rebuild a Network from a checkpoint file of version 1 or 2; returns
     (net, header).
@@ -492,30 +475,27 @@ def load_checkpoint(path):
             raise ValueError("checkpoint %s: header is not valid JSON" % path)
         if not isinstance(header, dict):
             raise ValueError("checkpoint %s: header is not a JSON object" % path)
-        if header.get("format") != CHECKPOINT_MAGIC:
-            raise ValueError("checkpoint %s: unrecognized format %r"
-                             % (path, header.get("format")))
         blob = f.read()
+    where = "checkpoint %s: " % path
+    check(header, _HEADER, ValueError, where + "header")
     version = header.get("version")
     # type(), not isinstance: JSON true loads as a bool, which is an int
     if type(version) is not int or version not in CHECKPOINT_VERSIONS:
         raise ValueError("checkpoint %s: version %r is not 1 or 2" % (path, version))
-    _require_names(path, "config key", list(_field(path, header, "config", dict)),
-                   [f.name for f in fields(NetConfig)])
-    config = NetConfig.from_dict(header["config"])
-    manifest = _field(path, header, "manifest", list)
-    for item in manifest:
-        _check_manifest_item(path, item)
+    config, manifest = header["config"], header["manifest"]
+    stray = sorted(config.keys() ^ {f.name for f in fields(NetConfig)})
+    if stray:
+        raise ValueError("%s%s config key %s" % (
+            where, "unknown" if stray[0] in config else "missing", stray[0]))
+    for i, item in enumerate(manifest, 1):
+        check(item, _MANIFEST_ENTRY, ValueError, where + "manifest entry %d" % i)
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
-    net = Network(config, dtype)
-    arrays = dict(net.state_entries())
-    _require_names(path, "buffer", [item["name"] for item in manifest], list(arrays))
-    stages = _field(path, header, "lg_stages", dict)
-    _require_names(path, "lg_stages key", list(stages), [lg.name for lg in net.lg_layers()])
-    flags, bns = _field(path, header, "bn_initialized", list), net.bn_modules()
-    if len(flags) != len(bns):
-        raise ValueError("checkpoint %s: bn_initialized has %d entries, expected %d"
-                         % (path, len(flags), len(bns)))
+    net = Network(NetConfig.from_dict(config), dtype)
+    arrays, bns = dict(net.state_entries()), net.bn_modules()
+    check(header, {"bn_initialized": (lambda f: isinstance(f, list) and len(f) == len(bns)
+                                      and all(type(b) is bool for b in f),
+                                      "a list of %d bools" % len(bns))},
+          ValueError, where + "header")
     offset = 0
     for item in manifest:
         if np.dtype(item["dtype"]) != dtype:
@@ -528,13 +508,22 @@ def load_checkpoint(path):
                              % (path, item["name"]))
         buf = np.frombuffer(blob[offset:end], dtype=dtype).reshape(item["shape"])
         offset = end
-        dst = arrays[item["name"]]
+        dst = arrays.pop(item["name"], None)
+        if dst is None:
+            raise ValueError("%sunknown or repeated buffer %s" % (where, item["name"]))
         if dst.shape != buf.shape:
             raise ValueError("checkpoint %s: %s has shape %s, expected %s"
                              % (path, item["name"], buf.shape, dst.shape))
         dst[...] = buf
+    if arrays:
+        raise ValueError("%smissing buffer %s" % (where, next(iter(arrays))))
     if offset != len(blob):
         raise ValueError("checkpoint %s: %d trailing bytes" % (path, len(blob) - offset))
+    stages = header["lg_stages"]
+    stray = sorted(stages.keys() ^ {lg.name for lg in net.lg_layers()})
+    if stray:
+        raise ValueError("%s%s lg_stages key %s" % (
+            where, "unknown" if stray[0] in stages else "missing", stray[0]))
     for lg in net.lg_layers():
         stage = stages[lg.name]
         if type(stage) is not int or not 0 <= stage < lg.condensation_factor:
@@ -552,50 +541,6 @@ def load_checkpoint(path):
             raise ValueError("checkpoint %s: %s kernel has nonzero weights where its"
                              " mask is 0" % (path, lg.name))
         lg.stage = stage
-    for bn, flag in zip(bns, flags):
-        if type(flag) is not bool:
-            raise ValueError("checkpoint %s: bn_initialized entry %r is not a bool"
-                             % (path, flag))
+    for bn, flag in zip(bns, header["bn_initialized"]):
         bn.stats.initialized = flag
     return net, header
-
-
-def _field(path, header, key, kind):
-    """header[key], or ValueError naming the field when it is absent or not
-    a `kind`."""
-    if key not in header:
-        raise ValueError("checkpoint %s: header has no %s" % (path, key))
-    if not isinstance(header[key], kind):
-        raise ValueError("checkpoint %s: %s is %r, not a %s"
-                         % (path, key, header[key], kind.__name__))
-    return header[key]
-
-
-def _check_manifest_item(path, item):
-    """ValueError naming the field unless `item` is an object with a string
-    name, a shape of non-negative ints and a float32 or float64 dtype."""
-    if not isinstance(item, dict):
-        raise ValueError("checkpoint %s: manifest entry %r is not an object" % (path, item))
-    shape = item.get("shape")
-    for key, ok, want in (
-            ("name", isinstance(item.get("name"), str), "a string"),
-            ("shape", isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape),
-             "a list of non-negative ints"),
-            ("dtype", item.get("dtype") in CHECKPOINT_DTYPES, "one of %s" % (CHECKPOINT_DTYPES,))):
-        if not ok:
-            raise ValueError("checkpoint %s: manifest entry %r needs a %s that is %s"
-                             % (path, item, key, want))
-
-
-def _require_names(path, kind, got, want):
-    """Raise ValueError naming the first unknown or repeated entry of `got`,
-    or the first entry of `want` that `got` lacks."""
-    known, seen = set(want), set()
-    for name in got:
-        if name not in known or name in seen:
-            raise ValueError("checkpoint %s: %s %s %s" % (
-                path, "duplicate" if name in seen else "unknown", kind, name))
-        seen.add(name)
-    for name in want:
-        if name not in seen:
-            raise ValueError("checkpoint %s: missing %s %s" % (path, kind, name))

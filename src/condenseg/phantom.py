@@ -204,7 +204,7 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
         "rv_esv_ml": rv_esv,
         "rv_ef_percent": 100.0 * (rv_edv - rv_esv) / rv_edv if rv_edv else 0.0,
         "myo_mass_g": count_ml(myo_px) * 1.05,
-        "roi_center": (cx, cy),
+        "roi_center": [cx, cy],
         "roi_radius_px": r_endo_ed * (1.0 - 0.5 * contraction),
     }
 

@@ -14,9 +14,9 @@ from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
-from .net import (BLAS_THREAD_VARS, ConfigError, NetConfig, _check_fields,
-                  apply_condensation, build)
+from .net import BLAS_THREAD_VARS, ConfigError, NetConfig, apply_condensation, build
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
+from .schema import check, config_spec
 from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
 from .volume import LV, LabelMask
 
@@ -55,17 +55,14 @@ class TrainConfig:
             raise ConfigError("; ".join(violations))
 
     def to_dict(self):
-        out = dataclasses.asdict(self)
-        out["loss"] = dataclasses.asdict(self.loss)
-        out["net"] = self.net.to_dict()
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj):
-        obj = dict(obj)
-        _check_fields(cls, obj, "config")
+        obj = dict(check(obj, config_spec(cls), ConfigError, "config", closed=True))
         if "loss" in obj:
-            obj["loss"] = LossConfig(**_check_fields(LossConfig, obj["loss"], "loss config"))
+            obj["loss"] = LossConfig(**check(obj["loss"], config_spec(LossConfig), ConfigError,
+                                             "loss config", closed=True))
         if "net" in obj:
             obj["net"] = NetConfig.from_dict(obj["net"])
         cfg = cls(**obj)

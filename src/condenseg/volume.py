@@ -12,9 +12,11 @@ label maps (LabelMask, stored with T=1).
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from .schema import NUMBER, PRESENT, check, is_int
 
 LABEL_NAMES = ("background", "rv", "myocardium", "lv")
 BACKGROUND, RV, MYO, LV = 0, 1, 2, 3
@@ -55,12 +57,15 @@ class Geometry:
         return self.slice_thickness_mm + self.slice_gap_mm
 
     def to_dict(self):
-        return {"pixel_spacing_mm": list(self.pixel_spacing_mm),
-                "slice_thickness_mm": self.slice_thickness_mm,
-                "slice_gap_mm": self.slice_gap_mm}
+        return asdict(self)
 
     @staticmethod
-    def from_dict(d):
+    def from_dict(d, where="geometry"):
+        """The geometry a JSON object describes; ValueError naming the field
+        for a non-object, a missing key or a wrongly typed value."""
+        check(d, {"pixel_spacing_mm": (lambda s: isinstance(s, (list, tuple)) and len(s) == 2
+                                       and all(map(NUMBER[0], s)), "a list of two numbers"),
+                  "slice_thickness_mm": NUMBER, "slice_gap_mm": NUMBER}, ValueError, where)
         return Geometry(tuple(d["pixel_spacing_mm"]), d["slice_thickness_mm"],
                         d["slice_gap_mm"])
 
@@ -121,6 +126,12 @@ class LabelMask:
 # -- file format -------------------------------------------------------
 
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
+# the geometry values are left to Geometry, whose errors load_volume reports
+_HEADER = {"dims": (lambda d: isinstance(d, list) and len(d) == 4
+                    and all(is_int(n) and n >= 1 for n in d), "4 positive ints"),
+           "dtype": PRESENT, "spacing_mm": PRESENT, "slice_thickness_mm": PRESENT,
+           "slice_gap_mm": PRESENT}
+_DTYPE_TAG = {"dtype": (lambda t: t in tuple(_DTYPES), "f32 or u8")}
 
 
 def save_volume(path, obj):
@@ -166,17 +177,8 @@ def load_volume(path):
         raise HeaderError("%s: header line is not valid JSON" % path)
     if not isinstance(header, dict):
         raise HeaderError("%s: header is not a JSON object" % path)
-    for key in ("dims", "dtype", "spacing_mm", "slice_thickness_mm", "slice_gap_mm"):
-        if key not in header:
-            raise HeaderError("%s: header missing %r" % (path, key))
-    dims = header["dims"]
-    # exact type test: bool is an int subclass, and "2" or 2.0 are no dims
-    if (not isinstance(dims, list) or len(dims) != 4
-            or any(type(d) is not int or d < 1 for d in dims)):
-        raise HeaderError("%s: dims must be 4 positive ints, got %s" % (path, dims))
-    tag = header["dtype"]
-    if not isinstance(tag, str) or tag not in _DTYPES:
-        raise DtypeError("%s: unsupported dtype %r (want f32 or u8)" % (path, tag))
+    dims = check(header, _HEADER, HeaderError, "%s: header" % path)["dims"]
+    tag = check(header, _DTYPE_TAG, DtypeError, "%s: header" % path)["dtype"]
     dt = _DTYPES[tag]
     expected = math.prod(dims) * dt.itemsize
     if len(blob) != expected:

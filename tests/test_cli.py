@@ -118,6 +118,23 @@ class TestParamsCommand:
         assert abs(got["lv_edv_ml"] - truth["lv_edv_ml"]) < 1e-9
 
 
+    @pytest.mark.parametrize("geom, match", [
+        ({}, "has no pixel_spacing_mm"),
+        ([1.5, 1.5], "must be an object"),
+        ({"pixel_spacing_mm": 1.5, "slice_thickness_mm": 8.0, "slice_gap_mm": 2.0},
+         "pixel_spacing_mm is 1.5"),
+    ], ids=["empty", "list", "spacing_scalar"])
+    def test_bad_geometry_file(self, workdir, tmp_path, geom, match):
+        sub_dir = workdir["data"] / "s02"
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text(json.dumps(geom))
+        with pytest.raises(ValueError, match=match):
+            main(["params", "--ed", str(sub_dir / "ed_mask.bin"),
+                  "--es", str(sub_dir / "es_mask.bin"),
+                  "--geom", str(geom_path), "--out", str(tmp_path / "params.json")])
+        assert not (tmp_path / "params.json").exists()
+
+
 class TestEvalCommand:
     def test_csv_pair(self, workdir, tmp_path):
         out = tmp_path / "report.csv"

@@ -1,9 +1,15 @@
 """Dataset round-trips and stratified splitting."""
 
+import functools
+import json
+import os
+import tempfile
 from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condenseg.dataset import (
     StratificationError,
@@ -52,6 +58,115 @@ class TestPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope")
+
+
+@functools.lru_cache(maxsize=None)
+def one_subject():
+    return tiny_cohort(1)[0]
+
+
+META = os.path.join("sub-00", "meta.json")
+
+
+def _drop(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _set(key, value):
+    return lambda obj: dict(obj, **{key: value})
+
+
+def _saved_with(root, name, edit):
+    """A one-subject dataset at `root` whose file `name` is replaced by
+    `edit` of its JSON."""
+    save_dataset(root, [one_subject()])
+    path = os.path.join(root, name)
+    with open(path) as f:
+        obj = json.load(f)
+    with open(path, "w") as f:
+        json.dump(edit(obj), f)
+
+
+class TestManifestAndMeta:
+    @pytest.mark.parametrize("name, edit, match", [
+        ("manifest.json", lambda m: [], "manifest.json must be an object"),
+        ("manifest.json", _drop("subjects"), "manifest.json has no subjects"),
+        ("manifest.json", _set("subjects", 5), "subjects is 5"),
+        ("manifest.json", _set("subjects", "sub-00"), "subjects is 'sub-00'"),
+        ("manifest.json", _set("subjects", [".."]), "subjects is \\['\\.\\.'\\]"),
+        ("manifest.json", _set("subjects", ["."]), "subjects is \\['\\.'\\]"),
+        ("manifest.json", _set("subjects", [""]), "subjects is \\[''\\]"),
+        ("manifest.json", _set("subjects", ["sub-00/.."]), "subjects is"),
+        ("manifest.json", _set("subjects", [3]), "subjects is \\[3\\]"),
+        ("manifest.json", _set("subjects", ["sub-00", "sub-00"]), "subjects is"),
+        ("manifest.json", _set("magic", "other"), "magic is 'other'"),
+        (META, lambda m: [m], "meta.json must be an object"),
+        (META, _drop("geometry"), "meta.json has no geometry"),
+        (META, _set("ed_frame", 99), "ed_frame is 99, not an int in \\[0, 4\\)"),
+        (META, _set("es_frame", -1), "es_frame is -1"),
+        (META, _set("ed_frame", True), "ed_frame is True"),
+        (META, _set("es_frame", 2.0), "es_frame is 2.0"),
+        (META, _set("group", 5), "group is 5"),
+        (META, _set("name", None), "name is None"),
+        (META, _set("truth", 5), "truth is 5"),
+        (META, _set("geometry", {}), "meta.json geometry has no pixel_spacing_mm"),
+        (META, _set("geometry", [1.5, 1.5]), "meta.json geometry must be an object"),
+    ], ids=["manifest_list", "no_subjects", "subjects_int", "subjects_str", "dotdot", "dot",
+            "empty_name", "separator", "name_int", "duplicate", "magic",
+            "meta_list", "no_geometry", "ed_frame_99", "es_frame_negative", "ed_frame_bool",
+            "es_frame_float", "group_int", "name_null", "truth_int",
+            "geometry_empty", "geometry_list"])
+    def test_bad_field_names_file_and_field(self, tmp_path, name, edit, match):
+        _saved_with(tmp_path, name, edit)
+        with pytest.raises(ValueError, match=match):
+            load_dataset(tmp_path)
+
+    def test_missing_subject_folder(self, tmp_path):
+        _saved_with(tmp_path, "manifest.json", _set("subjects", ["sub-00", "gone"]))
+        with pytest.raises(OSError):
+            load_dataset(tmp_path)
+
+
+# fixed example sets: the suite gives the same verdict on every run
+PROPERTY = dict(max_examples=100, deadline=None, derandomize=True, database=None)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+def _load_rejecting(name, edit):
+    """load_dataset after `edit` of file `name`: a ValueError is the
+    documented rejection, and an OSError only a listed folder that is not
+    there; anything else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _saved_with(tmp, name, edit)
+        try:
+            load_dataset(tmp)
+        except ValueError:
+            pass
+        except OSError:
+            assert name == "manifest.json"
+
+
+# the fields save_dataset writes to each file
+FIELDS = {"manifest.json": ("magic", "subjects", "version"),
+          META: ("ed_frame", "es_frame", "geometry", "group", "name", "truth")}
+
+
+class TestFileFuzz:
+    @settings(**PROPERTY)
+    @given(st.sampled_from(sorted(FIELDS)), json_values)
+    def test_any_json_file(self, name, value):
+        _load_rejecting(name, lambda obj: value)
+
+    @settings(**PROPERTY)
+    @given(st.data())
+    def test_one_field_replaced(self, data):
+        name = data.draw(st.sampled_from(sorted(FIELDS)))
+        key = data.draw(st.sampled_from(FIELDS[name]))
+        _load_rejecting(name, _set(key, data.draw(json_values)))
 
 
 class TestKfold:

@@ -404,11 +404,17 @@ class TestIncompleteCheckpoint:
         (lambda h: h["manifest"][0].update(shape=[-1]), "manifest entry .* shape"),
         (lambda h: h["manifest"][0].update(dtype="zz"), "manifest entry .* dtype"),
         (lambda h: h["manifest"][0].update(name=["stem.dw3"]), "manifest entry .* name"),
+        (lambda h: h.update(epoch="x"), "epoch is 'x', not an int"),
+        (lambda h: h.update(epoch=None), "epoch is None, not an int"),
+        (lambda h: h.update(epoch=[1]), "epoch is \\[1\\], not an int"),
+        (lambda h: h.update(epoch=True), "epoch is True, not an int"),
+        (lambda h: h.update(epoch=2.0), "epoch is 2.0, not an int"),
     ], ids=["no_config", "no_manifest", "unknown_config_key",
             "stage_str", "stage_out_of_range", "stage_bool", "flag_str",
             "config_list", "manifest_dict", "lg_stages_list", "flags_int", "no_lg_stages",
             "entry_int", "entry_no_shape", "entry_negative_shape", "entry_dtype_zz",
-            "entry_name_list"])
+            "entry_name_list", "epoch_str", "epoch_null", "epoch_list", "epoch_bool",
+            "epoch_float"])
     def test_malformed_header(self, ckpt, edit, field):
         _edit_checkpoint(ckpt, edit)
         with pytest.raises(ValueError, match=field):

@@ -113,6 +113,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             TrainConfig.from_dict({"loss": loss})
 
+    @pytest.mark.parametrize("obj", [[], [["epochs", 3]], [1], None, "x", 5],
+                             ids=["empty_list", "pairs", "int_list", "null", "str", "int"])
+    def test_not_an_object_rejected(self, obj):
+        with pytest.raises(ConfigError, match="config must be an object"):
+            TrainConfig.from_dict(obj)
+
     def test_int_accepted_for_float_field(self):
         cfg = TrainConfig.from_dict({"learning_rate": 1, "loss": {"alpha": 1}})
         assert cfg.learning_rate == 1 and cfg.loss.alpha == 1

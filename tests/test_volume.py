@@ -33,6 +33,25 @@ class TestGeometry:
         g = Geometry((1.25, 1.25), 6.0, 1.5)
         assert Geometry.from_dict(g.to_dict()) == g
 
+    @pytest.mark.parametrize("obj, match", [
+        ({}, "geometry has no pixel_spacing_mm"),
+        ([], "geometry must be an object"),
+        (3.0, "geometry must be an object"),
+        ({"pixel_spacing_mm": 1.5, "slice_thickness_mm": 8, "slice_gap_mm": 2},
+         "pixel_spacing_mm is 1.5"),
+        ({"pixel_spacing_mm": [1.5], "slice_thickness_mm": 8, "slice_gap_mm": 2},
+         "pixel_spacing_mm is \\[1.5\\]"),
+        ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": "8", "slice_gap_mm": 2},
+         "slice_thickness_mm is '8'"),
+        ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": 8}, "has no slice_gap_mm"),
+        ({"pixel_spacing_mm": [1.5, True], "slice_thickness_mm": 8, "slice_gap_mm": 2},
+         "pixel_spacing_mm"),
+    ], ids=["empty", "list", "scalar", "spacing_scalar", "spacing_short", "thickness_str",
+            "no_gap", "spacing_bool"])
+    def test_from_dict_names_the_field(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            Geometry.from_dict(obj)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Geometry((0.0, 1.0), 8.0, 2.0)
