@@ -7,7 +7,7 @@ import numpy as np
 
 from .phantom import PhantomSubject as Subject
 from .schema import PRESENT, check, is_int, optional
-from .volume import Geometry, load_volume, save_volume
+from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
 
 DATASET_MAGIC = "condenseg-dataset"
 
@@ -52,10 +52,20 @@ _MANIFEST = {"magic": (lambda m: m == DATASET_MAGIC, repr(DATASET_MAGIC)),
 _STRING = (lambda v: isinstance(v, str), "a string")
 
 
+def _load_kind(path, kind):
+    """The volume at `path`, which must be a `kind`; else ValueError naming both."""
+    vol = load_volume(path)
+    if not isinstance(vol, kind):
+        raise ValueError("%s holds a %s, expected a %s" % (path, type(vol).__name__, kind.__name__))
+    return vol
+
+
 def load_dataset(root):
     """Read back what save_dataset wrote, subjects in manifest order.  A bad
     manifest.json or meta.json field raises ValueError naming the file and
-    the field; a listed subject folder that does not exist, OSError."""
+    the field, and a cine or mask file holding the other kind of volume
+    one naming the file; a listed subject folder that does not exist,
+    OSError."""
     path = os.path.join(root, "manifest.json")
     with open(path) as f:
         manifest = check(json.load(f), _MANIFEST, ValueError, path)
@@ -65,7 +75,7 @@ def load_dataset(root):
         meta_path = os.path.join(folder, "meta.json")
         with open(meta_path) as f:
             meta = json.load(f)
-        cine = load_volume(os.path.join(folder, "cine.bin"))
+        cine = _load_kind(os.path.join(folder, "cine.bin"), CineVolume)
         frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
         check(meta, {"name": _STRING, "group": _STRING, "ed_frame": frame, "es_frame": frame,
                      "geometry": PRESENT, "truth": optional((lambda t: isinstance(t, dict),
@@ -75,8 +85,8 @@ def load_dataset(root):
         subjects.append(Subject(
             name=meta["name"], group=meta["group"], cine=cine,
             ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
-            ed_mask=load_volume(os.path.join(folder, "ed_mask.bin")),
-            es_mask=load_volume(os.path.join(folder, "es_mask.bin")),
+            ed_mask=_load_kind(os.path.join(folder, "ed_mask.bin"), LabelMask),
+            es_mask=_load_kind(os.path.join(folder, "es_mask.bin"), LabelMask),
             truth=meta.get("truth", {})))
     return subjects
 

@@ -34,6 +34,7 @@ from .tensor import (
     concat_channels,
     conv2d,
     conv2d_transpose,
+    grow_channels,
     he_normal,
     max_pool2d,
     no_graph,
@@ -181,7 +182,13 @@ class DenseLayer:
 
 class CondenseBlock:
     """Densely connected stack: layer i sees the block input plus every
-    earlier layer's output and appends growth_rate feature maps."""
+    earlier layer's output and appends growth_rate feature maps.
+
+    The block grows in one (B, out_channels, H, W) buffer (Pleiss et al.,
+    memory-efficient DenseNets): the input is copied in once, each layer's
+    new maps once into their channels, and every layer reads the grown
+    prefix as a view (`grow_channels`).  Outputs and gradients keep the
+    bytes of a chain of `concat_channels`."""
 
     def __init__(self, in_channels, n_layers, res, cfg, dtype, name):
         self.layers = []
@@ -194,8 +201,10 @@ class CondenseBlock:
         self.kernels = [(l.lg.kernel, res) for l in self.layers]
 
     def forward(self, x, training):
+        buf = np.empty((x.shape[0], self.out_channels) + x.shape[2:], dtype=x.dtype)
+        x = grow_channels(buf, x)
         for layer in self.layers:
-            x = concat_channels([x, layer.forward(x, training)])
+            x = grow_channels(buf, layer.forward(x, training), x)
         return x
 
 

@@ -5,7 +5,11 @@ convolution and its transpose, max pooling, a batch-statistics
 normalize + ReLU (`scale_shift`, whose variance epsilon is ``BN_EPS``),
 channel softmax, reductions, and the small elementwise algebra the
 losses are written in.  Each forward op records a backward closure;
-``Tensor.backward`` replays them in reverse topological order.  Inside
+``Tensor.backward`` replays them in reverse topological order and drops
+each non-leaf gradient once its closure has used it, so a backward holds
+only the gradients still to be passed on.  ``grow_channels`` is the
+channel concat of a dense block grown in one buffer: each layer reads a
+prefix view, and its backward hands out views of the gradient.  Inside
 ``no_graph()`` ops record nothing and return leaves; an eval forward of
 the network runs there, so it keeps no graph and frees each activation
 once the next op has read it.  The state is per thread.  The weight
@@ -75,7 +79,8 @@ class Tensor:
     """Dense N-D array with an optional gradient slot.
 
     ``data`` is a row-major numpy array; ``grad`` stays ``None`` until a
-    backward pass reaches this tensor.  Tensors built by ops keep
+    backward pass reaches this tensor, and on a tensor an op built it is
+    ``None`` again once the pass has used it.  Tensors built by ops keep
     references to their parents plus a closure that scatters the incoming
     gradient; leaves have neither.
     """
@@ -111,7 +116,9 @@ class Tensor:
 
     def _accumulate(self, g, fresh=False):
         """Add g to the gradient.  A `fresh` g is an array the op made for
-        this tensor alone: the first gradient takes it without a copy."""
+        this tensor alone, or a view of a spent gradient that nothing reads
+        again (`grow_channels`): the first gradient takes it without a copy,
+        and a later one is added into it in place."""
         if self.grad is None:
             if fresh and g.dtype == self.data.dtype:
                 self.grad = g
@@ -121,7 +128,13 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse-mode pass from a scalar; fills .grad on reachable leaves."""
+        """Reverse-mode pass from a scalar; fills .grad on reachable leaves.
+
+        Each node's closure runs once every gradient has reached the node;
+        a non-leaf's gradient is released as soon as its closure has
+        consumed it, so the pass holds only gradients still to be passed on.
+        Leaves (parameters, inputs: tensors without a closure) keep theirs.
+        """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
         topo, visited = [], set()
@@ -142,6 +155,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- elementwise algebra -------------------------------------------
 
@@ -355,6 +369,38 @@ def concat_channels(tensors) -> Tensor:
                 if t.requires_grad:
                     t._accumulate(g[:, ofs:ofs + c])
                 ofs += c
+
+        out._backward = backward
+    return out
+
+
+def grow_channels(buf, new: Tensor, prefix: Tensor | None = None) -> Tensor:
+    """concat_channels([prefix, new]) grown in place inside `buf`, a
+    (B,C,H,W) array whose leading channels `prefix` views (none when
+    `prefix` is None): `new` is copied into the channels after the prefix,
+    and the result is a Tensor over buf's channels up to its end, a view
+    again.  A dense block grows in one such buffer, so no earlier feature
+    map is copied twice.
+
+    The backward hands the prefix and `new` views of the incoming gradient,
+    without copies: that gradient is spent once its closure returns, and the
+    channel ranges are disjoint, so in-place sums into one never reach the
+    other."""
+    c = 0 if prefix is None else prefix.shape[1]
+    k = new.shape[1]
+    if (new.data.ndim != 4 or c + k > buf.shape[1]
+            or new.shape[:1] + new.shape[2:] != buf.shape[:1] + buf.shape[2:]):
+        raise ShapeError(f"cannot grow {new.shape} after {c} channels of a {buf.shape} buffer")
+    buf[:, c:c + k] = new.data
+    parents = (new,) if prefix is None else (prefix, new)
+    out = _result(buf[:, :c + k], parents)
+    if out.requires_grad:
+
+        def backward(g):
+            if prefix is not None and prefix.requires_grad:
+                prefix._accumulate(g[:, :c], fresh=True)
+            if new.requires_grad:
+                new._accumulate(g[:, c:], fresh=True)
 
         out._backward = backward
     return out

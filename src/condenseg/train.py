@@ -159,6 +159,24 @@ def _forward_batches(net, images):
     return np.concatenate([done[j % lanes][j // lanes] for j in range(len(chunks))], axis=0)
 
 
+def _step(net, params, adam, images, labels, loss_cfg, lasso):
+    """One Adam step on a batch; returns its loss.  The step's graph lives in
+    this frame alone, so it is freed on return, before the next step's
+    forward or a validation pass runs."""
+    pred = net.forward(Tensor(images), training=True)
+    loss = total_loss(pred, LabelMask(labels), loss_cfg)
+    if lasso:
+        loss = loss + net.lasso_penalty() * lasso
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NumericsError("non-finite loss %r" % value)
+    for p in params:
+        p.grad = None
+    loss.backward()
+    adam_step(params, adam)
+    return value
+
+
 def train(subjects, cfg: TrainConfig, val_subjects=None):
     """Fit a network on ED/ES slices of `subjects`.
 
@@ -168,6 +186,9 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     and the alive parameter count.  The epochs run on the
     `_inference_threads()` lanes (tensor.py): the training ops split their
     samples over them, and validation's `_forward_batches` reuses them.
+    Each step runs in `_step`, so no step's graph outlives it: the next
+    step's forward and validation start with only the parameters, their
+    Adam moments and the data held.
     """
     cfg.validate()
     if not subjects:
@@ -197,25 +218,15 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
             for name, event in apply_condensation(net, epoch, sched):
                 history["condensation"].append(
                     {"epoch": epoch, "layer": name, "stage": event["stage"]})
-            condensing = schedule_stage(sched, epoch) < cfg.net.condensation_factor - 1
+            # the group lasso acts only while the schedule still condenses
+            lasso = (cfg.group_lasso_coefficient
+                     if schedule_stage(sched, epoch) < cfg.net.condensation_factor - 1 else 0.0)
 
             epoch_loss = 0.0
             for step in range(cfg.batches_per_epoch):
                 pick = rng.integers(0, len(images), size=cfg.batch_size)
-                x = Tensor(images[pick], requires_grad=False)
-                y = LabelMask(labels[pick])
                 try:
-                    pred = net.forward(x, training=True)
-                    loss = total_loss(pred, y, cfg.loss)
-                    if condensing and cfg.group_lasso_coefficient:
-                        loss = loss + net.lasso_penalty() * cfg.group_lasso_coefficient
-                    value = float(loss.data)
-                    if not math.isfinite(value):
-                        raise NumericsError("non-finite loss %r" % value)
-                    for p in params:
-                        p.grad = None
-                    loss.backward()
-                    adam_step(params, adam)
+                    value = _step(net, params, adam, images[pick], labels[pick], cfg.loss, lasso)
                 except NumericsError as err:
                     raise NumericsError(
                         "training aborted at epoch %d, batch %d: %s"

@@ -51,6 +51,11 @@ class Geometry:
         if not (0 < sx < np.inf and 0 < sy < np.inf and 0 < self.slice_thickness_mm < np.inf
                 and 0 <= self.slice_gap_mm < np.inf):  # NaN fails every comparison
             raise ValueError("geometry values must be finite and positive (gap may be 0)")
+        for name in ("pixel_spacing_mm", "slice_thickness_mm", "slice_gap_mm"):
+            try:  # a JSON integer may pass the bounds and still overflow a float
+                np.asarray(getattr(self, name), dtype=float)
+            except OverflowError:
+                raise ValueError("geometry %s is too large for a float" % name) from None
         self.pixel_spacing_mm = (float(sx), float(sy))
 
     def slice_step_mm(self):

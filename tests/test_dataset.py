@@ -121,6 +121,18 @@ class TestManifestAndMeta:
         with pytest.raises(ValueError, match=match):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name, source, kind", [
+        ("cine.bin", "ed_mask.bin", "expected a CineVolume"),
+        ("ed_mask.bin", "cine.bin", "expected a LabelMask"),
+        ("es_mask.bin", "cine.bin", "expected a LabelMask"),
+    ], ids=["mask_as_cine", "cine_as_ed_mask", "cine_as_es_mask"])
+    def test_volume_of_the_wrong_kind(self, tmp_path, name, source, kind):
+        save_dataset(tmp_path, [one_subject()])
+        folder = tmp_path / "sub-00"
+        (folder / name).write_bytes((folder / source).read_bytes())
+        with pytest.raises(ValueError, match=r"sub-00.%s holds a \w+, %s" % (name, kind)):
+            load_dataset(tmp_path)
+
     def test_missing_subject_folder(self, tmp_path):
         _saved_with(tmp_path, "manifest.json", _set("subjects", ["sub-00", "gone"]))
         with pytest.raises(OSError):

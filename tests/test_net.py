@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from condenseg import tensor as T
 from condenseg.lgconv import CondensationSchedule, condense
 from condenseg.net import (
+    CondenseBlock,
     ConfigError,
     NetConfig,
     Network,
@@ -601,3 +602,65 @@ class TestGradients:
                    net.head.kernel]
         for p in targets:
             assert grad_check(f, p, rng=rng) < T.GRAD_TOL
+
+
+def _concat_block_forward(block, x, training):
+    """The block as a chain of concat_channels: every layer's input a fresh copy."""
+    for layer in block.layers:
+        x = T.concat_channels([x, layer.forward(x, training)])
+    return x
+
+
+def _block_run(forward, dtype, b, training, condensed):
+    """Output, gradient and running-stat bytes of one seeded 3-layer block."""
+    cfg = NetConfig(growth_rate=8, groups=2, condensation_factor=4)
+    block = CondenseBlock(12, 3, 8, cfg, dtype, "blk")
+    rng = np.random.default_rng(b)
+    for layer in block.layers:
+        T.he_normal(layer.lg.kernel, rng)
+        layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, layer.bn.gamma.shape)
+        layer.bn.beta.data[...] = rng.normal(size=layer.bn.beta.shape)
+        if not training:
+            c = layer.bn.gamma.shape[0]
+            layer.bn.stats.update(rng.normal(size=c), rng.uniform(0.5, 2.0, c))
+        while condensed and layer.lg.stage < cfg.condensation_factor - 1:
+            condense(layer.lg)
+    x = Tensor(rng.normal(0.3, 1.5, (b, 12, 8, 8)).astype(dtype), requires_grad=True, name="x")
+    out = forward(block, x, training)
+    (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
+    run = {"output": (out.data.dtype, out.data.tobytes())}
+    for t in [x] + [p for layer in block.layers for p in (layer.lg.kernel, layer.bn.gamma,
+                                                          layer.bn.beta)]:
+        run[t.name] = None if t.grad is None else t.grad.tobytes()
+    for layer in block.layers:
+        run[layer.bn.gamma.name + ".stats"] = layer.bn.stats.mean.tobytes() + layer.bn.stats.var.tobytes()
+    return run
+
+
+class TestBlockBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("condensed", [False, True])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+    def test_bytes_of_a_concat_chain(self, monkeypatch, dtype, training, condensed, b):
+        # one lane, then three with every op split: the buffer keeps the bytes
+        # the chain of copies gives, output, gradients and running stats
+        monkeypatch.setattr(T, "SPLIT_WORK", 0)
+        want = _block_run(_concat_block_forward, dtype, b, training, condensed)
+        # the input and every kernel get gradients in both modes
+        assert all(want[k] is not None for k in want if k == "x" or k.endswith(".kernel"))
+        for count in (1, 3):
+            with T._lanes(count):
+                got = _block_run(CondenseBlock.forward, dtype, b, training, condensed)
+            assert got == want, count
+
+    def test_grow_channels_checks_the_buffer(self):
+        buf = np.zeros((2, 5, 4, 4))
+        prefix = T.grow_channels(buf, Tensor(np.ones((2, 3, 4, 4))))
+        with pytest.raises(ShapeError):
+            T.grow_channels(buf, Tensor(np.ones((2, 3, 4, 4))), prefix)  # 6 > 5 channels
+        with pytest.raises(ShapeError):
+            T.grow_channels(buf, Tensor(np.ones((1, 2, 4, 4))), prefix)  # batch 1 of 2
+        out = T.grow_channels(buf, Tensor(np.full((2, 2, 4, 4), 2.0)), prefix)
+        assert np.shares_memory(out.data, buf) and out.shape == (2, 5, 4, 4)
+        assert np.array_equal(out.data[:, 3:], np.full((2, 2, 4, 4), 2.0))

@@ -683,6 +683,75 @@ class TestFirstGradient:
         assert u.grad.dtype == np.float32
 
 
+def _graph_nodes(root):
+    """Every tensor reachable from `root` through recorded parents."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def _backward_keeping_grads(root):
+    """Tensor.backward's pass with every gradient kept: the same reverse
+    topological order, no gradient released."""
+    topo, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in visited)
+    root.grad = np.ones((), dtype=root.data.dtype)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+class TestReleasedGradients:
+    def test_shared_intermediate(self):
+        # h feeds two ops, so its gradient is a sum; it is dropped once used
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = x * x
+        loss = (h * h + h).sum()
+        loss.backward()
+        assert h.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, 2 * x.data * (2 * h.data + 1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("condensed", [False, True])
+    def test_network_non_leaves_released_leaves_keep_their_bytes(self, dtype, condensed):
+        from condenseg.lgconv import CondensationSchedule
+        from condenseg.loss import LossConfig, total_loss
+        from condenseg.net import NetConfig, apply_condensation, build
+        from condenseg.volume import LabelMask
+
+        cfg = NetConfig(input_size=16, layers_per_block=(2, 1, 2), pool_layers=1)
+
+        def run(backward):
+            net = build(cfg, rng=np.random.default_rng(3), dtype=dtype)
+            if condensed:
+                apply_condensation(net, 59, CondensationSchedule(60, cfg.condensation_factor))
+            rng = np.random.default_rng(4)
+            x = Tensor(rng.standard_normal((2, 1, 16, 16)).astype(dtype), requires_grad=True)
+            y = LabelMask(rng.integers(0, cfg.num_classes, (2, 16, 16)).astype(np.uint8))
+            loss = total_loss(net.forward(x, training=True), y, LossConfig())
+            loss = loss + net.lasso_penalty() * 1e-5
+            inner = [n for n in _graph_nodes(loss) if n._backward is not None]
+            backward(loss)
+            return [p.grad.tobytes() for p in net.parameters()] + [x.grad.tobytes()], inner
+
+        released, inner = run(Tensor.backward)
+        kept, _ = run(_backward_keeping_grads)
+        assert len(inner) > 20 and all(n.grad is None for n in inner)
+        assert released == kept
+
+
 def _lane_op(op, dtype, b):
     """(output, gradients) bytes of one op on seeded inputs, weighted sum backward."""
     rng = np.random.default_rng(b)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +172,27 @@ class TestTrainLoop:
         alive = hist["alive_params"]
         assert all(a >= b for a, b in zip(alive, alive[1:]))
         assert alive[-1] < alive[0]
+
+    def test_step_graph_dead_before_next_forward(self, monkeypatch):
+        # Tensor has no __weakref__ slot, so watch the training output's array:
+        # the softmax closure and the loss graph hold it while the graph lives
+        from condenseg.net import Network
+        real_forward = Network.forward
+        last, seen = [None], []
+
+        def watched(net, x, training=False):
+            seen.append((training, last[0] is not None and last[0]() is not None))
+            out = real_forward(net, x, training=training)
+            if training:
+                last[0] = weakref.ref(out.data)
+            return out
+
+        monkeypatch.setattr(Network, "forward", watched)
+        subs = tiny_cohort(4)
+        train(subs[:3], tiny_config(epochs=2, batches_per_epoch=3), val_subjects=subs[3:])
+        # 3 steps then a validation forward, per epoch
+        assert [t for t, _ in seen] == [True] * 3 + [False] + [True] * 3 + [False]
+        assert not any(alive for _, alive in seen)
 
     def test_nan_abort_names_position(self):
         subs = tiny_cohort(3)

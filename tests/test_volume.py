@@ -46,11 +46,23 @@ class TestGeometry:
         ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": 8}, "has no slice_gap_mm"),
         ({"pixel_spacing_mm": [1.5, True], "slice_thickness_mm": 8, "slice_gap_mm": 2},
          "pixel_spacing_mm"),
+        ({"pixel_spacing_mm": [1.5, 10 ** 400], "slice_thickness_mm": 8, "slice_gap_mm": 2},
+         "pixel_spacing_mm is too large for a float"),
+        ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": 10 ** 400, "slice_gap_mm": 2},
+         "slice_thickness_mm is too large for a float"),
+        ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": 8, "slice_gap_mm": 10 ** 400},
+         "slice_gap_mm is too large for a float"),
     ], ids=["empty", "list", "scalar", "spacing_scalar", "spacing_short", "thickness_str",
-            "no_gap", "spacing_bool"])
+            "no_gap", "spacing_bool", "spacing_huge_int", "thickness_huge_int", "gap_huge_int"])
     def test_from_dict_names_the_field(self, obj, match):
         with pytest.raises(ValueError, match=match):
             Geometry.from_dict(obj)
+
+    def test_int_values_keep_their_type(self):
+        g = Geometry.from_dict({"pixel_spacing_mm": [1, 2], "slice_thickness_mm": 8,
+                                "slice_gap_mm": 2})
+        assert g.pixel_spacing_mm == (1.0, 2.0) and type(g.pixel_spacing_mm[0]) is float
+        assert type(g.slice_thickness_mm) is int and type(g.slice_gap_mm) is int
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -181,7 +193,9 @@ class TestFileFormat:
         ("spacing_mm", 1.5), ("spacing_mm", [1.5]), ("spacing_mm", [1.5, -1]),
         ("spacing_mm", [float("nan"), 1]), ("spacing_mm", [1.5, float("inf")]),
         ("slice_thickness_mm", "8"), ("slice_thickness_mm", float("nan")),
-        ("slice_gap_mm", None), ("slice_gap_mm", float("nan"))])
+        ("slice_gap_mm", None), ("slice_gap_mm", float("nan")),
+        pytest.param("spacing_mm", [10 ** 400, 1.5], id="spacing_mm-huge_int"),
+        pytest.param("slice_gap_mm", 10 ** 400, id="slice_gap_mm-huge_int")])
     def test_bad_geometry_is_header_error(self, tmp_path, key, value):
         with pytest.raises(HeaderError, match="bad geometry"):
             load_volume(self._with_header_field(tmp_path, key, value))

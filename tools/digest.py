@@ -22,11 +22,14 @@ Artefacts, one line each:
 
 Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
 loads unless the environment already sets it; compare two trees at the
-same count.  The path of the imported package goes to stderr.
+same count.  The path of the imported package and, at the end, the
+process's peak resident set size go to stderr, apart from the lines to
+compare: a report, not a check.
 """
 
 import hashlib
 import os
+import resource
 import sys
 import tempfile
 
@@ -127,6 +130,9 @@ def main():
     lines += roi_lines()
     for name, digest in lines:
         print("%s  %s" % (digest, name))
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print("peak RSS %.1f MB" % peak, file=sys.stderr)
 
 
 if __name__ == "__main__":
