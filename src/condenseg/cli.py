@@ -16,6 +16,7 @@ from .dataset import load_dataset, save_dataset
 from .net import load_checkpoint, save_checkpoint
 from .phantom import build_cohort
 from .roi import detect_roi, first_harmonic_map
+from .schema import parse
 from .train import (TrainConfig, cine_box, emit_report_csv, evaluate, segment_frame,
                     train)
 from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
@@ -93,8 +94,8 @@ def cmd_params(args):
     es = load_volume(args.es)
     if not isinstance(ed, LabelMask) or not isinstance(es, LabelMask):
         raise SystemExit("params expects label masks for --ed and --es")
-    with open(args.geom) as f:
-        geometry = Geometry.from_dict(json.load(f))
+    with open(args.geom, "rb") as f:
+        geometry = Geometry.from_dict(parse(f.read(), ValueError, args.geom), args.geom)
     rep = report(SegmentationResult(ed, es, geometry))
     _write_json(args.out, rep.to_dict())
     print("EF %.1f%%  EDV %.1f mL  ESV %.1f mL  mass %.1f g"

@@ -1,12 +1,11 @@
 """Cohort persistence and stratified splitting."""
 
-import json
 import os
 
 import numpy as np
 
 from .phantom import PhantomSubject as Subject
-from .schema import PRESENT, check, is_int, optional
+from .schema import PRESENT, check, dumps, is_int, optional, parse
 from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
 
 DATASET_MAGIC = "condenseg-dataset"
@@ -16,16 +15,25 @@ class StratificationError(ValueError):
     """A pathology group is too small for the requested split."""
 
 
+_MANIFEST = {"magic": (lambda m: m == DATASET_MAGIC, repr(DATASET_MAGIC)),
+             "subjects": (lambda names: isinstance(names, list)
+                          and all(isinstance(n, str) and n not in ("", ".", "..")
+                                  and os.path.basename(n) == n for n in names)
+                          and len(set(names)) == len(names),
+                          "a list of distinct subject folder names")}
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+
 def save_dataset(root, subjects):
-    """Write one directory per subject plus a manifest listing them."""
+    """Write one directory per subject plus a manifest listing them.  A name
+    that load_dataset's manifest rule rejects raises ValueError before
+    anything is written."""
     if not subjects:
         raise ValueError("refusing to write an empty dataset")
-    os.makedirs(root, exist_ok=True)
-    names = []
+    manifest = check({"magic": DATASET_MAGIC, "version": 1,
+                      "subjects": [sub.name for sub in subjects]},
+                     _MANIFEST, ValueError, "dataset manifest")
     for sub in subjects:
-        if sub.name in names:
-            raise ValueError("duplicate subject name %r" % sub.name)
-        names.append(sub.name)
         folder = os.path.join(root, sub.name)
         os.makedirs(folder, exist_ok=True)
         save_volume(os.path.join(folder, "cine.bin"), sub.cine)
@@ -34,22 +42,10 @@ def save_dataset(root, subjects):
         meta = {"name": sub.name, "group": sub.group,
                 "ed_frame": sub.ed_frame, "es_frame": sub.es_frame,
                 "geometry": sub.geometry.to_dict(), "truth": sub.truth}
-        with open(os.path.join(folder, "meta.json"), "w") as f:
-            json.dump(meta, f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
-    manifest = {"magic": DATASET_MAGIC, "version": 1, "subjects": names}
-    with open(os.path.join(root, "manifest.json"), "w") as f:
-        json.dump(manifest, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
-
-
-_MANIFEST = {"magic": (lambda m: m == DATASET_MAGIC, repr(DATASET_MAGIC)),
-             "subjects": (lambda names: isinstance(names, list)
-                          and all(isinstance(n, str) and n not in ("", ".", "..")
-                                  and os.path.basename(n) == n for n in names)
-                          and len(set(names)) == len(names),
-                          "a list of distinct subject folder names")}
-_STRING = (lambda v: isinstance(v, str), "a string")
+        with open(os.path.join(folder, "meta.json"), "wb") as f:
+            f.write(dumps(meta))
+    with open(os.path.join(root, "manifest.json"), "wb") as f:
+        f.write(dumps(manifest))
 
 
 def _load_kind(path, kind):
@@ -67,14 +63,14 @@ def load_dataset(root):
     one naming the file; a listed subject folder that does not exist,
     OSError."""
     path = os.path.join(root, "manifest.json")
-    with open(path) as f:
-        manifest = check(json.load(f), _MANIFEST, ValueError, path)
+    with open(path, "rb") as f:
+        manifest = check(parse(f.read(), ValueError, path), _MANIFEST, ValueError, path)
     subjects = []
     for name in manifest["subjects"]:
         folder = os.path.join(root, name)
         meta_path = os.path.join(folder, "meta.json")
-        with open(meta_path) as f:
-            meta = json.load(f)
+        with open(meta_path, "rb") as f:
+            meta = parse(f.read(), ValueError, meta_path)
         cine = _load_kind(os.path.join(folder, "cine.bin"), CineVolume)
         frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
         check(meta, {"name": _STRING, "group": _STRING, "ed_frame": frame, "es_frame": frame,

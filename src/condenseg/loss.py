@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConfigError
+from .schema import ConfigError
 from .tensor import Tensor
 from .volume import LabelMask
 
@@ -33,6 +33,9 @@ class LossConfig:
             raise ConfigError("alpha must lie in [0, 1], got %r" % self.alpha)
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("epsilon must be finite and positive, got %r" % self.epsilon)
+        for name, value in (("scale", self.scale), ("edge_scale", self.edge_scale)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError("%s must be finite and nonnegative, got %r" % (name, value))
 
     @property
     def beta(self):

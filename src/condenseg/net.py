@@ -10,7 +10,6 @@ class probabilities.
 """
 
 import contextlib
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
@@ -26,7 +25,7 @@ from .lgconv import (
     lg_forward,
     schedule_stage,
 )
-from .schema import check, config_spec, is_int, optional
+from .schema import ConfigError, check, dumps, is_int, optional, parse, read_config
 from .tensor import (
     RunningStats,
     ShapeError,
@@ -51,10 +50,6 @@ CHECKPOINT_DTYPES = ("<f4", "<f8")
 # these that holds a positive int, capped at the CPUs the process may use;
 # with none such it runs one thread per such CPU
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-class ConfigError(ValueError):
-    """Invalid network configuration; message lists every violation."""
 
 
 @dataclass
@@ -95,14 +90,7 @@ class NetConfig:
         return v
 
     def to_dict(self):
-        return asdict(self)  # JSON writes the tuple as a list, which from_dict takes
-
-    @staticmethod
-    def from_dict(d):
-        d = dict(check(d, config_spec(NetConfig), ConfigError, "net config", closed=True))
-        if "layers_per_block" in d:
-            d["layers_per_block"] = tuple(d["layers_per_block"])
-        return NetConfig(**d)
+        return asdict(self)  # JSON writes the tuple as a list, which read_config takes
 
 
 def _kernel(cout, cin, kh, kw, dtype, name):
@@ -449,8 +437,7 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
         "extra": extra or {},
     }
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True,
-                           separators=(",", ":")).encode() + b"\n")
+        f.write(dumps(header))
         for _, a in entries:
             f.write(np.ascontiguousarray(a, dtype=np.dtype(a.dtype)
                                          .newbyteorder("<")).tobytes())
@@ -467,6 +454,14 @@ _MANIFEST_ENTRY = {"name": (lambda n: isinstance(n, str), "a string"),
                    "dtype": (lambda t: t in CHECKPOINT_DTYPES, "one of %s" % (CHECKPOINT_DTYPES,))}
 
 
+def _same_keys(obj, names, where, what):
+    """ValueError naming the first key `obj` has beyond `names` or lacks from them."""
+    stray = sorted(obj.keys() ^ names)
+    if stray:
+        raise ValueError("%s%s %s key %s" % (where, "unknown" if stray[0] in obj else "missing",
+                                              what, stray[0]))
+
+
 def load_checkpoint(path):
     """Rebuild a Network from a checkpoint file of version 1 or 2; returns
     (net, header).
@@ -476,30 +471,23 @@ def load_checkpoint(path):
     itself raises one naming the layer: a mask whose filter-groups are not
     identical 0/1 rows keeping the stage's channel count, or a nonzero
     kernel weight where the mask is 0."""
-    with open(path, "rb") as f:
-        line = f.readline()
-        try:
-            header = json.loads(line)
-        except ValueError:
-            raise ValueError("checkpoint %s: header is not valid JSON" % path)
-        if not isinstance(header, dict):
-            raise ValueError("checkpoint %s: header is not a JSON object" % path)
-        blob = f.read()
     where = "checkpoint %s: " % path
+    with open(path, "rb") as f:
+        header = parse(f.readline(), ValueError, where + "header")
+        blob = f.read()
+    if not isinstance(header, dict):
+        raise ValueError(where + "header is not a JSON object")
     check(header, _HEADER, ValueError, where + "header")
     version = header.get("version")
     # type(), not isinstance: JSON true loads as a bool, which is an int
     if type(version) is not int or version not in CHECKPOINT_VERSIONS:
         raise ValueError("checkpoint %s: version %r is not 1 or 2" % (path, version))
     config, manifest = header["config"], header["manifest"]
-    stray = sorted(config.keys() ^ {f.name for f in fields(NetConfig)})
-    if stray:
-        raise ValueError("%s%s config key %s" % (
-            where, "unknown" if stray[0] in config else "missing", stray[0]))
+    _same_keys(config, {f.name for f in fields(NetConfig)}, where, "config")
     for i, item in enumerate(manifest, 1):
         check(item, _MANIFEST_ENTRY, ValueError, where + "manifest entry %d" % i)
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
-    net = Network(NetConfig.from_dict(config), dtype)
+    net = Network(read_config(NetConfig, config, where + "config"), dtype)
     arrays, bns = dict(net.state_entries()), net.bn_modules()
     check(header, {"bn_initialized": (lambda f: isinstance(f, list) and len(f) == len(bns)
                                       and all(type(b) is bool for b in f),
@@ -529,10 +517,7 @@ def load_checkpoint(path):
     if offset != len(blob):
         raise ValueError("checkpoint %s: %d trailing bytes" % (path, len(blob) - offset))
     stages = header["lg_stages"]
-    stray = sorted(stages.keys() ^ {lg.name for lg in net.lg_layers()})
-    if stray:
-        raise ValueError("%s%s lg_stages key %s" % (
-            where, "unknown" if stray[0] in stages else "missing", stray[0]))
+    _same_keys(stages, {lg.name for lg in net.lg_layers()}, where, "lg_stages")
     for lg in net.lg_layers():
         stage = stages[lg.name]
         if type(stage) is not int or not 0 <= stage < lg.condensation_factor:

@@ -1,12 +1,30 @@
-"""One checker for the JSON objects the program reads: train configs,
-checkpoint and volume headers, dataset manifests and meta files, and
-geometry files.  A spec maps each field to a (predicate, wording) rule;
-the predicate gets ABSENT for a field the object lacks, so a rule that
-accepts ABSENT makes its field optional."""
+"""The program's JSON: one parser, one line writer and one checker for the
+objects it reads (train configs, checkpoint and volume headers, dataset
+manifests and meta files, and geometry files).  A spec maps each field to a
+(predicate, wording) rule; the predicate gets ABSENT for a field the object
+lacks, so a rule that accepts ABSENT makes its field optional."""
 
-from dataclasses import fields
+import json
+from dataclasses import fields, is_dataclass
 
 ABSENT = object()
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; message lists every violation."""
+
+
+def parse(text, error, where):
+    """The JSON value in `text`; `error` saying `where` is not valid JSON."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):  # bad UTF-8 or nesting too deep too
+        raise error("%s is not valid JSON" % where) from None
+
+
+def dumps(obj):
+    """`obj` as one compact, key-sorted JSON line, newline included, in bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
 def is_int(v):
@@ -15,19 +33,13 @@ def is_int(v):
 
 NUMBER = (lambda v: is_int(v) or isinstance(v, float), "a number")
 PRESENT = (lambda v: v is not ABSENT, "present")
+_TYPED = {int: (is_int, "an int"), float: NUMBER,
+          tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
+                  "a list of ints")}
 
 
 def optional(rule):
     return (lambda v: v is ABSENT or rule[0](v)), rule[1]
-
-
-def config_spec(cls):
-    """A config dataclass's fields, each optional: int, float and tuple
-    fields hold their type, and a nested config is left to its own check."""
-    rules = {int: (is_int, "an int"), float: NUMBER,
-             tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(is_int, v)),
-                     "a list of ints")}
-    return {f.name: optional(rules.get(f.type, PRESENT)) for f in fields(cls)}
 
 
 def check(obj, spec, error, where, closed=False):
@@ -43,3 +55,16 @@ def check(obj, spec, error, where, closed=False):
             raise error("%s has no %s" % (where, key) if value is ABSENT else
                         "%s field of the wrong type: %s is %r, not %s" % (where, key, value, want))
     return obj
+
+
+def read_config(cls, obj, where="config"):
+    """The config dataclass `cls` JSON object `obj` describes, each field optional and
+    typed, a nested config read as "<field> config"; else ConfigError naming the field."""
+    spec = {f.name: optional(_TYPED.get(f.type, PRESENT)) for f in fields(cls)}
+    obj = dict(check(obj, spec, ConfigError, where, closed=True))
+    for f in fields(cls):
+        if f.name in obj and is_dataclass(f.type):
+            obj[f.name] = read_config(f.type, obj[f.name], f.name + " config")
+        elif f.name in obj and f.type is tuple:
+            obj[f.name] = tuple(obj[f.name])
+    return cls(**obj)

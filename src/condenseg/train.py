@@ -1,8 +1,8 @@
 """Training loop, evaluation pipeline, and report emission."""
 
+import csv
 import dataclasses
 import functools
-import json
 import math
 import os
 import warnings
@@ -14,9 +14,9 @@ from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
-from .net import BLAS_THREAD_VARS, ConfigError, NetConfig, apply_condensation, build
+from .net import BLAS_THREAD_VARS, NetConfig, apply_condensation, build
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
-from .schema import check, config_spec
+from .schema import ConfigError, parse, read_config
 from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
 from .volume import LV, LabelMask
 
@@ -38,6 +38,8 @@ class TrainConfig:
         problems = []
         if self.epochs < 1:
             problems.append("epochs must be >= 1")
+        if self.seed < 0:
+            problems.append("seed must be >= 0, got %d" % self.seed)
         if self.batch_size < 1 or self.batches_per_epoch < 1:
             problems.append("batch counts must be >= 1")
         for name in ("learning_rate", "group_lasso_coefficient"):
@@ -53,26 +55,25 @@ class TrainConfig:
         violations = self.net.violations()
         if violations:
             raise ConfigError("; ".join(violations))
+        try:
+            CondensationSchedule(self.epochs, self.net.condensation_factor)
+        except ValueError as err:
+            raise ConfigError("epochs: %s" % err) from None
 
     def to_dict(self):
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, obj):
-        obj = dict(check(obj, config_spec(cls), ConfigError, "config", closed=True))
-        if "loss" in obj:
-            obj["loss"] = LossConfig(**check(obj["loss"], config_spec(LossConfig), ConfigError,
-                                             "loss config", closed=True))
-        if "net" in obj:
-            obj["net"] = NetConfig.from_dict(obj["net"])
-        cfg = cls(**obj)
+        cfg = read_config(cls, obj)
         cfg.validate()
         return cfg
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        """The config in JSON file `path`; ConfigError naming a file of invalid JSON."""
+        with open(path, "rb") as f:
+            return cls.from_dict(parse(f.read(), ConfigError, os.fspath(path)))
 
 
 def normalize_slice(plane):
@@ -357,19 +358,13 @@ def emit_report_csv(result: EvalResult, path):
     def fmt(x):
         return "%.10g" % x
 
-    lines = ["subject,group,parameter,predicted,ground_truth"]
-    for res in sorted(result.subjects, key=lambda r: r.name):
-        for param in ClinicalReport.PARAMETERS:
-            lines.append(",".join([res.name, res.group, param,
-                                   fmt(res.predicted[param]),
-                                   fmt(res.reference[param])]))
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
-
-    lines = ["parameter,rho,mean_abs_error"]
-    for param in ClinicalReport.PARAMETERS:
-        lines.append(",".join([param, fmt(result.rho[param]),
-                               fmt(result.mean_abs_error[param])]))
-    with open(summary_path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    params = ClinicalReport.PARAMETERS
+    rows = [["subject", "group", "parameter", "predicted", "ground_truth"]]
+    rows += [[res.name, res.group, p, fmt(res.predicted[p]), fmt(res.reference[p])]
+             for res in sorted(result.subjects, key=lambda r: r.name) for p in params]
+    summary = [["parameter", "rho", "mean_abs_error"]]
+    summary += [[p, fmt(result.rho[p]), fmt(result.mean_abs_error[p])] for p in params]
+    for target, table in ((path, rows), (summary_path, summary)):
+        with open(target, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(table)
     return [path, summary_path]

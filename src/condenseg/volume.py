@@ -10,13 +10,12 @@ f32 buffers hold image intensities (CineVolume), u8 buffers hold integer
 label maps (LabelMask, stored with T=1).
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .schema import NUMBER, PRESENT, check, is_int
+from .schema import NUMBER, PRESENT, check, dumps, is_int, parse
 
 LABEL_NAMES = ("background", "rv", "myocardium", "lv")
 BACKGROUND, RV, MYO, LV = 0, 1, 2, 3
@@ -166,8 +165,7 @@ def save_volume(path, obj):
               "slice_gap_mm": geom.slice_gap_mm,
               "label_names": label_names}
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
-        f.write(b"\n")
+        f.write(dumps(header))
         f.write(buf.tobytes())
 
 
@@ -176,10 +174,7 @@ def load_volume(path):
     with open(path, "rb") as f:
         line = f.readline()
         blob = f.read()
-    try:
-        header = json.loads(line)
-    except ValueError:
-        raise HeaderError("%s: header line is not valid JSON" % path)
+    header = parse(line, HeaderError, "%s: header line" % path)
     if not isinstance(header, dict):
         raise HeaderError("%s: header is not a JSON object" % path)
     dims = check(header, _HEADER, HeaderError, "%s: header" % path)["dims"]

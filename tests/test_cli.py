@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestParamsCommand:
         geom_path = tmp_path / "geom.json"
         geom_path.write_text(json.dumps(geom))
         with pytest.raises(ValueError, match=match):
+            main(["params", "--ed", str(sub_dir / "ed_mask.bin"),
+                  "--es", str(sub_dir / "es_mask.bin"),
+                  "--geom", str(geom_path), "--out", str(tmp_path / "params.json")])
+        assert not (tmp_path / "params.json").exists()
+
+    def test_geometry_file_not_json(self, workdir, tmp_path):
+        sub_dir = workdir["data"] / "s02"
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text('{"pixel_spacing_mm": [1.5, 1.5],')
+        with pytest.raises(ValueError, match=re.escape(str(geom_path)) + " is not valid JSON"):
             main(["params", "--ed", str(sub_dir / "ed_mask.bin"),
                   "--es", str(sub_dir / "es_mask.bin"),
                   "--geom", str(geom_path), "--out", str(tmp_path / "params.json")])

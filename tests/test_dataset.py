@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import tempfile
 from collections import Counter, namedtuple
 
@@ -54,6 +55,17 @@ class TestPersistence:
         subs[1].name = subs[0].name
         with pytest.raises(ValueError):
             save_dataset(tmp_path / "ds", subs)
+
+    @pytest.mark.parametrize("names", [["sub-00", "../escaped"], ["sub-00", ""],
+                                       ["sub-00", "sub-01", "sub-00"]],
+                             ids=["traversal", "empty", "duplicate"])
+    def test_unsafe_names_rejected_before_writing(self, tmp_path, names):
+        subs = tiny_cohort(len(names))
+        for sub, name in zip(subs, names):
+            sub.name = name
+        with pytest.raises(ValueError, match="subjects is"):
+            save_dataset(tmp_path / "root", subs)
+        assert os.listdir(tmp_path) == []
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(OSError):
@@ -131,6 +143,16 @@ class TestManifestAndMeta:
         folder = tmp_path / "sub-00"
         (folder / name).write_bytes((folder / source).read_bytes())
         with pytest.raises(ValueError, match=r"sub-00.%s holds a \w+, %s" % (name, kind)):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["manifest.json", META], ids=["manifest", "meta"])
+    @pytest.mark.parametrize("text", [b"{nope", b'{"subjects": [', b"\xff\xff", b""],
+                             ids=["bare_word", "cut_short", "not_utf8", "empty"])
+    def test_invalid_json_names_the_file(self, tmp_path, name, text):
+        save_dataset(tmp_path, [one_subject()])
+        (tmp_path / name).write_bytes(text)
+        with pytest.raises(ValueError, match=re.escape(os.path.join(str(tmp_path), name))
+                           + " is not valid JSON"):
             load_dataset(tmp_path)
 
     def test_missing_subject_folder(self, tmp_path):

@@ -421,6 +421,14 @@ class TestIncompleteCheckpoint:
         with pytest.raises(ValueError, match=field):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("line", [b"{nope", b'{"format": "condenseg-net",', b"\xff\xff"],
+                             ids=["bare_word", "cut_short", "not_utf8"])
+    def test_header_not_json(self, ckpt, line):
+        data = ckpt.read_bytes()
+        ckpt.write_bytes(line + data[data.index(b"\n"):])
+        with pytest.raises(ValueError, match="checkpoint .*net.ckpt: header is not valid JSON"):
+            load_checkpoint(ckpt)
+
     @pytest.mark.parametrize("line", [b"[]", b"1", b"null", b'"x"'])
     def test_header_not_object(self, ckpt, line):
         data = ckpt.read_bytes()

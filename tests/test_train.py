@@ -1,5 +1,6 @@
 """Training loop behavior, evaluation pipeline, and report files."""
 
+import csv
 import json
 import os
 import subprocess
@@ -120,6 +121,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="config must be an object"):
             TrainConfig.from_dict(obj)
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"epochs": 2}, "epochs"), ({"seed": -1}, "seed"),
+        ({"loss": {"scale": -1}}, "scale"), ({"loss": {"scale": float("nan")}}, "scale"),
+        ({"loss": {"scale": float("inf")}}, "scale"),
+        ({"loss": {"edge_scale": -0.5}}, "edge_scale"),
+        ({"loss": {"edge_scale": float("nan")}}, "edge_scale"),
+        ({"loss": {"edge_scale": float("-inf")}}, "edge_scale"),
+    ], ids=["epochs_too_few_for_schedule", "seed_negative", "scale_negative", "scale_nan",
+            "scale_inf", "edge_scale_negative", "edge_scale_nan", "edge_scale_minus_inf"])
+    def test_value_that_fails_later_rejected_up_front(self, obj, key):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict(obj)
+
+    def test_zero_scales_accepted(self):
+        cfg = TrainConfig.from_dict({"seed": 0, "loss": {"scale": 0, "edge_scale": 0.0}})
+        assert cfg.loss.scale == 0 and cfg.loss.edge_scale == 0
+
+    def test_invalid_json_file_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"epochs": 3,')
+        with pytest.raises(ConfigError, match="cfg.json is not valid JSON"):
+            TrainConfig.from_json(path)
+
     def test_int_accepted_for_float_field(self):
         cfg = TrainConfig.from_dict({"learning_rate": 1, "loss": {"alpha": 1}})
         assert cfg.learning_rate == 1 and cfg.loss.alpha == 1
@@ -173,10 +197,12 @@ class TestTrainLoop:
         assert all(a >= b for a, b in zip(alive, alive[1:]))
         assert alive[-1] < alive[0]
 
-    def test_step_graph_dead_before_next_forward(self, monkeypatch):
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_step_graph_dead_before_next_forward(self, monkeypatch, lanes):
         # Tensor has no __weakref__ slot, so watch the training output's array:
         # the softmax closure and the loss graph hold it while the graph lives
         from condenseg.net import Network
+        monkeypatch.setattr(train_mod, "_inference_threads", lambda: lanes)
         real_forward = Network.forward
         last, seen = [None], []
 
@@ -190,8 +216,8 @@ class TestTrainLoop:
         monkeypatch.setattr(Network, "forward", watched)
         subs = tiny_cohort(4)
         train(subs[:3], tiny_config(epochs=2, batches_per_epoch=3), val_subjects=subs[3:])
-        # 3 steps then a validation forward, per epoch
-        assert [t for t, _ in seen] == [True] * 3 + [False] + [True] * 3 + [False]
+        # 3 steps then a validation forward per lane (two central slices), per epoch
+        assert [t for t, _ in seen] == ([True] * 3 + [False] * lanes) * 2
         assert not any(alive for _, alive in seen)
 
     def test_nan_abort_names_position(self):
@@ -413,6 +439,17 @@ class TestReportCsv:
         b, bsum = emit_report_csv(res, tmp_path / "b.csv")
         assert open(a, "rb").read() == open(b, "rb").read()
         assert open(asum, "rb").read() == open(bsum, "rb").read()
+
+    def test_fields_are_quoted(self, tmp_path):
+        subs = tiny_cohort(2)
+        fields = [("a,b", 'say "hi"'), ("two\nlines", 'x,"y"\n')]
+        for sub, (name, group) in zip(subs, fields):
+            sub.name, sub.group = name, group
+        data_path, _ = emit_report_csv(evaluate(None, subs), tmp_path / "report.csv")
+        with open(data_path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 1 + 2 * 5 and all(len(row) == 5 for row in rows)
+        assert {(row[0], row[1]) for row in rows[1:]} == set(fields)
 
     def test_empty_writes_nothing(self, tmp_path):
         from condenseg.train import EvalResult

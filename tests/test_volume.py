@@ -207,6 +207,15 @@ class TestFileFormat:
         with pytest.raises(HeaderError, match="not a JSON object"):
             load_volume(path)
 
+    @pytest.mark.parametrize("line", [b"{nope", b'{"dims": [1,', b"\xff\xff\xff",
+                                      b"[" * 100000 + b"]" * 100000],
+                             ids=["bare_word", "cut_short", "not_utf8", "nested_too_deep"])
+    def test_header_not_json(self, tmp_path, line):
+        path = tmp_path / "v.bin"
+        path.write_bytes(line + b"\n" + b"\x00" * 16)
+        with pytest.raises(HeaderError, match="v.bin: header line is not valid JSON"):
+            load_volume(path)
+
     @pytest.mark.parametrize("names, match", [
         (5, "label_names must be a list of strings"),
         ([1, 2, 3, 4], "label_names must be a list of strings"),

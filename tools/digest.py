@@ -18,7 +18,10 @@ Artefacts, one line each:
   checkpoint file, its two eval CSVs, and the eval-mode output of the
   checkpoint after a reload;
 - the (centre, radius, score) that `hough_circle` finds on the saliency map
-  of every subject of a 20-phantom cohort.
+  of every subject of a 20-phantom cohort;
+- every file `save_dataset` writes for a 3-phantom cohort (manifest, meta
+  and volume files), each relative path then its bytes, in sorted
+  relative-path order (one digest).
 
 Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
 loads unless the environment already sets it; compare two trees at the
@@ -39,6 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import condenseg  # noqa: E402
+from condenseg.dataset import save_dataset  # noqa: E402
 from condenseg.lgconv import CondensationSchedule  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
 from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
@@ -120,6 +124,18 @@ def roi_lines():
     yield "roi/hough", sha(np.array([(cx, cy, r, score) for (cx, cy), r, score in votes]))
 
 
+def dataset_lines(tmp):
+    root = os.path.join(tmp, "cohort")
+    save_dataset(root, build_cohort(3, seed=11))
+    paths = sorted(os.path.relpath(os.path.join(d, f), root)
+                   for d, _, names in os.walk(root) for f in names)
+    blobs = []
+    for rel in paths:
+        with open(os.path.join(root, rel), "rb") as f:
+            blobs += [rel.encode(), f.read()]
+    yield "dataset/files", sha(*blobs)
+
+
 def main():
     print("condenseg from %s" % os.path.dirname(condenseg.__file__), file=sys.stderr)
     lines = list(scale_shift_lines())
@@ -127,7 +143,8 @@ def main():
              for line in net_lines(dtype, condensed)]
     with tempfile.TemporaryDirectory() as tmp:
         lines += determinism_run_lines(tmp)
-    lines += roi_lines()
+        lines += roi_lines()
+        lines += dataset_lines(tmp)
     for name, digest in lines:
         print("%s  %s" % (digest, name))
     # ru_maxrss is in KiB on Linux
