@@ -27,6 +27,7 @@ from .lgconv import (
 )
 from .schema import ConfigError, check, dumps, is_int, optional, parse, read_config
 from .tensor import (
+    BLAS_THREAD_VARS,
     RunningStats,
     ShapeError,
     Tensor,
@@ -46,10 +47,6 @@ CHECKPOINT_MAGIC = "condenseg-net"
 # loading ignores: a layer's condensation state is its mask and its stage
 CHECKPOINT_VERSIONS = (1, 2)
 CHECKPOINT_DTYPES = ("<f4", "<f8")
-# What fixes the threads each BLAS call takes: OpenBLAS reads the first of
-# these that holds a positive int, capped at the CPUs the process may use;
-# with none such it runs one thread per such CPU
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _inference_threads, _lanes
 from .volume import BACKGROUND, LV, MYO, RV, CineVolume, Geometry, LabelMask
 
 
@@ -166,11 +167,10 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
 
     lut = np.array([shade[BACKGROUND], shade[RV], shade[MYO], shade[LV]],
                    dtype=np.float32)
-    intensity = lut[labels]
+    intensity = np.take(lut, labels)
     if spec.noise:
-        intensity = intensity + rng.normal(0.0, spec.noise,
-                                           size=intensity.shape).astype(np.float32)
-    intensity = np.clip(intensity, 0.0, 1.0).astype(np.float32)
+        intensity += rng.normal(0.0, spec.noise, size=intensity.shape).astype(np.float32)
+    np.clip(intensity, 0.0, 1.0, out=intensity)
 
     ed, es = 0, spec.frames // 2
     ed_mask = LabelMask(labels[ed].copy())
@@ -234,16 +234,22 @@ def default_bins():
 
 
 def build_cohort(count, seed, bins=None):
-    """Generate ``count`` subjects cycling through the pathology bins."""
+    """Generate ``count`` subjects cycling through the pathology bins.
+
+    Subject i is rendered from the i-th child seed of ``seed``, on the
+    lanes (tensor.py) of this thread or ``_inference_threads()`` lanes
+    opened for the call; the subjects share no state, so the bytes do not
+    depend on the lane count."""
     if count < 1:
         raise ValueError("count must be positive")
     bins = bins or default_bins()
     order = list(bins)
     rng = np.random.default_rng(seed)
     child_seeds = rng.integers(0, 2 ** 31, size=count)
-    subjects = []
-    for i in range(count):
+
+    def subject(i):
         spec = bins[order[i % len(order)]]
-        subjects.append(generate_phantom(
-            spec, int(child_seeds[i]), name="%s-%03d" % (spec.group, i)))
-    return subjects
+        return generate_phantom(spec, int(child_seeds[i]), name="%s-%03d" % (spec.group, i))
+
+    with _lanes(_inference_threads()) as pool:
+        return pool.map(subject, range(count))

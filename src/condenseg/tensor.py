@@ -32,7 +32,10 @@ backward and training `scale_shift`.  Lane j computes a contiguous range of
 samples into preallocated arrays, each sample with the same NumPy and BLAS
 calls it gets alone; the reductions across samples stay on the caller, in
 one order.  So the bytes do not depend on the lane count.  An op whose
-per-sample work is below ``SPLIT_WORK`` runs on the caller alone.
+per-sample work is below ``SPLIT_WORK`` runs on the caller alone.  Work of
+independent items (phantoms, subjects' crops, inference chunks) goes
+through ``_Lanes.map``, in contiguous runs with results in input order.
+Every caller opens W = ``_inference_threads()`` lanes.
 
 No broadcasting: tensor-tensor arithmetic requires identical shapes;
 a Python number combines with a tensor of any shape.
@@ -40,6 +43,7 @@ a Python number combines with a tensor of any shape.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 from contextlib import contextmanager
@@ -275,10 +279,43 @@ def _result(data, parents):
 # -- lanes --------------------------------------------------------------
 
 
+# What fixes the threads each BLAS call takes: OpenBLAS reads the first of
+# these that holds a positive int, capped at the CPUs the process may use;
+# with none such it runs one thread per such CPU
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _inference_threads():
+    """W, the lanes the program's parallel work runs on: the CPUs this
+    process may use over the threads each BLAS call takes, by OpenBLAS's
+    rule at BLAS_THREAD_VARS; one when none of those variables is set."""
+    cpus = _usable_cpus()
+    for var in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return cpus // min(blas, cpus)
+    return 1
+
+
+def _map_run(fn, items):
+    return [fn(x) for x in items]
+
+
 class _Lanes:
     """The opening thread plus `count` - 1 worker threads.  `run` gives
     task j to lane j, lane 0 being the caller, and returns their results
-    once every task is done; it raises the first task's error, if any."""
+    once every task is done; it raises the first task's error, if any, and
+    a ValueError for more tasks than lanes."""
 
     def __init__(self, count):
         self.count = count
@@ -297,6 +334,8 @@ class _Lanes:
                 outbox.put((err, None))
 
     def run(self, tasks):
+        if len(tasks) > self.count:
+            raise ValueError("%d tasks for %d lanes" % (len(tasks), self.count))
         for (inbox, _), task in zip(self._boxes, tasks[1:]):
             inbox.put(task)
         done = []
@@ -308,6 +347,16 @@ class _Lanes:
             if err is not None:
                 raise err
         return [value for _, value in done]
+
+    def map(self, fn, items):
+        """[fn(x) for x in items]: lane j maps the j-th of min(count, len(items))
+        contiguous near-equal runs of items.  The results keep input order,
+        and the error raised is that of the first item, in input order, that
+        failed, so neither depends on the lane count."""
+        n = max(1, min(self.count, len(items)))
+        runs = [items[len(items) * j // n:len(items) * (j + 1) // n] for j in range(n)]
+        done = self.run([partial(_map_run, fn, run) for run in runs])
+        return [value for values in done for value in values]
 
     def close(self):
         for inbox, _ in self._boxes:

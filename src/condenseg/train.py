@@ -14,10 +14,10 @@ from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
-from .net import BLAS_THREAD_VARS, NetConfig, apply_condensation, build
+from .net import NetConfig, apply_condensation, build
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
 from .schema import ConfigError, parse, read_config
-from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
+from .tensor import AdamState, NumericsError, Tensor, _inference_threads, _lanes, adam_step
 from .volume import LV, LabelMask
 
 
@@ -95,45 +95,31 @@ def _frame_slices(cine, frame, box, z=slice(None)):
     return np.stack([normalize_slice(_crop2d(p, box)) for p in cine.data[frame, z]])[:, None]
 
 
+def _subject_slices(sub, size, central):
+    """One subject's [(images, labels)] of its ED then ES frame."""
+    box = cine_box(sub.cine, size)
+    mid = sub.cine.slices // 2
+    z = slice(mid, mid + 1) if central else slice(None)
+    return [(_frame_slices(sub.cine, frame, box, z), crop_mask(mask, box).data[z])
+            for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask))]
+
+
 def _training_slices(subjects, size, central=False):
     """Crop all annotated frames once; returns (images, labels) arrays.
 
     With `central` only each subject's middle slice is kept, as validation
-    scores it."""
-    images, labels = [], []
-    for sub in subjects:
-        box = cine_box(sub.cine, size)
-        mid = sub.cine.slices // 2
-        z = slice(mid, mid + 1) if central else slice(None)
-        for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
-            images.append(_frame_slices(sub.cine, frame, box, z))
-            labels.append(crop_mask(mask, box).data[z])
-    return np.concatenate(images), np.concatenate(labels)
+    scores it.  The subjects are cropped on the lanes open on this thread,
+    or on `_inference_threads()` lanes opened for the call, and joined in
+    subject order, so the bytes do not depend on W."""
+    with _lanes(_inference_threads()) as pool:
+        done = pool.map(functools.partial(_subject_slices, size=size, central=central),
+                        subjects)
+    pairs = [pair for frames in done for pair in frames]
+    return (np.concatenate([images for images, _ in pairs]),
+            np.concatenate([labels for _, labels in pairs]))
 
 
 CHUNK = 8  # most slices per inference forward
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity outside Linux
-        return os.cpu_count() or 1
-
-
-def _inference_threads():
-    """Lanes `train` and `_forward_batches` run on: the CPUs this process
-    may use over the threads each BLAS call takes, by OpenBLAS's rule at
-    BLAS_THREAD_VARS; one when none of those variables is set."""
-    cpus = _usable_cpus()
-    for var in BLAS_THREAD_VARS:
-        try:
-            blas = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            return cpus // min(blas, cpus)
-    return 1
 
 
 def _forward_batches(net, images):
@@ -141,23 +127,18 @@ def _forward_batches(net, images):
 
     The W lanes open on this thread, or W = `_inference_threads()` lanes
     opened for this call, share the slices: W*ceil(N/(W*CHUNK)) near-equal
-    contiguous chunks (N if fewer), chunk j on lane j mod W, lane 0 the
-    caller.  An eval forward treats each slice on its own (per-slice GEMMs,
-    running-stat normalization, per-pixel softmax), so the bytes depend
-    neither on W nor on the chunks."""
+    contiguous chunks (N if fewer), each lane a contiguous run of them
+    (`_Lanes.map`), lane 0 the caller.  An eval forward treats each slice
+    on its own (per-slice GEMMs, running-stat normalization, per-pixel
+    softmax), so the bytes depend neither on W nor on the chunks."""
     n = len(images)
     if n == 0:
         raise ValueError("_forward_batches: the batch has no slices, shape %s" % (images.shape,))
     with _lanes(_inference_threads()) as pool:
         chunks = np.array_split(images, min(n, pool.count * -(-n // (pool.count * CHUNK))))
-        lanes = min(pool.count, len(chunks))
-
-        def lane(j):
-            return [net.forward(Tensor(c.astype(net.dtype)), training=False).data
-                    for c in chunks[j::lanes]]
-
-        done = pool.run([functools.partial(lane, j) for j in range(lanes)])
-    return np.concatenate([done[j % lanes][j // lanes] for j in range(len(chunks))], axis=0)
+        done = pool.map(lambda c: net.forward(Tensor(c.astype(net.dtype)), training=False).data,
+                        chunks)
+    return np.concatenate(done, axis=0)
 
 
 def _step(net, params, adam, images, labels, loss_cfg, lasso):
@@ -184,9 +165,10 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     When `val_subjects` is None the configured split fractions carve a
     validation set out of `subjects`.  Returns (net, history) where
     history tracks per-epoch loss, validation LV Dice on central slices,
-    and the alive parameter count.  The epochs run on the
-    `_inference_threads()` lanes (tensor.py): the training ops split their
-    samples over them, and validation's `_forward_batches` reuses them.
+    and the alive parameter count.  Cropping and the epochs run on the
+    `_inference_threads()` lanes (tensor.py): `_training_slices` splits the
+    subjects over them, the training ops their samples, and validation's
+    `_forward_batches` reuses them.
     Each step runs in `_step`, so no step's graph outlives it: the next
     step's forward and validation start with only the parameters, their
     Adam moments and the data held.
@@ -208,13 +190,12 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     sched = CondensationSchedule(cfg.epochs, cfg.net.condensation_factor)
 
     size = cfg.net.input_size
-    images, labels = _training_slices(subjects, size)
-    val_images, val_labels = (_training_slices(val_subjects, size, central=True)
-                              if val_subjects else (None, None))
-
     params = net.parameters()
     history = {"loss": [], "val_dice": [], "alive_params": [], "condensation": []}
     with _lanes(_inference_threads()):
+        images, labels = _training_slices(subjects, size)
+        val_images, val_labels = (_training_slices(val_subjects, size, central=True)
+                                  if val_subjects else (None, None))
         for epoch in range(cfg.epochs):
             for name, event in apply_condensation(net, epoch, sched):
                 history["condensation"].append(

@@ -1,8 +1,12 @@
 """Phantom generator: geometry, ground truth, determinism."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from condenseg import phantom as phantom_mod
+from condenseg import tensor as tensor_mod
 from condenseg.clinical import SegmentationResult, report, simpson_volume
 from condenseg.phantom import (
     PhantomSpec,
@@ -98,6 +102,12 @@ class TestDeterminism:
         assert a.ed_mask.data.tobytes() == b.ed_mask.data.tobytes()
         assert a.truth == b.truth
 
+    def test_cine_is_float32_in_unit_range(self):
+        # NumPy 1.25 and 2 alike: the noise and the clip stay in float32
+        data = generate_phantom(PhantomSpec(), 4).cine.data
+        assert data.dtype == np.float32
+        assert 0.0 <= data.min() and data.max() <= 1.0
+
     def test_seed_changes_subject(self):
         spec = PhantomSpec()
         a = generate_phantom(spec, 1)
@@ -129,3 +139,49 @@ class TestCohort:
     def test_count_positive(self):
         with pytest.raises(ValueError):
             build_cohort(0, seed=0)
+
+
+def _serial_cohort(count, seed):
+    # build_cohort's draw, one subject after another on this thread
+    bins = default_bins()
+    order = list(bins)
+    child_seeds = np.random.default_rng(seed).integers(0, 2 ** 31, size=count)
+    return [generate_phantom(bins[order[i % len(order)]], int(child_seeds[i]),
+                             name="%s-%03d" % (order[i % len(order)], i))
+            for i in range(count)]
+
+
+def _cohort_bytes(subjects):
+    return [(s.name, s.group, s.ed_frame, s.es_frame, s.truth, s.cine.data.dtype.str,
+             s.cine.data.tobytes(), s.ed_mask.data.tobytes(), s.es_mask.data.tobytes())
+            for s in subjects]
+
+
+class TestCohortLanes:
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_bytes_do_not_depend_on_lanes(self, count):
+        # 7 subjects split 2/2/3 over three lanes, 1 and 2 leave lanes idle
+        before = threading.active_count()
+        runs = []
+        for lanes in (1, 3):
+            with tensor_mod._lanes(lanes):
+                runs.append(_cohort_bytes(build_cohort(count, seed=5)))
+            assert threading.active_count() == before
+        assert runs[0] == runs[1] == _cohort_bytes(_serial_cohort(count, seed=5))
+
+    @pytest.mark.parametrize("failing", [(0,), (3,), (6,), (3, 5), (5, 6)],
+                             ids=["first", "middle", "last", "two_lanes", "one_lane"])
+    def test_first_failing_subject_raises(self, monkeypatch, failing):
+        real = phantom_mod.generate_phantom
+
+        def flaky(spec, seed, geometry=None, name=None):
+            if int(name[-3:]) in failing:
+                raise SpecError("subject %s" % name[-3:])
+            return real(spec, seed, geometry, name)
+
+        monkeypatch.setattr(phantom_mod, "generate_phantom", flaky)
+        before = threading.active_count()
+        with tensor_mod._lanes(3):
+            with pytest.raises(SpecError, match="subject %03d" % failing[0]):
+                build_cohort(7, seed=5)
+        assert threading.active_count() == before

@@ -824,6 +824,48 @@ class TestLanes:
             assert sorted(finished) == [1, 2]
 
 
+class TestLaneTasks:
+    def test_more_tasks_than_lanes_rejected(self):
+        ran = []
+        before = threading.active_count()
+        with T._lanes(2) as pool:
+            with pytest.raises(ValueError, match="4 tasks for 2 lanes"):
+                pool.run([lambda j=j: ran.append(j) for j in range(4)])
+            assert pool.run([lambda: 0, lambda: 1]) == [0, 1]
+        assert ran == [] and threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_map_keeps_input_order(self, count, n):
+        seen = []
+
+        def square(x):
+            seen.append((threading.get_ident(), x))
+            return x * x
+
+        with T._lanes(count) as pool:
+            assert pool.map(square, list(range(n))) == [x * x for x in range(n)]
+        # each lane took one contiguous run
+        runs = {}
+        for ident, x in seen:
+            runs.setdefault(ident, []).append(x)
+        k = max(1, min(count, n))
+        want = [list(range(n * j // k, n * (j + 1) // k)) for j in range(k)]
+        assert sorted(runs.values()) == [run for run in want if run]
+
+    @pytest.mark.parametrize("failing", [(2,), (5,), (2, 5), (5, 6)])
+    def test_map_raises_first_failing_item(self, failing):
+        def task(x):
+            if x in failing:
+                raise KeyError(x)
+            return x
+
+        with T._lanes(3) as pool:
+            with pytest.raises(KeyError) as err:
+                pool.map(task, range(7))
+        assert err.value.args == (failing[0],)
+
+
 class TestGradCheckHarness:
     def test_linear_op_exact(self):
         x = Tensor(np.abs(np.random.default_rng(20).normal(size=(3, 3))) + 0.1,

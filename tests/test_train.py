@@ -260,8 +260,8 @@ class TestInferenceThreads:
     ], ids=["unset", "1", "2", "0", "junk", "above_cpus", "omp_1", "junk_then_goto_2"])
     def test_cpus_over_blas_threads(self, monkeypatch, env, threads):
         # on 4 usable CPUs, whatever this machine has
-        monkeypatch.setattr(train_mod, "_usable_cpus", lambda: 4)
-        for var in train_mod.BLAS_THREAD_VARS:
+        monkeypatch.setattr(tensor_mod, "_usable_cpus", lambda: 4)
+        for var in tensor_mod.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
@@ -290,11 +290,11 @@ class TestInferenceThreads:
         with pytest.raises(ValueError, match="no slices"):
             train_mod._forward_batches(net, np.zeros(shape, np.float32))
 
-    @pytest.mark.skipif(train_mod._usable_cpus() < 2,
+    @pytest.mark.skipif(tensor_mod._usable_cpus() < 2,
                         reason="one CPU: inference runs on the calling thread only")
     def test_parallel_bytes_equal_one_slice_forwards(self):
         # at one BLAS thread every usable CPU runs a share of the slices
-        env = {k: v for k, v in os.environ.items() if k not in train_mod.BLAS_THREAD_VARS}
+        env = {k: v for k, v in os.environ.items() if k not in tensor_mod.BLAS_THREAD_VARS}
         env["OPENBLAS_NUM_THREADS"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(p for p in [
             os.path.dirname(os.path.dirname(train_mod.__file__)),
@@ -302,7 +302,7 @@ class TestInferenceThreads:
         done = subprocess.run([sys.executable, "-c", PARALLEL_CHECK], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["threads", str(train_mod._usable_cpus()), "same"]
+        assert done.stdout.split() == ["threads", str(tensor_mod._usable_cpus()), "same"]
 
 
 PARALLEL_CHECK = """
@@ -347,11 +347,54 @@ class TestTrainingLanes:
         assert threading.active_count() == before
         assert runs[0] == runs[1]
 
-    @pytest.mark.skipif(train_mod._usable_cpus() < 2,
+    @pytest.mark.parametrize("central", [False, True], ids=["training", "validation"])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_slices_do_not_depend_on_lanes(self, n, central):
+        # the crop of every subject, one after another on this thread
+        subs = tiny_cohort(n)
+        images, labels = [], []
+        for sub in subs:
+            box = train_mod.cine_box(sub.cine, 32)
+            z = slice(1, 2) if central else slice(None)
+            for frame, mask in ((sub.ed_frame, sub.ed_mask), (sub.es_frame, sub.es_mask)):
+                images.append(train_mod._frame_slices(sub.cine, frame, box, z))
+                labels.append(train_mod.crop_mask(mask, box).data[z])
+        want = [np.concatenate(images), np.concatenate(labels)]
+        before = threading.active_count()
+        for lanes in (1, 3):
+            with tensor_mod._lanes(lanes):
+                got = train_mod._training_slices(subs, 32, central=central)
+            assert threading.active_count() == before
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+                [(a.dtype, a.shape, a.tobytes()) for a in want]
+
+    def test_train_crops_on_its_lanes(self, monkeypatch):
+        # both crops run inside train's lanes and give train the same bytes
+        real = train_mod._training_slices
+        seen = []
+
+        def watched(subjects, size, central=False):
+            out = real(subjects, size, central=central)
+            seen.append((tensor_mod._lane_state.pool.count, central,
+                         [a.tobytes() for a in out]))
+            return out
+
+        monkeypatch.setattr(train_mod, "_training_slices", watched)
+        subs = tiny_cohort(5)
+        before = threading.active_count()
+        for lanes in (1, 3):
+            monkeypatch.setattr(train_mod, "_inference_threads", lambda: lanes)
+            train(subs[:4], tiny_config(epochs=2, batches_per_epoch=1), val_subjects=subs[4:])
+            assert threading.active_count() == before
+        assert [(count, central) for count, central, _ in seen] == \
+            [(1, False), (1, True), (3, False), (3, True)]
+        assert seen[0][2] == seen[2][2] and seen[1][2] == seen[3][2]
+
+    @pytest.mark.skipif(tensor_mod._usable_cpus() < 2,
                         reason="one CPU: training runs on the calling thread only")
     def test_parallel_training_bytes_equal_one_lane(self):
         # at one BLAS thread every usable CPU is a lane, at the real SPLIT_WORK
-        env = {k: v for k, v in os.environ.items() if k not in train_mod.BLAS_THREAD_VARS}
+        env = {k: v for k, v in os.environ.items() if k not in tensor_mod.BLAS_THREAD_VARS}
         env["OPENBLAS_NUM_THREADS"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(p for p in [
             os.path.dirname(os.path.dirname(train_mod.__file__)),
@@ -359,7 +402,7 @@ class TestTrainingLanes:
         done = subprocess.run([sys.executable, "-c", TRAIN_LANES_CHECK], env=env,
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["lanes", str(train_mod._usable_cpus()), "same"]
+        assert done.stdout.split() == ["lanes", str(tensor_mod._usable_cpus()), "same"]
 
 
 TRAIN_LANES_CHECK = """

@@ -21,7 +21,10 @@ Artefacts, one line each:
   of every subject of a 20-phantom cohort;
 - every file `save_dataset` writes for a 3-phantom cohort (manifest, meta
   and volume files), each relative path then its bytes, in sorted
-  relative-path order (one digest).
+  relative-path order (one digest);
+- the images and labels `_training_slices` crops from a 7-phantom cohort:
+  the training set's every slice of 5 subjects, then the central slices of
+  the other 2 as validation takes them (one digest).
 
 Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
 loads unless the environment already sets it; compare two trees at the
@@ -50,7 +53,8 @@ from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: E402
 from condenseg.roi import first_harmonic_map, hough_circle  # noqa: E402
 from condenseg.tensor import RunningStats, Tensor, scale_shift  # noqa: E402
-from condenseg.train import TrainConfig, emit_report_csv, evaluate, train  # noqa: E402
+from condenseg.train import (TrainConfig, _training_slices, emit_report_csv,  # noqa: E402
+                             evaluate, train)
 from condenseg.volume import LabelMask  # noqa: E402
 
 LASSO = 1e-5
@@ -136,6 +140,12 @@ def dataset_lines(tmp):
     yield "dataset/files", sha(*blobs)
 
 
+def training_slices_lines():
+    subs = build_cohort(7, seed=17)
+    yield "train/training_slices", sha(*_training_slices(subs[:5], 64),
+                                       *_training_slices(subs[5:], 64, central=True))
+
+
 def main():
     print("condenseg from %s" % os.path.dirname(condenseg.__file__), file=sys.stderr)
     lines = list(scale_shift_lines())
@@ -145,6 +155,7 @@ def main():
         lines += determinism_run_lines(tmp)
         lines += roi_lines()
         lines += dataset_lines(tmp)
+    lines += training_slices_lines()
     for name, digest in lines:
         print("%s  %s" % (digest, name))
     # ru_maxrss is in KiB on Linux
