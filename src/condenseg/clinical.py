@@ -49,8 +49,12 @@ def simpson_volume(mask, label: int, geom: Geometry) -> float:
     if data.ndim != 3:
         raise ValueError("simpson_volume expects a (Z,H,W) stack, got %s"
                          % (data.shape,))
+    return count_ml(int((data == label).sum()), geom)
+
+
+def count_ml(count, geom: Geometry) -> float:
+    """Volume in mL of `count` voxels: pixel area times slice step."""
     sx, sy = geom.pixel_spacing_mm
-    count = int((data == label).sum())
     return count * sx * sy * geom.slice_step_mm() / 1000.0
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _inference_threads, _lanes
+from .clinical import count_ml, myocardial_mass, simpson_volume
+from .tensor import _lanes
 from .volume import BACKGROUND, LV, MYO, RV, CineVolume, Geometry, LabelMask
 
 
@@ -177,24 +178,19 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
     es_mask = LabelMask(labels[es].copy())
 
     # Closed-form volumes: per-slice lattice counts of the generating
-    # radii, converted to mL with the same arithmetic Simpson summation
-    # uses so the two agree to the last bit.
-    sx, sy = geometry.pixel_spacing_mm
-
-    def count_ml(count):
-        return count * sx * sy * geometry.slice_step_mm() / 1000.0
-
+    # radii, converted to mL as Simpson summation converts its counts, so
+    # the two agree to the last bit.
     def stack_count(radius):
         return sum(disk_pixel_count(radius * tz) for tz in taper)
 
     r_endo_es = r_endo_ed * (1.0 - contraction)
-    lv_edv = count_ml(stack_count(r_endo_ed))
-    lv_esv = count_ml(stack_count(r_endo_es))
+    lv_edv = count_ml(stack_count(r_endo_ed), geometry)
+    lv_esv = count_ml(stack_count(r_endo_es), geometry)
     if lv_edv <= 0:
         raise SpecError("end-diastolic blood pool vanished; radii too small")
     myo_px = stack_count(r_epi_ed) - stack_count(r_endo_ed)
-    rv_edv = count_ml(int((ed_mask.data == RV).sum()))
-    rv_esv = count_ml(int((es_mask.data == RV).sum()))
+    rv_edv = simpson_volume(ed_mask, RV, geometry)
+    rv_esv = simpson_volume(es_mask, RV, geometry)
 
     truth = {
         "lv_edv_ml": lv_edv,
@@ -203,7 +199,7 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
         "rv_edv_ml": rv_edv,
         "rv_esv_ml": rv_esv,
         "rv_ef_percent": 100.0 * (rv_edv - rv_esv) / rv_edv if rv_edv else 0.0,
-        "myo_mass_g": count_ml(myo_px) * 1.05,
+        "myo_mass_g": myocardial_mass(count_ml(myo_px, geometry)),
         "roi_center": [cx, cy],
         "roi_radius_px": r_endo_ed * (1.0 - 0.5 * contraction),
     }
@@ -237,9 +233,9 @@ def build_cohort(count, seed, bins=None):
     """Generate ``count`` subjects cycling through the pathology bins.
 
     Subject i is rendered from the i-th child seed of ``seed``, on the
-    lanes (tensor.py) of this thread or ``_inference_threads()`` lanes
-    opened for the call; the subjects share no state, so the bytes do not
-    depend on the lane count."""
+    lanes (tensor.py) of this thread or lanes opened for the call; the
+    subjects share no state, so the bytes do not depend on the lane
+    count."""
     if count < 1:
         raise ValueError("count must be positive")
     bins = bins or default_bins()
@@ -251,5 +247,5 @@ def build_cohort(count, seed, bins=None):
         spec = bins[order[i % len(order)]]
         return generate_phantom(spec, int(child_seeds[i]), name="%s-%03d" % (spec.group, i))
 
-    with _lanes(_inference_threads()) as pool:
+    with _lanes() as pool:
         return pool.map(subject, range(count))

@@ -26,16 +26,15 @@ filter-groups reads (`conv2d`'s `index`, which a fully condensed LG layer
 passes) gathers them and runs one GEMM per group over those alone.  The
 tap windows and shifts are planned once per shape.
 
-Lanes (`_lanes`) are worker threads that the thread opening them shares
-the per-sample work of the recording ops with: convolution forward and
-backward and training `scale_shift`.  Lane j computes a contiguous range of
-samples into preallocated arrays, each sample with the same NumPy and BLAS
-calls it gets alone; the reductions across samples stay on the caller, in
-one order.  So the bytes do not depend on the lane count.  An op whose
-per-sample work is below ``SPLIT_WORK`` runs on the caller alone.  Work of
-independent items (phantoms, subjects' crops, inference chunks) goes
-through ``_Lanes.map``, in contiguous runs with results in input order.
-Every caller opens W = ``_inference_threads()`` lanes.
+Lanes (`_lanes`) are W = ``_inference_threads()`` threads, the opening one
+among them, that share the per-sample work of the recording ops:
+convolution forward and backward and training `scale_shift`.  Lane j
+computes a contiguous range of samples into preallocated arrays, each
+sample with the same NumPy and BLAS calls it gets alone; the reductions
+across samples stay on the caller, in one order.  So the bytes do not
+depend on W.  Work of independent items (phantoms, subjects' crops,
+inference chunks) goes through the same ``_Lanes.map``, in contiguous runs
+with results in input order.  Callers open lanes; `_lanes` alone picks W.
 
 No broadcasting: tensor-tensor arithmetic requires identical shapes;
 a Python number combines with a tensor of any shape.
@@ -61,10 +60,6 @@ SOFTMAX_SUM_TOL = 1e-9     # per-pixel probability normalization
 INFERENCE_MATCH_TOL = 1e-5 # compact vs masked-dense forward
 
 BN_EPS = 1e-5  # added to the variance before `scale_shift` takes its root
-# Per-sample elements (tap planes of a conv, x of a normalize) below which
-# an op runs on the caller alone: on 2 vCPUs a 16x16 conv with 9*16*256
-# such elements ran slower split, a 32x32 one with 9*16*1024 faster.
-SPLIT_WORK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -312,10 +307,7 @@ def _map_run(fn, items):
 
 
 class _Lanes:
-    """The opening thread plus `count` - 1 worker threads.  `run` gives
-    task j to lane j, lane 0 being the caller, and returns their results
-    once every task is done; it raises the first task's error, if any, and
-    a ValueError for more tasks than lanes."""
+    """The opening thread plus `count` - 1 worker threads."""
 
     def __init__(self, count):
         self.count = count
@@ -333,30 +325,25 @@ class _Lanes:
             except BaseException as err:  # handed to the caller to raise
                 outbox.put((err, None))
 
-    def run(self, tasks):
-        if len(tasks) > self.count:
-            raise ValueError("%d tasks for %d lanes" % (len(tasks), self.count))
-        for (inbox, _), task in zip(self._boxes, tasks[1:]):
-            inbox.put(task)
-        done = []
-        try:
-            done.append((None, tasks[0]()))
-        finally:  # the workers may still write into the caller's arrays
-            done += [outbox.get() for _, outbox in self._boxes[:len(tasks) - 1]]
-        for err, _ in done:
-            if err is not None:
-                raise err
-        return [value for _, value in done]
-
     def map(self, fn, items):
         """[fn(x) for x in items]: lane j maps the j-th of min(count, len(items))
-        contiguous near-equal runs of items.  The results keep input order,
+        contiguous near-equal runs of items, lane 0 being the caller, and
+        this returns once every run is done.  The results keep input order,
         and the error raised is that of the first item, in input order, that
         failed, so neither depends on the lane count."""
         n = max(1, min(self.count, len(items)))
         runs = [items[len(items) * j // n:len(items) * (j + 1) // n] for j in range(n)]
-        done = self.run([partial(_map_run, fn, run) for run in runs])
-        return [value for values in done for value in values]
+        for (inbox, _), run in zip(self._boxes, runs[1:]):
+            inbox.put(partial(_map_run, fn, run))
+        done = []
+        try:
+            done.append((None, _map_run(fn, runs[0])))
+        finally:  # the workers may still write into the caller's arrays
+            done += [outbox.get() for _, outbox in self._boxes[:n - 1]]
+        for err, _ in done:
+            if err is not None:
+                raise err
+        return [value for _, values in done for value in values]
 
     def close(self):
         for inbox, _ in self._boxes:
@@ -373,14 +360,15 @@ _lane_state = _LaneState()
 
 
 @contextmanager
-def _lanes(count):
-    """Lanes for this thread's block: `count` - 1 worker threads, stopped
-    and joined when the block ends (none for a count of one).  Inside lanes
-    already open on this thread the block reuses those.  Yields the _Lanes."""
+def _lanes():
+    """Lanes for this thread's block: W = `_inference_threads()`, so W - 1
+    worker threads, stopped and joined when the block ends (none for W = 1).
+    Inside lanes already open on this thread the block reuses those.
+    Yields the _Lanes."""
     if _lane_state.pool is not None:
         yield _lane_state.pool
         return
-    pool = _lane_state.pool = _Lanes(count)
+    pool = _lane_state.pool = _Lanes(_inference_threads())
     try:
         yield pool
     finally:
@@ -388,17 +376,17 @@ def _lanes(count):
         pool.close()
 
 
-def _split(fn, b, work):
+def _split(fn, b):
     """Run fn(samples) over the slice [0, b) of a batch: one contiguous
-    near-equal range per lane when this thread opened lanes, records a
-    graph, and one sample's `work` reaches SPLIT_WORK; else fn(slice(0, b))
-    on the caller.  fn calls only private helpers and NumPy."""
+    near-equal range per lane when this thread opened lanes and records a
+    graph, else fn(slice(0, b)) on the caller, as for a batch of fewer than
+    two samples.  fn calls only private helpers and NumPy."""
     pool = _lane_state.pool
-    if pool is None or pool.count < 2 or work < SPLIT_WORK or not _graph.recording:
+    n = min(pool.count, b) if pool is not None and _graph.recording else 1
+    if n < 2:
         fn(slice(0, b))
         return
-    n = min(pool.count, b)
-    pool.run([partial(fn, slice(b * j // n, b * (j + 1) // n)) for j in range(n)])
+    pool.map(fn, [slice(b * j // n, b * (j + 1) // n) for j in range(n)])
 
 
 def concat_channels(tensors) -> Tensor:
@@ -572,7 +560,6 @@ def _conv(x, kernel, stride, padding, size, transposed, index=None):
     cout, _, kh, kw = k.shape
     mat = _tap_matrix(k)  # (T*Cout, Cin)
     xv = x.data.reshape(b, cin, h * w)
-    work = mat.shape[0] * h * w  # one sample's tap planes
     flat = stride == 1 and size == (h, w)
     direct = flat and kh * kw == 1
     y = (np.empty if direct else np.zeros)((b, cout) + size, dtype=np.result_type(mat, xv))
@@ -596,7 +583,7 @@ def _conv(x, kernel, stride, padding, size, transposed, index=None):
         else:
             _move(taps, yv[s], kh, kw, stride, padding, transposed)
 
-    _split(forward, b, work)
+    _split(forward, b)
     out = _result(y, (x, kernel))
     if out.requires_grad:
 
@@ -619,7 +606,7 @@ def _conv(x, kernel, stride, padding, size, transposed, index=None):
                 if dx is not None:
                     np.matmul(mat.T, taps, out=dx[s])
 
-            _split(lane, b, work)
+            _split(lane, b)
             if dk is not None:
                 dk = dk.sum(axis=0).reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)
                 kernel._accumulate(dk.swapaxes(0, 1) if transposed else dk, fresh=True)
@@ -642,7 +629,9 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0,
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    _, cin, h, w = x.shape
+    b, cin, h, w = x.shape
+    if b == 0:
+        raise ShapeError(f"conv2d: the batch has no samples, input shape {x.shape}")
     _, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise ShapeError(f"conv2d channel mismatch: input has {cin}, kernel expects {kcin}")
@@ -667,7 +656,9 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d_transpose expects 4-D input/kernel, got {x.shape} and {kernel.shape}")
-    _, c1, h, w = x.shape
+    b, c1, h, w = x.shape
+    if b == 0:
+        raise ShapeError(f"conv2d_transpose: the batch has no samples, input shape {x.shape}")
     kc1, _, kh, kw = kernel.shape
     if kc1 != c1:
         raise ShapeError(f"conv2d_transpose channel mismatch: input has {c1}, kernel expects {kc1}")
@@ -794,7 +785,6 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         y += (beta.data - running.mean * fold).astype(dt)[:, None]
         np.maximum(y, 0, out=y)
         return Tensor(y.reshape(b, c, h, w))
-    work = c * h * w
     mu = xv.mean(axis=(0, 2))
     xhat = np.empty(xv.shape, dtype=np.result_type(xv, mu))
     dots = np.empty((b, c), dtype=xhat.dtype)
@@ -803,7 +793,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         np.subtract(xv[s], mu[:, None], out=xhat[s])
         dots[s] = _row_dots(xhat[s], xhat[s])
 
-    _split(centre, b, work)
+    _split(centre, b)
     var = dots.sum(axis=0) / n
     if running is not None:
         running.update(mu, var)
@@ -819,7 +809,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         ys += shift
         np.maximum(ys, 0, out=ys)
 
-    _split(normalize, b, work)
+    _split(normalize, b)
     out = _result(y.reshape(b, c, h, w), (x, gamma, beta))
     if out.requires_grad:
         a = (gamma.data * inv).astype(dt)
@@ -833,7 +823,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                 np.multiply(gv[s], y[s] > 0, out=gm[s])
                 dots[s] = _row_dots(gm[s], xhat[s])
 
-            _split(mask, b, work)
+            _split(mask, b)
             s_beta = gm.sum(axis=(0, 2))
             s_gamma = dots.sum(axis=0)
             if beta.requires_grad:
@@ -850,7 +840,7 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                     gs -= xhat[s] * slope
                     gs -= offset
 
-                _split(input_grad, b, work)
+                _split(input_grad, b)
                 x._accumulate(gm.reshape(b, c, h, w), fresh=True)
 
         out._backward = backward

@@ -17,8 +17,8 @@ from .metrics import dice_score, hausdorff, pearson
 from .net import NetConfig, apply_condensation, build
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
 from .schema import ConfigError, parse, read_config
-from .tensor import AdamState, NumericsError, Tensor, _inference_threads, _lanes, adam_step
-from .volume import LV, LabelMask
+from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
+from .volume import LABEL_NAMES, LV, LabelMask
 
 
 @dataclasses.dataclass
@@ -109,9 +109,9 @@ def _training_slices(subjects, size, central=False):
 
     With `central` only each subject's middle slice is kept, as validation
     scores it.  The subjects are cropped on the lanes open on this thread,
-    or on `_inference_threads()` lanes opened for the call, and joined in
-    subject order, so the bytes do not depend on W."""
-    with _lanes(_inference_threads()) as pool:
+    or on lanes (`_lanes`) opened for the call, and joined in subject
+    order, so the bytes do not depend on W."""
+    with _lanes() as pool:
         done = pool.map(functools.partial(_subject_slices, size=size, central=central),
                         subjects)
     pairs = [pair for frames in done for pair in frames]
@@ -125,8 +125,8 @@ CHUNK = 8  # most slices per inference forward
 def _forward_batches(net, images):
     """Inference over (N,1,H,W); returns the stacked probabilities.
 
-    The W lanes open on this thread, or W = `_inference_threads()` lanes
-    opened for this call, share the slices: W*ceil(N/(W*CHUNK)) near-equal
+    The W lanes open on this thread, or lanes (`_lanes`) opened for this
+    call, share the slices: W*ceil(N/(W*CHUNK)) near-equal
     contiguous chunks (N if fewer), each lane a contiguous run of them
     (`_Lanes.map`), lane 0 the caller.  An eval forward treats each slice
     on its own (per-slice GEMMs, running-stat normalization, per-pixel
@@ -134,7 +134,7 @@ def _forward_batches(net, images):
     n = len(images)
     if n == 0:
         raise ValueError("_forward_batches: the batch has no slices, shape %s" % (images.shape,))
-    with _lanes(_inference_threads()) as pool:
+    with _lanes() as pool:
         chunks = np.array_split(images, min(n, pool.count * -(-n // (pool.count * CHUNK))))
         done = pool.map(lambda c: net.forward(Tensor(c.astype(net.dtype)), training=False).data,
                         chunks)
@@ -165,8 +165,8 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     When `val_subjects` is None the configured split fractions carve a
     validation set out of `subjects`.  Returns (net, history) where
     history tracks per-epoch loss, validation LV Dice on central slices,
-    and the alive parameter count.  Cropping and the epochs run on the
-    `_inference_threads()` lanes (tensor.py): `_training_slices` splits the
+    and the alive parameter count.  Cropping and the epochs run on lanes
+    opened once here (`_lanes`, tensor.py): `_training_slices` splits the
     subjects over them, the training ops their samples, and validation's
     `_forward_batches` reuses them.
     Each step runs in `_step`, so no step's graph outlives it: the next
@@ -192,7 +192,7 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     size = cfg.net.input_size
     params = net.parameters()
     history = {"loss": [], "val_dice": [], "alive_params": [], "condensation": []}
-    with _lanes(_inference_threads()):
+    with _lanes():
         images, labels = _training_slices(subjects, size)
         val_images, val_labels = (_training_slices(val_subjects, size, central=True)
                                   if val_subjects else (None, None))
@@ -288,7 +288,7 @@ def evaluate(net, subjects):
         geometry = sub.geometry
         dice = {}
         hd = {}
-        for label, name in ((1, "rv"), (2, "myocardium"), (3, "lv")):
+        for label, name in enumerate(LABEL_NAMES[1:], start=1):
             dice[name] = dice_score(pred_ed.data, sub.ed_mask.data, label)
             try:
                 hd[name] = hausdorff(pred_ed.data, sub.ed_mask.data, label,
@@ -320,7 +320,7 @@ def evaluate(net, subjects):
             mae[param] = float("nan")
 
     mean_dice = {}
-    for name in ("rv", "myocardium", "lv"):
+    for name in LABEL_NAMES[1:]:
         mean_dice[name] = float(np.mean([r.dice[name] for r in results]))
     return EvalResult(results, rho, mae, mean_dice)
 

@@ -356,19 +356,19 @@ class TestGatheredForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("b", [1, 2, 3, 5])
     def test_bytes_do_not_depend_on_lanes(self, monkeypatch, b, dtype):
-        # every conv splits, on three lanes switching as often as the
-        # interpreter allows: the bytes of one lane
+        # on three lanes switching as often as the interpreter allows:
+        # the bytes of one lane
         layer = condensed_layer("overlapping", 3, dtype, seed=b)
         rng = np.random.default_rng(b)
         x0 = rng.normal(size=(b, 8, 9, 9)).astype(dtype)
         g = rng.normal(size=(b, 6, 9, 9)).astype(dtype)
-        monkeypatch.setattr(T, "SPLIT_WORK", 0)
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = []
             for count in (1, 3):
-                with T._lanes(count):
+                monkeypatch.setattr(T, "_inference_threads", lambda: count)
+                with T._lanes():
                     runs.append(gathered_and_dense(layer, x0, g, training=True)[0])
         finally:
             sys.setswitchinterval(interval)

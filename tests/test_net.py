@@ -164,6 +164,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             net.forward(Tensor(np.zeros((1, 2, 32, 32))))
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_empty_batch_raises(self, training):
+        net = small_net()
+        net.forward(Tensor(np.zeros((2, 1, 32, 32))), training=True)
+        with pytest.raises(ShapeError, match="no samples"):
+            net.forward(Tensor(np.zeros((0, 1, 32, 32))), training=training)
+
     def test_inference_before_stats_raises(self):
         with pytest.raises(UninitializedStatsError):
             small_net().forward(Tensor(np.zeros((1, 1, 32, 32))), training=False)
@@ -651,14 +658,14 @@ class TestBlockBuffer:
     @pytest.mark.parametrize("condensed", [False, True])
     @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
     def test_bytes_of_a_concat_chain(self, monkeypatch, dtype, training, condensed, b):
-        # one lane, then three with every op split: the buffer keeps the bytes
-        # the chain of copies gives, output, gradients and running stats
-        monkeypatch.setattr(T, "SPLIT_WORK", 0)
+        # one lane, then three: the buffer keeps the bytes the chain of
+        # copies gives, output, gradients and running stats
         want = _block_run(_concat_block_forward, dtype, b, training, condensed)
         # the input and every kernel get gradients in both modes
         assert all(want[k] is not None for k in want if k == "x" or k.endswith(".kernel"))
         for count in (1, 3):
-            with T._lanes(count):
+            monkeypatch.setattr(T, "_inference_threads", lambda: count)
+            with T._lanes():
                 got = _block_run(CondenseBlock.forward, dtype, b, training, condensed)
             assert got == want, count
 

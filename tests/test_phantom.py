@@ -159,12 +159,13 @@ def _cohort_bytes(subjects):
 
 class TestCohortLanes:
     @pytest.mark.parametrize("count", [1, 2, 7])
-    def test_bytes_do_not_depend_on_lanes(self, count):
+    def test_bytes_do_not_depend_on_lanes(self, monkeypatch, count):
         # 7 subjects split 2/2/3 over three lanes, 1 and 2 leave lanes idle
         before = threading.active_count()
         runs = []
         for lanes in (1, 3):
-            with tensor_mod._lanes(lanes):
+            monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
+            with tensor_mod._lanes():
                 runs.append(_cohort_bytes(build_cohort(count, seed=5)))
             assert threading.active_count() == before
         assert runs[0] == runs[1] == _cohort_bytes(_serial_cohort(count, seed=5))
@@ -180,8 +181,9 @@ class TestCohortLanes:
             return real(spec, seed, geometry, name)
 
         monkeypatch.setattr(phantom_mod, "generate_phantom", flaky)
+        monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: 3)
         before = threading.active_count()
-        with tensor_mod._lanes(3):
+        with tensor_mod._lanes():
             with pytest.raises(SpecError, match="subject %03d" % failing[0]):
                 build_cohort(7, seed=5)
         assert threading.active_count() == before

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,10 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channel"):
             conv2d(x, k)
 
+    def test_empty_batch_raises(self):
+        with pytest.raises(ShapeError, match="no samples"):
+            conv2d(Tensor(np.zeros((0, 3, 8, 8))), Tensor(np.zeros((4, 3, 3, 3))), padding=1)
+
     def test_gradients(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
@@ -121,6 +126,11 @@ class TestConvTranspose:
         k = Tensor(np.ones((1, 1, 3, 3)))
         with pytest.raises(ShapeError, match="empty"):
             conv2d_transpose(Tensor(np.ones((1, 1, 4, 4))), k, stride=2, size=(0, 8))
+
+    def test_empty_batch_raises(self):
+        k = Tensor(np.ones((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="no samples"):
+            conv2d_transpose(Tensor(np.ones((0, 3, 4, 4))), k, stride=2)
 
     def test_adjoint_identity(self):
         # sizes chosen so (H + 2p - kh) % stride == 0, making conv_T land on H
@@ -775,15 +785,15 @@ class TestLanes:
     @pytest.mark.parametrize("b", [1, 2, 3, 5])
     @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose", "scale_shift"])
     def test_bytes_do_not_depend_on_lanes(self, monkeypatch, op, b, dtype):
-        # every op splits, on three lanes switching as often as the
-        # interpreter allows: the bytes of one lane
-        monkeypatch.setattr(T, "SPLIT_WORK", 0)
+        # on three lanes switching as often as the interpreter allows:
+        # the bytes of one lane
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = []
             for count in (1, 3):
-                with T._lanes(count):
+                monkeypatch.setattr(T, "_inference_threads", lambda: count)
+                with T._lanes():
                     runs.append(_lane_op(op, dtype, b))
         finally:
             sys.setswitchinterval(interval)
@@ -791,26 +801,46 @@ class TestLanes:
         assert threading.active_count() == before
 
     def test_split_ranges(self, monkeypatch):
-        monkeypatch.setattr(T, "SPLIT_WORK", 10)
+        monkeypatch.setattr(T, "_inference_threads", lambda: 3)
         seen = []
-        with T._lanes(3):
-            T._split(lambda s: seen.append((s.start, s.stop)), 7, 10)
-            T._split(lambda s: seen.append(("small", s.start, s.stop)), 7, 9)
+        with T._lanes():
+            T._split(lambda s: seen.append((s.start, s.stop)), 7)
             with T.no_graph():
-                T._split(lambda s: seen.append(("eval", s.start, s.stop)), 7, 10)
+                T._split(lambda s: seen.append(("eval", s.start, s.stop)), 7)
         assert sorted(seen[:3]) == [(0, 2), (2, 4), (4, 7)]
-        assert seen[3:] == [("small", 0, 7), ("eval", 0, 7)]
+        assert seen[3:] == [("eval", 0, 7)]
 
-    def test_one_lane_starts_no_thread_and_nested_blocks_reuse(self):
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_batch_below_two_samples(self, monkeypatch, b):
+        # a batch of 0 or 1 samples runs on the caller, whatever W
+        rng = np.random.default_rng(b)
+        x, gamma, beta = (rng.normal(size=s).astype(np.float32) for s in ((b, 4, 6, 6), 4, 4))
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
+            for count in (1, 3):
+                monkeypatch.setattr(T, "_inference_threads", lambda: count)
+                stats = T.RunningStats(4)
+                with T._lanes():
+                    out = scale_shift(Tensor(x), Tensor(gamma), Tensor(beta),
+                                      training=True, running=stats)
+                runs.append((out.shape, out.data.tobytes(), stats.mean.tobytes(),
+                             stats.var.tobytes()))
+        assert runs[0] == runs[1] and runs[0][0] == (b, 4, 6, 6)
+
+    def test_one_lane_starts_no_thread_and_nested_blocks_reuse(self, monkeypatch):
         before = threading.active_count()
-        with T._lanes(1) as one:
+        monkeypatch.setattr(T, "_inference_threads", lambda: 1)
+        with T._lanes() as one:
             assert threading.active_count() == before and one.count == 1
-        with T._lanes(3) as outer:
-            with T._lanes(2) as inner:
+        monkeypatch.setattr(T, "_inference_threads", lambda: 3)
+        with T._lanes() as outer:
+            monkeypatch.setattr(T, "_inference_threads", lambda: 2)
+            with T._lanes() as inner:
                 assert inner is outer and threading.active_count() == before + 2
         assert threading.active_count() == before
 
-    def test_task_error_raised_after_every_lane_is_done(self):
+    def test_task_error_raised_after_every_lane_is_done(self, monkeypatch):
         finished = []
 
         def task(s):
@@ -818,32 +848,25 @@ class TestLanes:
                 raise ValueError("lane 0")
             finished.append(s.start)
 
-        with T._lanes(3):
+        monkeypatch.setattr(T, "_inference_threads", lambda: 3)
+        with T._lanes():
             with pytest.raises(ValueError):
-                T._split(task, 3, T.SPLIT_WORK)
+                T._split(task, 3)
             assert sorted(finished) == [1, 2]
 
 
 class TestLaneTasks:
-    def test_more_tasks_than_lanes_rejected(self):
-        ran = []
-        before = threading.active_count()
-        with T._lanes(2) as pool:
-            with pytest.raises(ValueError, match="4 tasks for 2 lanes"):
-                pool.run([lambda j=j: ran.append(j) for j in range(4)])
-            assert pool.run([lambda: 0, lambda: 1]) == [0, 1]
-        assert ran == [] and threading.active_count() == before
-
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     @pytest.mark.parametrize("count", [1, 3])
-    def test_map_keeps_input_order(self, count, n):
+    def test_map_keeps_input_order(self, monkeypatch, count, n):
         seen = []
 
         def square(x):
             seen.append((threading.get_ident(), x))
             return x * x
 
-        with T._lanes(count) as pool:
+        monkeypatch.setattr(T, "_inference_threads", lambda: count)
+        with T._lanes() as pool:
             assert pool.map(square, list(range(n))) == [x * x for x in range(n)]
         # each lane took one contiguous run
         runs = {}
@@ -854,13 +877,14 @@ class TestLaneTasks:
         assert sorted(runs.values()) == [run for run in want if run]
 
     @pytest.mark.parametrize("failing", [(2,), (5,), (2, 5), (5, 6)])
-    def test_map_raises_first_failing_item(self, failing):
+    def test_map_raises_first_failing_item(self, monkeypatch, failing):
         def task(x):
             if x in failing:
                 raise KeyError(x)
             return x
 
-        with T._lanes(3) as pool:
+        monkeypatch.setattr(T, "_inference_threads", lambda: 3)
+        with T._lanes() as pool:
             with pytest.raises(KeyError) as err:
                 pool.map(task, range(7))
         assert err.value.args == (failing[0],)

@@ -202,7 +202,7 @@ class TestTrainLoop:
         # Tensor has no __weakref__ slot, so watch the training output's array:
         # the softmax closure and the loss graph hold it while the graph lives
         from condenseg.net import Network
-        monkeypatch.setattr(train_mod, "_inference_threads", lambda: lanes)
+        monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
         real_forward = Network.forward
         last, seen = [None], []
 
@@ -265,13 +265,13 @@ class TestInferenceThreads:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert train_mod._inference_threads() == threads
+        assert tensor_mod._inference_threads() == threads
 
     @pytest.mark.parametrize("n", [1, 3, 20])
     def test_split_matches_one_forward(self, monkeypatch, n):
         # three threads in this process, switching as often as the interpreter
         # allows: bytes and order as one batch-n forward, no thread left over
-        monkeypatch.setattr(train_mod, "_inference_threads", lambda: 3)
+        monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: 3)
         net = build(tiny_net(), rng=np.random.default_rng(1), dtype=np.float32)
         net.forward(Tensor(np.ones((2, 1, 32, 32), dtype=np.float32)), training=True)
         images = np.random.default_rng(n).normal(size=(n, 1, 32, 32)).astype(np.float32)
@@ -309,7 +309,7 @@ PARALLEL_CHECK = """
 import threading
 import numpy as np
 from condenseg.net import NetConfig, build
-from condenseg.tensor import Tensor
+from condenseg.tensor import Tensor, _inference_threads
 from condenseg import train as t
 
 net = build(NetConfig(input_size=32, layers_per_block=(1, 1, 2, 1, 1), pool_layers=2),
@@ -317,7 +317,7 @@ net = build(NetConfig(input_size=32, layers_per_block=(1, 1, 2, 1, 1), pool_laye
 net.forward(Tensor(np.random.default_rng(2).normal(size=(4, 1, 32, 32))
                    .astype(np.float32)), training=True)
 images = np.random.default_rng(3).normal(size=(20, 1, 32, 32)).astype(np.float32)
-print("threads", t._inference_threads())
+print("threads", _inference_threads())
 probs = t._forward_batches(net, images)
 assert threading.active_count() == 1, "a pool thread outlived the call"
 one = [net.forward(Tensor(images[i:i + 1]), training=False).data for i in range(20)]
@@ -327,17 +327,16 @@ print("same" if probs.tobytes() == np.concatenate(one).tobytes() else "differ")
 
 class TestTrainingLanes:
     def test_bytes_and_history_do_not_depend_on_lanes(self, monkeypatch, tmp_path):
-        # one lane, then three with every op split and the interpreter
-        # switching threads as often as it allows: same checkpoint, same history
+        # one lane, then three with the interpreter switching threads as
+        # often as it allows: same checkpoint, same history
         subs = tiny_cohort(5)
         cfg = tiny_config(epochs=4, batch_size=3, net=tiny_net(condensation_factor=2))
-        monkeypatch.setattr(tensor_mod, "SPLIT_WORK", 0)
         before, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         runs = []
         try:
             for lanes in (1, 3):
-                monkeypatch.setattr(train_mod, "_inference_threads", lambda: lanes)
+                monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
                 net, history = train(subs[:4], cfg, val_subjects=subs[4:])
                 path = tmp_path / ("%d.ckpt" % lanes)
                 save_checkpoint(net, path)
@@ -349,7 +348,7 @@ class TestTrainingLanes:
 
     @pytest.mark.parametrize("central", [False, True], ids=["training", "validation"])
     @pytest.mark.parametrize("n", [2, 5])
-    def test_slices_do_not_depend_on_lanes(self, n, central):
+    def test_slices_do_not_depend_on_lanes(self, monkeypatch, n, central):
         # the crop of every subject, one after another on this thread
         subs = tiny_cohort(n)
         images, labels = [], []
@@ -362,7 +361,8 @@ class TestTrainingLanes:
         want = [np.concatenate(images), np.concatenate(labels)]
         before = threading.active_count()
         for lanes in (1, 3):
-            with tensor_mod._lanes(lanes):
+            monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
+            with tensor_mod._lanes():
                 got = train_mod._training_slices(subs, 32, central=central)
             assert threading.active_count() == before
             assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
@@ -383,7 +383,7 @@ class TestTrainingLanes:
         subs = tiny_cohort(5)
         before = threading.active_count()
         for lanes in (1, 3):
-            monkeypatch.setattr(train_mod, "_inference_threads", lambda: lanes)
+            monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
             train(subs[:4], tiny_config(epochs=2, batches_per_epoch=1), val_subjects=subs[4:])
             assert threading.active_count() == before
         assert [(count, central) for count, central, _ in seen] == \
@@ -393,7 +393,7 @@ class TestTrainingLanes:
     @pytest.mark.skipif(tensor_mod._usable_cpus() < 2,
                         reason="one CPU: training runs on the calling thread only")
     def test_parallel_training_bytes_equal_one_lane(self):
-        # at one BLAS thread every usable CPU is a lane, at the real SPLIT_WORK
+        # at one BLAS thread every usable CPU is a lane
         env = {k: v for k, v in os.environ.items() if k not in tensor_mod.BLAS_THREAD_VARS}
         env["OPENBLAS_NUM_THREADS"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(p for p in [
@@ -409,7 +409,7 @@ TRAIN_LANES_CHECK = """
 import os, tempfile, threading
 from condenseg.net import NetConfig, save_checkpoint
 from condenseg.phantom import PhantomSpec, generate_phantom
-from condenseg import train as t
+from condenseg import tensor, train as t
 
 spec = PhantomSpec(image_size=64, frames=4, slices=3, endo_radius_px=(7.0, 8.5),
                    wall_px=(2.5, 3.0), contraction=(0.3, 0.4), center_jitter_px=2)
@@ -417,11 +417,11 @@ subs = [generate_phantom(spec, 100 + i, name="s%02d" % i) for i in range(5)]
 cfg = t.TrainConfig(epochs=4, batch_size=3, batches_per_epoch=2, seed=3,
                     net=NetConfig(input_size=32, layers_per_block=(1, 1, 2, 1, 1),
                                   pool_layers=2, condensation_factor=2))
-print("lanes", t._inference_threads())
+print("lanes", tensor._inference_threads())
 runs = []
 with tempfile.TemporaryDirectory() as tmp:
-    for rule in (t._inference_threads, lambda: 1):
-        t._inference_threads = rule
+    for rule in (tensor._inference_threads, lambda: 1):
+        tensor._inference_threads = rule
         net, history = t.train(subs[:4], cfg, val_subjects=subs[4:])
         assert threading.active_count() == 1, "a lane outlived train()"
         path = os.path.join(tmp, "m.ckpt")
