@@ -58,10 +58,10 @@ def _load_kind(path, kind):
 
 def load_dataset(root):
     """Read back what save_dataset wrote, subjects in manifest order.  A bad
-    manifest.json or meta.json field raises ValueError naming the file and
-    the field, and a cine or mask file holding the other kind of volume
-    one naming the file; a listed subject folder that does not exist,
-    OSError."""
+    manifest.json or meta.json field (a name not its folder's too) raises
+    ValueError naming the file and the field, and a cine or mask file holding
+    the other kind of volume one naming the file; a listed subject folder
+    that does not exist, OSError."""
     path = os.path.join(root, "manifest.json")
     with open(path, "rb") as f:
         manifest = check(parse(f.read(), ValueError, path), _MANIFEST, ValueError, path)
@@ -73,13 +73,13 @@ def load_dataset(root):
             meta = parse(f.read(), ValueError, meta_path)
         cine = _load_kind(os.path.join(folder, "cine.bin"), CineVolume)
         frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
-        check(meta, {"name": _STRING, "group": _STRING, "ed_frame": frame, "es_frame": frame,
-                     "geometry": PRESENT, "truth": optional((lambda t: isinstance(t, dict),
-                                                            "an object"))},
+        check(meta, {"name": (lambda n: n == name, repr(name)), "group": _STRING,
+                     "ed_frame": frame, "es_frame": frame, "geometry": PRESENT,
+                     "truth": optional((lambda t: isinstance(t, dict), "an object"))},
               ValueError, meta_path)
         cine.geometry = Geometry.from_dict(meta["geometry"], meta_path + " geometry")
         subjects.append(Subject(
-            name=meta["name"], group=meta["group"], cine=cine,
+            name=name, group=meta["group"], cine=cine,
             ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
             ed_mask=_load_kind(os.path.join(folder, "ed_mask.bin"), LabelMask),
             es_mask=_load_kind(os.path.join(folder, "es_mask.bin"), LabelMask),

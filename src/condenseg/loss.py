@@ -146,9 +146,5 @@ def dice_loss(pred: Tensor, mask: LabelMask, cfg: LossConfig) -> Tensor:
 
 def total_loss(pred: Tensor, mask: LabelMask, cfg: LossConfig) -> Tensor:
     """alpha * weighted cross-entropy + (1-alpha) * dice loss."""
-    if cfg.alpha == 1.0:
-        return weighted_cross_entropy(pred, mask, pixel_weights(mask, cfg))
-    if cfg.alpha == 0.0:
-        return dice_loss(pred, mask, cfg)
     ce = weighted_cross_entropy(pred, mask, pixel_weights(mask, cfg))
     return cfg.alpha * ce + cfg.beta * dice_loss(pred, mask, cfg)

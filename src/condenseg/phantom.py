@@ -24,6 +24,9 @@ class SpecError(ValueError):
 
 # Base intensities; the generator adds per-subject jitter and noise.
 _INTENSITY = {BACKGROUND: 0.18, RV: 0.50, MYO: 0.40, LV: 0.92}
+_NOISE = 0.03                 # sd of the Gaussian noise added to every pixel
+_TAPER = 0.88                 # apical slice's radius over the basal one's
+_RV_CONTRACTION_SCALE = 0.35  # RV's share of the LV's endocardial contraction
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,8 @@ class PhantomSpec:
     Scalar ranges are sampled uniformly per subject; factors are fixed.
     ``contraction`` is the fractional loss of endocardial radius at
     end-systole, so the analytic ejection fraction of an untapered
-    cylinder would be ``1 - (1 - contraction)^2``.
+    cylinder would be ``1 - (1 - contraction)^2``.  Noise, taper and the
+    RV contraction scale are fixed for every bin (module constants).
     """
 
     group: str = "normal"
@@ -45,10 +49,7 @@ class PhantomSpec:
     contraction: tuple = (0.42, 0.50)
     rv_radius_factor: float = 0.85
     rv_offset_factor: float = 0.65
-    rv_contraction_scale: float = 0.35
-    taper: float = 0.88
     center_jitter_px: int = 5
-    noise: float = 0.03
 
     def __post_init__(self):
         problems = []
@@ -64,10 +65,8 @@ class PhantomSpec:
                 problems.append("%s range is not ordered" % name)
         if self.contraction[1] >= 1.0:
             problems.append("contraction must stay below 1")
-        if not 0 < self.taper <= 1.0:
-            problems.append("taper must be in (0, 1]")
-        if self.noise < 0 or self.center_jitter_px < 0:
-            problems.append("noise and jitter must be nonnegative")
+        if self.center_jitter_px < 0:
+            problems.append("jitter must be nonnegative")
         if problems:
             raise SpecError("; ".join(problems))
         # Worst-case footprint at end-diastole: the RV disk reaches
@@ -118,10 +117,9 @@ def _phase(t, frames):
     return 0.5 * (1.0 - math.cos(2.0 * math.pi * t / frames))
 
 
-def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
-                     name=None) -> PhantomSubject:
+def generate_phantom(spec: PhantomSpec, seed, name=None) -> PhantomSubject:
     """Render one subject; same (spec, seed) is bitwise reproducible."""
-    geometry = geometry or Geometry()
+    geometry = Geometry()
     rng = np.random.default_rng(seed)
 
     r_endo_ed = rng.uniform(*spec.endo_radius_px)
@@ -145,7 +143,7 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
     cols = np.arange(size)[None, :]
     rows = np.arange(size)[:, None]
     d_lv = (cols - cx) ** 2 + (rows - cy) ** 2
-    taper = np.linspace(1.0, spec.taper, spec.slices)
+    taper = np.linspace(1.0, _TAPER, spec.slices)
 
     labels = np.zeros((spec.frames, spec.slices, size, size), dtype=np.uint8)
     for t in range(spec.frames):
@@ -155,7 +153,7 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
         # The crescent contracts as a scaled copy of its ED shape, never
         # slower than the epicardium -- otherwise the receding wall would
         # hand it area and flip its ejection fraction negative.
-        s_rv = min(1.0 - spec.rv_contraction_scale * contraction * ph,
+        s_rv = min(1.0 - _RV_CONTRACTION_SCALE * contraction * ph,
                    r_epi / r_epi_ed)
         d_rv = (cols - (cx - rv_dx_ed * s_rv)) ** 2 + (rows - cy) ** 2
         r_rv = r_rv_ed * s_rv
@@ -169,8 +167,7 @@ def generate_phantom(spec: PhantomSpec, seed, geometry: Geometry | None = None,
     lut = np.array([shade[BACKGROUND], shade[RV], shade[MYO], shade[LV]],
                    dtype=np.float32)
     intensity = np.take(lut, labels)
-    if spec.noise:
-        intensity += rng.normal(0.0, spec.noise, size=intensity.shape).astype(np.float32)
+    intensity += rng.normal(0.0, _NOISE, size=intensity.shape).astype(np.float32)
     np.clip(intensity, 0.0, 1.0, out=intensity)
 
     ed, es = 0, spec.frames // 2
@@ -229,8 +226,8 @@ def default_bins():
     }
 
 
-def build_cohort(count, seed, bins=None):
-    """Generate ``count`` subjects cycling through the pathology bins.
+def build_cohort(count, seed):
+    """Generate ``count`` subjects cycling through the default pathology bins.
 
     Subject i is rendered from the i-th child seed of ``seed``, on the
     lanes (tensor.py) of this thread or lanes opened for the call; the
@@ -238,7 +235,7 @@ def build_cohort(count, seed, bins=None):
     count."""
     if count < 1:
         raise ValueError("count must be positive")
-    bins = bins or default_bins()
+    bins = default_bins()
     order = list(bins)
     rng = np.random.default_rng(seed)
     child_seeds = rng.integers(0, 2 ** 31, size=count)

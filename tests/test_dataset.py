@@ -155,6 +155,18 @@ class TestManifestAndMeta:
                            + " is not valid JSON"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("index, meta_name", [(0, "other"), (1, "sub-00")],
+                             ids=["renamed", "shared"])
+    def test_meta_name_other_than_its_folder(self, tmp_path, index, meta_name):
+        # save_dataset writes each folder's name; a hand edit could load a
+        # subject under another name, or two subjects under one
+        save_dataset(tmp_path, tiny_cohort(2))
+        path = tmp_path / ("sub-%02d" % index) / "meta.json"
+        path.write_text(json.dumps(_set("name", meta_name)(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape("%s field of the wrong type: name is %r, "
+                                                       "not 'sub-%02d'" % (path, meta_name, index))):
+            load_dataset(tmp_path)
+
     def test_missing_subject_folder(self, tmp_path):
         _saved_with(tmp_path, "manifest.json", _set("subjects", ["sub-00", "gone"]))
         with pytest.raises(OSError):

@@ -175,10 +175,10 @@ class TestCohortLanes:
     def test_first_failing_subject_raises(self, monkeypatch, failing):
         real = phantom_mod.generate_phantom
 
-        def flaky(spec, seed, geometry=None, name=None):
+        def flaky(spec, seed, name=None):
             if int(name[-3:]) in failing:
                 raise SpecError("subject %s" % name[-3:])
-            return real(spec, seed, geometry, name)
+            return real(spec, seed, name)
 
         monkeypatch.setattr(phantom_mod, "generate_phantom", flaky)
         monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: 3)

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -812,21 +811,29 @@ class TestLanes:
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_batch_below_two_samples(self, monkeypatch, b):
-        # a batch of 0 or 1 samples runs on the caller, whatever W
+        # a batch of 1 sample runs on the caller, whatever W; one of 0 is
+        # rejected in both modes before the running stats are read or written
         rng = np.random.default_rng(b)
         x, gamma, beta = (rng.normal(size=s).astype(np.float32) for s in ((b, 4, 6, 6), 4, 4))
         runs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the mean of no samples
-            for count in (1, 3):
-                monkeypatch.setattr(T, "_inference_threads", lambda: count)
-                stats = T.RunningStats(4)
-                with T._lanes():
-                    out = scale_shift(Tensor(x), Tensor(gamma), Tensor(beta),
-                                      training=True, running=stats)
-                runs.append((out.shape, out.data.tobytes(), stats.mean.tobytes(),
-                             stats.var.tobytes()))
-        assert runs[0] == runs[1] and runs[0][0] == (b, 4, 6, 6)
+        for count in (1, 3):
+            monkeypatch.setattr(T, "_inference_threads", lambda: count)
+            stats = T.RunningStats(4)
+            with T._lanes():
+                if b == 0:
+                    for training in (True, False):
+                        with pytest.raises(ShapeError, match="the batch has no samples"):
+                            scale_shift(Tensor(x), Tensor(gamma), Tensor(beta),
+                                        training=training, running=stats)
+                    assert not stats.initialized
+                    assert np.array_equal(stats.mean, np.zeros(4))
+                    assert np.array_equal(stats.var, np.ones(4))
+                    continue
+                out = scale_shift(Tensor(x), Tensor(gamma), Tensor(beta),
+                                  training=True, running=stats)
+            runs.append((out.shape, out.data.tobytes(), stats.mean.tobytes(),
+                         stats.var.tobytes()))
+        assert b == 0 or (runs[0] == runs[1] and runs[0][0] == (b, 4, 6, 6))
 
     def test_one_lane_starts_no_thread_and_nested_blocks_reuse(self, monkeypatch):
         before = threading.active_count()

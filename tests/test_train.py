@@ -240,6 +240,33 @@ class TestTrainLoop:
         with pytest.raises(NumericsError, match="epoch 0, batch 0: .*head.kernel"):
             train(subs[:2], tiny_config(epochs=1), val_subjects=subs[2:])
 
+    def test_non_finite_loss_names_position(self, monkeypatch):
+        # a NaN loss that no op rejected: _step raises, train names the step
+        real_loss, calls = train_mod.total_loss, []
+
+        def poisoned_loss(pred, mask, cfg):
+            calls.append(None)
+            loss = real_loss(pred, mask, cfg)
+            return loss * float("nan") if len(calls) == 4 else loss
+
+        monkeypatch.setattr(train_mod, "total_loss", poisoned_loss)
+        subs = tiny_cohort(3)
+        with pytest.raises(NumericsError, match="epoch 1, batch 1: non-finite loss nan"):
+            train(subs[:2], tiny_config(epochs=2), val_subjects=subs[2:])
+
+    def test_empty_val_subjects_skip_validation(self, monkeypatch):
+        def no_forward(net, images):
+            raise AssertionError("validation forward ran")
+
+        monkeypatch.setattr(train_mod, "_forward_batches", no_forward)
+        _, hist = train(tiny_cohort(2), tiny_config(epochs=2), val_subjects=[])
+        assert len(hist["val_dice"]) == 2 and all(np.isnan(v) for v in hist["val_dice"])
+
+    def test_split_leaving_no_training_subject(self):
+        # one subject: round(0.4 * 1) leaves the training set empty
+        with pytest.raises(ValueError, match="left the training set empty"):
+            train(tiny_cohort(1), tiny_config(train_fraction=0.4, val_fraction=0.5))
+
     def test_internal_split_used_when_no_val(self):
         subs = tiny_cohort(6)
         cfg = tiny_config(epochs=1, train_fraction=0.5, val_fraction=0.5)
