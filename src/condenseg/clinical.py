@@ -59,13 +59,14 @@ def count_ml(count, geom: Geometry) -> float:
 
 
 def indices(edv: float, esv: float):
-    """(stroke volume mL, ejection fraction %) from the two volumes."""
+    """(stroke volume mL, ejection fraction %) from the two volumes; the
+    ejection fraction is NaN when the EDV is not positive."""
+    sv = edv - esv
     if edv <= 0:
-        raise ValueError("ejection fraction undefined for EDV = %g" % edv)
+        return sv, float("nan")
     if esv > edv:
         warnings.warn("ESV %.2f mL exceeds EDV %.2f mL; EF will be negative"
                       % (esv, edv), RuntimeWarning, stacklevel=2)
-    sv = edv - esv
     return sv, 100.0 * sv / edv
 
 

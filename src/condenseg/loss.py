@@ -21,7 +21,7 @@ PROB_CLAMP = 1e-12
 NORMALIZATION_TOL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     alpha: float = 0.5      # cross-entropy share; dice share is 1 - alpha
     scale: float = 1.0      # class-frequency weight multiplier

@@ -49,7 +49,7 @@ CHECKPOINT_VERSIONS = (1, 2)
 CHECKPOINT_DTYPES = ("<f4", "<f8")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetConfig:
     input_size: int = 128
     num_classes: int = 4  # background, RV, myocardium, LV
@@ -60,7 +60,7 @@ class NetConfig:
     initial_features: int = 32
     pool_layers: int = 3
 
-    def violations(self):
+    def __post_init__(self):
         v = []
         lb = list(self.layers_per_block)
         if len(lb) < 3 or len(lb) % 2 == 0:
@@ -84,7 +84,8 @@ class NetConfig:
             v.append("condensation_factor must be >= 1")
         if self.initial_features < 2 or self.initial_features % 2:
             v.append("initial_features must be even and >= 2 (two stem branches)")
-        return v
+        if v:
+            raise ConfigError("invalid network config: " + "; ".join(v))
 
     def to_dict(self):
         return asdict(self)  # JSON writes the tuple as a list, which read_config takes
@@ -249,9 +250,6 @@ class Network:
     draws them and `load_checkpoint` reads them."""
 
     def __init__(self, config: NetConfig, dtype=np.float64):
-        bad = config.violations()
-        if bad:
-            raise ConfigError("invalid network config:\n  " + "\n  ".join(bad))
         self.config = config
         self.dtype = dtype
         p = config.pool_layers

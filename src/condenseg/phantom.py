@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clinical import count_ml, myocardial_mass, simpson_volume
+from .clinical import count_ml, indices, myocardial_mass, simpson_volume
 from .tensor import _lanes
 from .volume import BACKGROUND, LV, MYO, RV, CineVolume, Geometry, LabelMask
 
@@ -192,10 +192,10 @@ def generate_phantom(spec: PhantomSpec, seed, name=None) -> PhantomSubject:
     truth = {
         "lv_edv_ml": lv_edv,
         "lv_esv_ml": lv_esv,
-        "ef_percent": 100.0 * (lv_edv - lv_esv) / lv_edv,
+        "ef_percent": indices(lv_edv, lv_esv)[1],
         "rv_edv_ml": rv_edv,
         "rv_esv_ml": rv_esv,
-        "rv_ef_percent": 100.0 * (rv_edv - rv_esv) / rv_edv if rv_edv else 0.0,
+        "rv_ef_percent": indices(rv_edv, rv_esv)[1],
         "myo_mass_g": myocardial_mass(count_ml(myo_px, geometry)),
         "roi_center": [cx, cy],
         "roi_radius_px": r_endo_ed * (1.0 - 0.5 * contraction),

@@ -53,7 +53,7 @@ def check(obj, spec, error, where, closed=False):
         value = obj.get(key, ABSENT)
         if not ok(value):
             raise error("%s has no %s" % (where, key) if value is ABSENT else
-                        "%s field of the wrong type: %s is %r, not %s" % (where, key, value, want))
+                        "%s: %s is %r, not %s" % (where, key, value, want))
     return obj
 
 

@@ -21,7 +21,7 @@ from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
 from .volume import LABEL_NAMES, LV, LabelMask
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
     batch_size: int = 4
@@ -34,7 +34,7 @@ class TrainConfig:
     loss: LossConfig = dataclasses.field(default_factory=LossConfig)
     net: NetConfig = dataclasses.field(default_factory=lambda: NetConfig(input_size=64))
 
-    def validate(self):
+    def __post_init__(self):
         problems = []
         if self.epochs < 1:
             problems.append("epochs must be >= 1")
@@ -52,9 +52,6 @@ class TrainConfig:
             problems.append(str(err))
         if problems:
             raise ConfigError("; ".join(problems))
-        violations = self.net.violations()
-        if violations:
-            raise ConfigError("; ".join(violations))
         try:
             CondensationSchedule(self.epochs, self.net.condensation_factor)
         except ValueError as err:
@@ -65,9 +62,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        cfg = read_config(cls, obj)
-        cfg.validate()
-        return cfg
+        return read_config(cls, obj)
 
     @classmethod
     def from_json(cls, path):
@@ -173,7 +168,6 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     step's forward and validation start with only the parameters, their
     Adam moments and the data held.
     """
-    cfg.validate()
     if not subjects:
         raise ValueError("empty training set")
     if val_subjects is None:
@@ -251,13 +245,12 @@ def segment_frame(net, cine, frame, box):
     return paste_mask(pred, box, cine.data.shape[2:])
 
 
-def _report_or_nan(seg):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return report(seg).to_dict()
-    except ValueError:
-        return {name: float("nan") for name in ClinicalReport.PARAMETERS}
+def _parameters(seg):
+    """The clinical parameters `report` gives, without its warning of an ESV above its EDV."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rep = report(seg).to_dict()
+    return {k: rep[k] for k in ClinicalReport.PARAMETERS}
 
 
 @dataclasses.dataclass
@@ -295,10 +288,8 @@ def evaluate(net, subjects):
                                      geometry.pixel_spacing_mm)
             except ValueError:
                 hd[name] = float("nan")
-        predicted = _report_or_nan(SegmentationResult(pred_ed, pred_es, geometry))
-        reference = _report_or_nan(SegmentationResult(sub.ed_mask, sub.es_mask, geometry))
-        predicted = {k: predicted[k] for k in ClinicalReport.PARAMETERS}
-        reference = {k: reference[k] for k in ClinicalReport.PARAMETERS}
+        predicted = _parameters(SegmentationResult(pred_ed, pred_es, geometry))
+        reference = _parameters(SegmentationResult(sub.ed_mask, sub.es_mask, geometry))
         results.append(SubjectResult(sub.name, sub.group, dice, hd,
                                      predicted, reference))
 

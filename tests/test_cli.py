@@ -12,7 +12,7 @@ from condenseg.dataset import load_dataset, save_dataset
 from condenseg.net import NetConfig, Network, load_checkpoint
 from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.train import TrainConfig
-from condenseg.volume import load_volume
+from condenseg.volume import RV, load_volume, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,21 @@ class TestParamsCommand:
         assert abs(got["ef_percent"] - truth["ef_percent"]) < 1e-9
         assert abs(got["lv_edv_ml"] - truth["lv_edv_ml"]) < 1e-9
 
+    def test_no_rv_at_ed_writes_nan_rv_ef(self, workdir, tmp_path):
+        sub_dir = workdir["data"] / "s02"
+        geom_path = tmp_path / "geom.json"
+        meta = json.loads((sub_dir / "meta.json").read_text())
+        geom_path.write_text(json.dumps(meta["geometry"]))
+        ed = load_volume(sub_dir / "ed_mask.bin")
+        ed.data[ed.data == RV] = 0
+        save_volume(tmp_path / "ed_mask.bin", ed)
+        out = tmp_path / "params.json"
+        assert main(["params", "--ed", str(tmp_path / "ed_mask.bin"),
+                     "--es", str(sub_dir / "es_mask.bin"),
+                     "--geom", str(geom_path), "--out", str(out)]) == 0
+        assert '"rv_ef_percent": NaN' in out.read_text()
+        got = json.loads(out.read_text())
+        assert abs(got["ef_percent"] - workdir["subjects"][2].truth["ef_percent"]) < 1e-9
 
     @pytest.mark.parametrize("geom, match", [
         ({}, "has no pixel_spacing_mm"),

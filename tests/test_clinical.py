@@ -59,9 +59,10 @@ class TestIndices:
         sv, ef = indices(120.0, 48.0)
         assert sv == 72.0 and ef == 60.0
 
-    def test_zero_edv_raises(self):
-        with pytest.raises(ValueError):
-            indices(0.0, 10.0)
+    def test_ef_without_edv_is_nan(self):
+        for edv in (0.0, -1.0):
+            sv, ef = indices(edv, 10.0)
+            assert sv == edv - 10.0 and np.isnan(ef)
 
     def test_esv_above_edv_warns_negative_ef(self):
         with pytest.warns(RuntimeWarning):

@@ -163,8 +163,8 @@ class TestManifestAndMeta:
         save_dataset(tmp_path, tiny_cohort(2))
         path = tmp_path / ("sub-%02d" % index) / "meta.json"
         path.write_text(json.dumps(_set("name", meta_name)(json.loads(path.read_text()))))
-        with pytest.raises(ValueError, match=re.escape("%s field of the wrong type: name is %r, "
-                                                       "not 'sub-%02d'" % (path, meta_name, index))):
+        with pytest.raises(ValueError, match=re.escape("%s: name is %r, not 'sub-%02d'"
+                                                       % (path, meta_name, index))):
             load_dataset(tmp_path)
 
     def test_missing_subject_folder(self, tmp_path):

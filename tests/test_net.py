@@ -1,8 +1,10 @@
 """Architecture wiring, accounting, condensation scheduling, checkpoints."""
 
+import dataclasses
 import functools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -16,7 +18,6 @@ from condenseg.net import (
     CondenseBlock,
     ConfigError,
     NetConfig,
-    Network,
     apply_condensation,
     build,
     load_checkpoint,
@@ -36,20 +37,21 @@ def small_net(seed=0):
 
 class TestConfig:
     def test_default_valid(self):
-        assert NetConfig().violations() == []
+        cfg = NetConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.input_size = 100  # checked once, when built, so it cannot change
 
     def test_wrong_block_count(self):
-        cfg = NetConfig(layers_per_block=(2, 3, 4, 3, 2))  # pool_layers still 3
-        with pytest.raises(ConfigError):
-            Network(cfg)
+        with pytest.raises(ConfigError, match="pool_layers must be 2"):
+            NetConfig(layers_per_block=(2, 3, 4, 3, 2))  # pool_layers still 3
 
     def test_non_palindromic(self):
-        cfg = NetConfig(layers_per_block=(2, 3, 4, 5, 4, 3, 1))
-        assert any("palindromic" in v for v in cfg.violations())
+        with pytest.raises(ConfigError, match="palindromic"):
+            NetConfig(layers_per_block=(2, 3, 4, 5, 4, 3, 1))
 
     def test_input_size_not_divisible(self):
-        cfg = NetConfig(input_size=100)
-        assert any("divisible" in v for v in cfg.violations())
+        with pytest.raises(ConfigError, match="input_size 100 not divisible"):
+            NetConfig(input_size=100)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_build_draws_kernels_in_parameter_order(self, dtype):
@@ -65,13 +67,10 @@ class TestConfig:
         assert net_rng.integers(2 ** 63) == loop_rng.integers(2 ** 63)
 
     def test_error_lists_all_violations(self):
-        cfg = NetConfig(input_size=100, num_classes=1, growth_rate=15)
-        try:
-            Network(cfg)
-            assert False, "expected ConfigError"
-        except ConfigError as e:
-            msg = str(e)
-            assert "divisible" in msg and "num_classes" in msg and "growth_rate" in msg
+        with pytest.raises(ConfigError) as err:
+            NetConfig(input_size=100, num_classes=1, growth_rate=15)
+        msg = str(err.value)
+        assert "divisible" in msg and "num_classes" in msg and "growth_rate" in msg
 
 
 class TestAccounting:
@@ -381,6 +380,24 @@ class TestIncompleteCheckpoint:
         with pytest.raises(ValueError, match="missing buffer dec0.layer0.lg.mask"):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("name", ["stem.nope", "stem.dw3"], ids=["unknown", "repeated"])
+    def test_unknown_or_repeated_buffer(self, ckpt, name):
+        # the second entry takes the name: one the network lacks, or the first's
+        _edit_checkpoint(ckpt, lambda h: h["manifest"][1].update(name=name))
+        with pytest.raises(ValueError, match="unknown or repeated buffer " + name):
+            load_checkpoint(ckpt)
+
+    def test_buffer_of_another_shape(self, ckpt):
+        _edit_checkpoint(ckpt, lambda h: h["manifest"][0]["shape"].reverse())
+        with pytest.raises(ValueError, match=re.escape(
+                "stem.dw3 has shape (3, 3, 1, 1), expected (1, 1, 3, 3)")):
+            load_checkpoint(ckpt)
+
+    def test_bytes_after_last_buffer(self, ckpt):
+        ckpt.write_bytes(ckpt.read_bytes() + bytes(4))
+        with pytest.raises(ValueError, match="4 trailing bytes"):
+            load_checkpoint(ckpt)
+
     def test_bn_initialized_length(self, ckpt):
         _edit_checkpoint(ckpt, lambda h: h["bn_initialized"].pop())
         with pytest.raises(ValueError, match="bn_initialized"):
@@ -449,7 +466,7 @@ class TestIncompleteCheckpoint:
     ], ids=["str", "null", "float", "bool", "blocks_int", "blocks_str_entry"])
     def test_config_value_of_wrong_type(self, ckpt, key, value):
         _edit_checkpoint(ckpt, lambda h: h["config"].update({key: value}))
-        with pytest.raises(ConfigError, match="wrong type: " + key):
+        with pytest.raises(ConfigError, match=": %s is " % key):
             load_checkpoint(ckpt)
 
     def test_mixed_dtype(self, tmp_path):

@@ -1,7 +1,9 @@
 """Training loop behavior, evaluation pipeline, and report files."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from condenseg import tensor as tensor_mod
 from condenseg import train as train_mod
 from condenseg.net import ConfigError, NetConfig, build, save_checkpoint
-from condenseg.phantom import PhantomSpec, generate_phantom
+from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom
 from condenseg.tensor import NumericsError, Tensor
 from condenseg.train import (
     TrainConfig,
@@ -24,6 +26,7 @@ from condenseg.train import (
     predict_masks,
     train,
 )
+from condenseg.volume import LV, RV, LabelMask
 
 
 def tiny_cohort(n=6, seed0=100):
@@ -48,17 +51,19 @@ def tiny_config(**kw):
 
 class TestConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        cfg = TrainConfig()
+        for config, field in ((cfg, "epochs"), (cfg.loss, "alpha")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field, 0)  # checked once, when built, so it cannot change
 
     def test_bad_values_listed(self):
-        cfg = TrainConfig(epochs=0, learning_rate=-1.0)
         with pytest.raises(ConfigError) as err:
-            cfg.validate()
+            TrainConfig(epochs=0, learning_rate=-1.0)
         assert "epochs" in str(err.value) and "learning_rate" in str(err.value)
 
     def test_fraction_overflow(self):
         with pytest.raises(ConfigError):
-            TrainConfig(train_fraction=0.9, val_fraction=0.2).validate()
+            TrainConfig(train_fraction=0.9, val_fraction=0.2)
 
     def test_dict_roundtrip(self):
         cfg = tiny_config(learning_rate=5e-4, group_lasso_coefficient=2e-5)
@@ -93,7 +98,7 @@ class TestConfig:
     ], ids=["epochs_str", "epochs_bool", "seed_float", "lr_null", "lr_bool", "alpha_str",
             "groups_str", "blocks_int", "blocks_float_entry"])
     def test_wrongly_typed_value_rejected(self, obj, key):
-        with pytest.raises(ConfigError, match="wrong type: " + key):
+        with pytest.raises(ConfigError, match=": %s is " % key):
             TrainConfig.from_dict(obj)
 
     @pytest.mark.parametrize("obj, key", [
@@ -488,6 +493,23 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(None, [])
+
+    @pytest.mark.parametrize("erased, blank, kept", [
+        (RV, "rv_ef_percent", ("lv_edv_ml", "lv_esv_ml", "ef_percent", "myo_mass_g")),
+        (LV, "ef_percent", ("lv_esv_ml", "rv_ef_percent", "myo_mass_g")),
+    ], ids=["no_rv", "no_lv"])
+    def test_structure_missing_at_ed_blanks_only_its_ef(self, erased, blank, kept):
+        whole = build_cohort(1, seed=3)[0]
+        ed = whole.ed_mask.data.copy()
+        ed[ed == erased] = 0
+        sub = dataclasses.replace(whole, ed_mask=LabelMask(ed))
+        want = evaluate(None, [whole]).subjects[0].predicted
+        got = evaluate(None, [sub]).subjects[0]
+        assert math.isnan(got.predicted[blank]) and math.isnan(got.reference[blank])
+        for param in kept:
+            assert got.predicted[param] == got.reference[param] == want[param], param
+        if erased == LV:
+            assert got.predicted["lv_edv_ml"] == 0.0
 
 
 class TestReportCsv:

@@ -103,6 +103,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             LabelMask(np.full((4, 4), 9, dtype=np.uint8))
 
+    @pytest.mark.parametrize("data, match", [
+        (np.zeros((2, 4, 4), dtype=np.float32), "integer data"),
+        (np.zeros(4, dtype=np.uint8), "at least \\(H,W\\) dims"),
+    ], ids=["float", "1d"])
+    def test_mask_data_rejected(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            LabelMask(data)
+
     def test_mask_class_counts(self):
         m = LabelMask(np.array([[0, 3], [3, 1]], dtype=np.uint8))
         assert list(m.class_counts()) == [1, 1, 0, 2]
@@ -236,6 +244,27 @@ class TestFileFormat:
     def test_dtype_not_a_string(self, tmp_path, tag):
         with pytest.raises(DtypeError):
             load_volume(self._with_header_field(tmp_path, "dtype", tag))
+
+    def test_mask_with_frames_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_volume(path, LabelMask(np.zeros((2, 2, 2), dtype=np.uint8)))
+        raw = path.read_bytes()
+        split = raw.index(b"\n")
+        header = json.loads(raw[:split])
+        header["dims"] = [2, 1, 2, 2]  # the same bytes as two frames of one slice
+        path.write_bytes(json.dumps(header).encode() + raw[split:])
+        with pytest.raises(HeaderError, match="label masks must have T=1, got 2"):
+            load_volume(path)
+
+    @pytest.mark.parametrize("obj, error, match", [
+        (LabelMask(np.zeros((4, 4), dtype=np.uint8)), ValueError, "only \\(Z,H,W\\) masks"),
+        (np.zeros((1, 1, 4, 4), dtype=np.float32), TypeError, "not 'ndarray'"),
+    ], ids=["mask_2d", "plain_array"])
+    def test_unsavable_object_rejected(self, tmp_path, obj, error, match):
+        path = tmp_path / "v.bin"
+        with pytest.raises(error, match=match):
+            save_volume(path, obj)
+        assert not path.exists()
 
     def test_truncated_payload(self, tmp_path):
         vol = CineVolume(np.ones((2, 2, 8, 8), dtype=np.float32))
