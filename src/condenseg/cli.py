@@ -16,16 +16,14 @@ from .dataset import load_dataset, save_dataset
 from .net import load_checkpoint, save_checkpoint
 from .phantom import build_cohort
 from .roi import detect_roi, first_harmonic_map
-from .schema import parse
+from .schema import read_json, write_file
 from .train import (TrainConfig, cine_box, emit_report_csv, evaluate, segment_frame,
                     train)
-from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
+from .volume import CineVolume, Geometry, LabelMask, load_kind, save_volume
 
 
 def _write_json(path, obj):
-    with open(path, "w") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_file(path, [json.dumps(obj, sort_keys=True, indent=2).encode() + b"\n"])
 
 
 def _write_pgm(path, image):
@@ -33,9 +31,7 @@ def _write_pgm(path, image):
     top = float(image.max())
     scaled = np.zeros_like(image) if top == 0 else image / top * 255.0
     data = scaled.astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (data.shape[1], data.shape[0]))
-        f.write(data.tobytes())
+    write_file(path, (b"P5\n%d %d\n255\n" % (data.shape[1], data.shape[0]), data.tobytes()))
 
 
 def cmd_phantom(args):
@@ -45,9 +41,7 @@ def cmd_phantom(args):
 
 
 def cmd_roi(args):
-    vol = load_volume(getattr(args, "in"))
-    if not isinstance(vol, CineVolume):
-        raise SystemExit("roi expects a cine volume, got a label mask")
+    vol = load_kind(getattr(args, "in"), CineVolume)
     box = detect_roi(vol)
     _write_json(args.out, {
         "center": [box.center[0], box.center[1]],
@@ -75,9 +69,7 @@ def cmd_train(args):
 
 def cmd_segment(args):
     net, _ = load_checkpoint(args.ckpt)
-    vol = load_volume(getattr(args, "in"))
-    if not isinstance(vol, CineVolume):
-        raise SystemExit("segment expects a cine volume")
+    vol = load_kind(getattr(args, "in"), CineVolume)
     if not 0 <= args.frame < vol.frames:
         raise SystemExit("frame %d outside cine with %d frames"
                          % (args.frame, vol.frames))
@@ -90,12 +82,9 @@ def cmd_segment(args):
 
 
 def cmd_params(args):
-    ed = load_volume(args.ed)
-    es = load_volume(args.es)
-    if not isinstance(ed, LabelMask) or not isinstance(es, LabelMask):
-        raise SystemExit("params expects label masks for --ed and --es")
-    with open(args.geom, "rb") as f:
-        geometry = Geometry.from_dict(parse(f.read(), ValueError, args.geom), args.geom)
+    ed = load_kind(args.ed, LabelMask)
+    es = load_kind(args.es, LabelMask)
+    geometry = Geometry.from_dict(read_json(args.geom, ValueError), args.geom)
     rep = report(SegmentationResult(ed, es, geometry))
     _write_json(args.out, rep.to_dict())
     print("EF %.1f%%  EDV %.1f mL  ESV %.1f mL  mass %.1f g"

@@ -5,8 +5,8 @@ import os
 import numpy as np
 
 from .phantom import PhantomSubject as Subject
-from .schema import PRESENT, check, dumps, is_int, optional, parse
-from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume
+from .schema import PRESENT, check, dumps, is_int, optional, read_json, write_file
+from .volume import CineVolume, Geometry, LabelMask, load_kind, save_volume
 
 DATASET_MAGIC = "condenseg-dataset"
 
@@ -42,18 +42,8 @@ def save_dataset(root, subjects):
         meta = {"name": sub.name, "group": sub.group,
                 "ed_frame": sub.ed_frame, "es_frame": sub.es_frame,
                 "geometry": sub.geometry.to_dict(), "truth": sub.truth}
-        with open(os.path.join(folder, "meta.json"), "wb") as f:
-            f.write(dumps(meta))
-    with open(os.path.join(root, "manifest.json"), "wb") as f:
-        f.write(dumps(manifest))
-
-
-def _load_kind(path, kind):
-    """The volume at `path`, which must be a `kind`; else ValueError naming both."""
-    vol = load_volume(path)
-    if not isinstance(vol, kind):
-        raise ValueError("%s holds a %s, expected a %s" % (path, type(vol).__name__, kind.__name__))
-    return vol
+        write_file(os.path.join(folder, "meta.json"), [dumps(meta)])
+    write_file(os.path.join(root, "manifest.json"), [dumps(manifest)])
 
 
 def load_dataset(root):
@@ -63,15 +53,13 @@ def load_dataset(root):
     the other kind of volume one naming the file; a listed subject folder
     that does not exist, OSError."""
     path = os.path.join(root, "manifest.json")
-    with open(path, "rb") as f:
-        manifest = check(parse(f.read(), ValueError, path), _MANIFEST, ValueError, path)
+    manifest = check(read_json(path, ValueError), _MANIFEST, ValueError, path)
     subjects = []
     for name in manifest["subjects"]:
         folder = os.path.join(root, name)
         meta_path = os.path.join(folder, "meta.json")
-        with open(meta_path, "rb") as f:
-            meta = parse(f.read(), ValueError, meta_path)
-        cine = _load_kind(os.path.join(folder, "cine.bin"), CineVolume)
+        meta = read_json(meta_path, ValueError)
+        cine = load_kind(os.path.join(folder, "cine.bin"), CineVolume)
         frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
         check(meta, {"name": (lambda n: n == name, repr(name)), "group": _STRING,
                      "ed_frame": frame, "es_frame": frame, "geometry": PRESENT,
@@ -81,8 +69,8 @@ def load_dataset(root):
         subjects.append(Subject(
             name=name, group=meta["group"], cine=cine,
             ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
-            ed_mask=_load_kind(os.path.join(folder, "ed_mask.bin"), LabelMask),
-            es_mask=_load_kind(os.path.join(folder, "es_mask.bin"), LabelMask),
+            ed_mask=load_kind(os.path.join(folder, "ed_mask.bin"), LabelMask),
+            es_mask=load_kind(os.path.join(folder, "es_mask.bin"), LabelMask),
             truth=meta.get("truth", {})))
     return subjects
 

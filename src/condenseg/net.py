@@ -10,6 +10,7 @@ class probabilities.
 """
 
 import contextlib
+import itertools
 import math
 import os
 from dataclasses import asdict, dataclass, fields
@@ -25,7 +26,7 @@ from .lgconv import (
     lg_forward,
     schedule_stage,
 )
-from .schema import ConfigError, check, dumps, is_int, optional, parse, read_config
+from .schema import ConfigError, check, dumps, is_int, optional, read_config, read_record, write_file
 from .tensor import (
     BLAS_THREAD_VARS,
     RunningStats,
@@ -431,11 +432,8 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
         "provenance": _provenance(),
         "extra": extra or {},
     }
-    with open(path, "wb") as f:
-        f.write(dumps(header))
-        for _, a in entries:
-            f.write(np.ascontiguousarray(a, dtype=np.dtype(a.dtype)
-                                         .newbyteorder("<")).tobytes())
+    write_file(path, itertools.chain([dumps(header)], (np.ascontiguousarray(
+        a, dtype=np.dtype(a.dtype).newbyteorder("<")).tobytes() for _, a in entries)))
 
 
 _HEADER = {"format": (lambda f: f == CHECKPOINT_MAGIC, repr(CHECKPOINT_MAGIC)),
@@ -467,11 +465,7 @@ def load_checkpoint(path):
     identical 0/1 rows keeping the stage's channel count, or a nonzero
     kernel weight where the mask is 0."""
     where = "checkpoint %s: " % path
-    with open(path, "rb") as f:
-        header = parse(f.readline(), ValueError, where + "header")
-        blob = f.read()
-    if not isinstance(header, dict):
-        raise ValueError(where + "header is not a JSON object")
+    header, blob = read_record(path, ValueError, where + "header")
     check(header, _HEADER, ValueError, where + "header")
     version = header.get("version")
     # type(), not isinstance: JSON true loads as a bool, which is an int

@@ -1,10 +1,12 @@
-"""The program's JSON: one parser, one line writer and one checker for the
-objects it reads (train configs, checkpoint and volume headers, dataset
-manifests and meta files, and geometry files).  A spec maps each field to a
-(predicate, wording) rule; the predicate gets ABSENT for a field the object
-lacks, so a rule that accepts ABSENT makes its field optional."""
+"""The program's files and JSON: the one writer and two readers of its files, and
+one parser, line writer and checker for the JSON it reads (train configs,
+checkpoint and volume headers, dataset manifests and meta files, geometry files).
+A spec maps each field to a (predicate, wording) rule; the predicate gets ABSENT
+for a field the object lacks, so a rule that accepts ABSENT makes it optional."""
 
+import contextlib
 import json
+import os
 from dataclasses import fields, is_dataclass
 
 ABSENT = object()
@@ -20,6 +22,40 @@ def parse(text, error, where):
         return json.loads(text)
     except (ValueError, RecursionError):  # bad UTF-8 or nesting too deep too
         raise error("%s is not valid JSON" % where) from None
+
+
+def write_file(path, chunks):
+    """Write the bytes objects `chunks` yields, in order, to the file `path`, whole
+    or not at all: they go to `<path>.<pid>.tmp` beside it, which replaces `path`
+    once all are written and is removed if anything fails first.  Not synced, so
+    a power loss may still lose the file."""
+    tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the temporary file may never have been made
+            os.remove(tmp)
+        raise
+
+
+def read_json(path, error):
+    """The JSON value in the file `path`; `error` naming the file if it is not valid JSON."""
+    with open(path, "rb") as f:
+        return parse(f.read(), error, os.fspath(path))
+
+
+def read_record(path, error, label):
+    """(the JSON object on the first line of the file `path`, the bytes after it);
+    `error` saying `label` is not valid JSON or not a JSON object."""
+    with open(path, "rb") as f:
+        header = parse(f.readline(), error, label)
+        rest = f.read()
+    if not isinstance(header, dict):
+        raise error("%s is not a JSON object" % label)
+    return header, rest
 
 
 def dumps(obj):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import functools
+import io
 import math
 import os
 import warnings
@@ -16,7 +17,7 @@ from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
 from .net import NetConfig, apply_condensation, build
 from .roi import DetectionError, _crop2d, center_box, crop_mask, detect_roi, paste_mask
-from .schema import ConfigError, parse, read_config
+from .schema import ConfigError, read_config, read_json, write_file
 from .tensor import AdamState, NumericsError, Tensor, _lanes, adam_step
 from .volume import LABEL_NAMES, LV, LabelMask
 
@@ -67,8 +68,7 @@ class TrainConfig:
     @classmethod
     def from_json(cls, path):
         """The config in JSON file `path`; ConfigError naming a file of invalid JSON."""
-        with open(path, "rb") as f:
-            return cls.from_dict(parse(f.read(), ConfigError, os.fspath(path)))
+        return cls.from_dict(read_json(path, ConfigError))
 
 
 def normalize_slice(plane):
@@ -337,6 +337,7 @@ def emit_report_csv(result: EvalResult, path):
     summary = [["parameter", "rho", "mean_abs_error"]]
     summary += [[p, fmt(result.rho[p]), fmt(result.mean_abs_error[p])] for p in params]
     for target, table in ((path, rows), (summary_path, summary)):
-        with open(target, "w", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows(table)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(table)
+        write_file(target, [text.getvalue().encode()])
     return [path, summary_path]

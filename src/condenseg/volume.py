@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .schema import NUMBER, PRESENT, check, dumps, is_int, parse
+from .schema import NUMBER, PRESENT, check, dumps, is_int, read_record, write_file
 
 LABEL_NAMES = ("background", "rv", "myocardium", "lv")
 BACKGROUND, RV, MYO, LV = 0, 1, 2, 3
@@ -164,19 +164,12 @@ def save_volume(path, obj):
               "slice_thickness_mm": geom.slice_thickness_mm,
               "slice_gap_mm": geom.slice_gap_mm,
               "label_names": label_names}
-    with open(path, "wb") as f:
-        f.write(dumps(header))
-        f.write(buf.tobytes())
+    write_file(path, (dumps(header), buf.tobytes()))
 
 
 def load_volume(path):
     """Read a volume file; returns CineVolume (f32) or LabelMask (u8)."""
-    with open(path, "rb") as f:
-        line = f.readline()
-        blob = f.read()
-    header = parse(line, HeaderError, "%s: header line" % path)
-    if not isinstance(header, dict):
-        raise HeaderError("%s: header is not a JSON object" % path)
+    header, blob = read_record(path, HeaderError, "%s: header line" % path)
     dims = check(header, _HEADER, HeaderError, "%s: header" % path)["dims"]
     tag = check(header, _DTYPE_TAG, DtypeError, "%s: header" % path)["dtype"]
     dt = _DTYPES[tag]
@@ -192,7 +185,7 @@ def load_volume(path):
         raise HeaderError("%s: bad geometry: %s" % (path, err)) from None
     if tag == "f32":
         return CineVolume(arr.copy(), geom)
-    names = header.get("label_names") or LABEL_NAMES
+    names = LABEL_NAMES if header.get("label_names") is None else header["label_names"]
     if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
         raise HeaderError("%s: label_names must be a list of strings, got %r" % (path, names))
     if dims[0] != 1:
@@ -201,3 +194,11 @@ def load_volume(path):
         return LabelMask(arr[0].copy(), num_classes=len(names), label_names=names)
     except ValueError as err:  # a label outside label_names
         raise HeaderError("%s: %s" % (path, err)) from None
+
+
+def load_kind(path, kind):
+    """The volume at `path`, which must be a `kind`; else ValueError naming both."""
+    vol = load_volume(path)
+    if not isinstance(vol, kind):
+        raise ValueError("%s holds a %s, expected a %s" % (path, type(vol).__name__, kind.__name__))
+    return vol

@@ -161,6 +161,29 @@ class TestParamsCommand:
         assert not (tmp_path / "params.json").exists()
 
 
+class TestWrongVolumeKind:
+    @pytest.mark.parametrize("command, wrong, given, expected", [
+        (["roi", "--in", "{es}"], "es", "LabelMask", "CineVolume"),
+        (["segment", "--ckpt", "{ckpt}", "--in", "{es}"], "es", "LabelMask", "CineVolume"),
+        (["params", "--ed", "{cine}", "--es", "{es}", "--geom", "{geom}"],
+         "cine", "CineVolume", "LabelMask"),
+        (["params", "--ed", "{ed}", "--es", "{cine}", "--geom", "{geom}"],
+         "cine", "CineVolume", "LabelMask"),
+    ], ids=["roi_mask", "segment_mask", "params_cine_ed", "params_cine_es"])
+    def test_rejected_naming_file(self, workdir, tmp_path, command, wrong, given, expected):
+        sub_dir = workdir["data"] / "s02"
+        geom_path = tmp_path / "geom.json"
+        geom_path.write_text(json.dumps(json.loads((sub_dir / "meta.json").read_text())["geometry"]))
+        paths = {"cine": sub_dir / "cine.bin", "ed": sub_dir / "ed_mask.bin",
+                 "es": sub_dir / "es_mask.bin", "ckpt": workdir["ckpt"], "geom": geom_path}
+        out = tmp_path / "out"
+        argv = [arg.format(**paths) for arg in command] + ["--out", str(out)]
+        with pytest.raises(ValueError, match="%s holds a %s, expected a %s" % (
+                re.escape(str(paths[wrong])), given, expected)):
+            main(argv)
+        assert not out.exists()
+
+
 class TestEvalCommand:
     def test_csv_pair(self, workdir, tmp_path):
         out = tmp_path / "report.csv"

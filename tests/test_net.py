@@ -249,6 +249,22 @@ class TestCheckpoint:
         assert [lg.stage for lg in net2.lg_layers()] == \
                [lg.stage for lg in net.lg_layers()]
 
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(small_net(seed=3), path, epoch=1)
+        old = path.read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            save_checkpoint(small_net(seed=4), path, epoch=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == old
+        assert load_checkpoint(path)[1]["epoch"] == 1
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         p = tmp_path / "n.ckpt"
         save_checkpoint(small_net(seed=3), p)

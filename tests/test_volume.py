@@ -228,7 +228,13 @@ class TestFileFormat:
         (5, "label_names must be a list of strings"),
         ([1, 2, 3, 4], "label_names must be a list of strings"),
         (["background", "lv"], "labels outside"),
-    ], ids=["int", "int_entries", "too_few"])
+        (0, "label_names must be a list of strings"),
+        (False, "label_names must be a list of strings"),
+        ("", "label_names must be a list of strings"),
+        ({}, "label_names must be a list of strings"),
+        ([], r"labels outside \[0, 0\)"),
+    ], ids=["int", "int_entries", "too_few", "zero", "false", "empty_string", "empty_object",
+            "empty_list"])
     def test_bad_label_names(self, tmp_path, names, match):
         path = tmp_path / "m.bin"
         save_volume(path, LabelMask(np.full((1, 2, 2), LV, dtype=np.uint8)))

@@ -17,6 +17,11 @@ Artefacts, one line each:
 - a training run in the determinism criterion's configuration: its
   checkpoint file, its two eval CSVs, and the eval-mode output of the
   checkpoint after a reload;
+- the files the CLI writes for the first validation subject of that run,
+  with its checkpoint: `condenseg roi --saliency`'s JSON and PGM, the ED
+  and ES masks of `condenseg segment`, and `condenseg params`'s JSON of
+  those two masks, each file name then its bytes (one digest; the
+  commands' standard output is left out);
 - the (centre, radius, score) that `hough_circle` finds on the saliency map
   of every subject of a 20-phantom cohort;
 - every file `save_dataset` writes for a 3-phantom cohort (manifest, meta
@@ -33,7 +38,11 @@ process's peak resident set size go to stderr, apart from the lines to
 compare: a report, not a check.
 """
 
+import contextlib
+import functools
 import hashlib
+import io
+import json
 import os
 import resource
 import sys
@@ -45,6 +54,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import condenseg  # noqa: E402
+from condenseg.cli import main as cli_main  # noqa: E402
 from condenseg.dataset import save_dataset  # noqa: E402
 from condenseg.lgconv import CondensationSchedule  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
@@ -55,7 +65,7 @@ from condenseg.roi import first_harmonic_map, hough_circle  # noqa: E402
 from condenseg.tensor import RunningStats, Tensor, scale_shift  # noqa: E402
 from condenseg.train import (TrainConfig, _training_slices, emit_report_csv,  # noqa: E402
                              evaluate, train)
-from condenseg.volume import LabelMask  # noqa: E402
+from condenseg.volume import LabelMask, save_volume  # noqa: E402
 
 LASSO = 1e-5
 
@@ -120,6 +130,31 @@ def determinism_run_lines(tmp):
     reloaded, _ = load_checkpoint(ckpt)
     x = np.random.default_rng(7).standard_normal((2, 1, 32, 32)).astype(reloaded.dtype)
     yield "run/reloaded_eval_output", sha(reloaded.forward(Tensor(x), training=False).data)
+    yield "cli/files", cli_files_digest(os.path.join(tmp, "cli"), ckpt, subs[4])
+
+
+def cli_files_digest(folder, ckpt, sub):
+    """Digest of what `roi --saliency`, `segment` (ED, ES) and `params` write for `sub`."""
+    os.mkdir(folder)
+    at = functools.partial(os.path.join, folder)
+    save_volume(at("cine.bin"), sub.cine)
+    with open(at("geom.json"), "w") as f:
+        json.dump(sub.geometry.to_dict(), f)
+    commands = [["roi", "--in", at("cine.bin"), "--out", at("roi.json"),
+                 "--saliency", at("saliency.pgm")]]
+    commands += [["segment", "--ckpt", ckpt, "--in", at("cine.bin"), "--out", at(name),
+                  "--frame", str(frame)]
+                 for name, frame in (("ed.bin", sub.ed_frame), ("es.bin", sub.es_frame))]
+    commands += [["params", "--ed", at("ed.bin"), "--es", at("es.bin"),
+                  "--geom", at("geom.json"), "--out", at("params.json")]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            cli_main(argv)
+    blobs = []
+    for name in ("roi.json", "saliency.pgm", "ed.bin", "es.bin", "params.json"):
+        with open(at(name), "rb") as f:
+            blobs += [name.encode(), f.read()]
+    return sha(*blobs)
 
 
 def roi_lines():
