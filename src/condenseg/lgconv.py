@@ -26,6 +26,7 @@ __all__ = [
     "lg_forward",
     "importance_scores",
     "condense",
+    "restore",
     "group_lasso_penalty",
     "schedule_stage",
     "to_inference",
@@ -95,9 +96,6 @@ def lg_forward(layer: LGConvLayer, x: Tensor, padding: int = 0) -> Tensor:
     A fully condensed layer (C > 1) runs its forward over each group's
     alive channels only; the masked products it skips are zeros, so its
     output and gradients keep the masked dense conv's bytes."""
-    if x.shape[1] != layer.in_channels:
-        raise ShapeError("expected %d input channels, got %d"
-                         % (layer.in_channels, x.shape[1]))
     k = layer.kernel
     mask4 = np.broadcast_to(layer.mask[:, :, None, None], k.shape)
     masked = k * Tensor(np.ascontiguousarray(mask4, dtype=k.data.dtype))
@@ -147,6 +145,25 @@ def condense(layer: LGConvLayer):
         pruned.append([int(j) for j in drop])
     layer.stage += 1
     return {"stage": layer.stage, "pruned": pruned, "alive_per_group": target}
+
+
+def restore(layer: LGConvLayer, stage: int, where: str):
+    """The inverse of `condense` for a layer whose kernel and mask were read
+    back: set its stage to `stage` once they hold the state that many stages
+    leave, every filter-group's mask rows identical 0/1 rows keeping
+    ceil(h*(C-stage)/C) channels and the kernel zero where the mask is 0;
+    else ValueError led by `where`, naming the layer."""
+    w, mask = layer.grouped()
+    if (mask != mask[:, :1]).any():
+        raise ValueError("%s%s mask rows differ within a filter-group" % (where, layer.name))
+    want = _alive_per_group(layer.in_channels, layer.condensation_factor, stage)
+    if ((mask != 0) & (mask != 1)).any() or layer.alive_per_group() != [want] * layer.groups:
+        raise ValueError("%s%s mask is not 0/1 keeping %d channels per group at stage %d"
+                         % (where, layer.name, want, stage))
+    if (w[mask == 0] != 0).any():  # -0.0 == 0
+        raise ValueError("%s%s kernel has nonzero weights where its mask is 0"
+                         % (where, layer.name))
+    layer.stage = stage
 
 
 def group_lasso_penalty(layer: LGConvLayer) -> Tensor:

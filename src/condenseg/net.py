@@ -20,13 +20,14 @@ import numpy as np
 from .lgconv import (
     CondensationSchedule,
     LGConvLayer,
-    _alive_per_group,
     condense,
     group_lasso_penalty,
     lg_forward,
+    restore,
     schedule_stage,
 )
-from .schema import ConfigError, check, dumps, is_int, optional, read_config, read_record, write_file
+from .schema import (PRESENT, ConfigError, check, dumps, is_int, optional, read_config,
+                     read_record, write_file)
 from .tensor import (
     BLAS_THREAD_VARS,
     RunningStats,
@@ -437,22 +438,17 @@ def save_checkpoint(net: Network, path, epoch: int = 0, extra=None):
 
 
 _HEADER = {"format": (lambda f: f == CHECKPOINT_MAGIC, repr(CHECKPOINT_MAGIC)),
+           "version": (lambda v: is_int(v) and v in CHECKPOINT_VERSIONS,
+                       "one of %s" % (CHECKPOINT_VERSIONS,)),
            "config": (lambda c: isinstance(c, dict), "a dict"),
            "manifest": (lambda m: isinstance(m, list), "a list"),
            "lg_stages": (lambda s: isinstance(s, dict), "a dict"),
            "epoch": optional((is_int, "an int"))}
+_CONFIG_KEYS = {f.name: PRESENT for f in fields(NetConfig)}
 _MANIFEST_ENTRY = {"name": (lambda n: isinstance(n, str), "a string"),
                    "shape": (lambda s: isinstance(s, list) and all(is_int(d) and d >= 0 for d in s),
                              "a list of non-negative ints"),
                    "dtype": (lambda t: t in CHECKPOINT_DTYPES, "one of %s" % (CHECKPOINT_DTYPES,))}
-
-
-def _same_keys(obj, names, where, what):
-    """ValueError naming the first key `obj` has beyond `names` or lacks from them."""
-    stray = sorted(obj.keys() ^ names)
-    if stray:
-        raise ValueError("%s%s %s key %s" % (where, "unknown" if stray[0] in obj else "missing",
-                                              what, stray[0]))
 
 
 def load_checkpoint(path):
@@ -461,18 +457,12 @@ def load_checkpoint(path):
 
     A malformed header or buffer raises ValueError naming the field (a
     ConfigError for a bad `config`).  Condensation state that contradicts
-    itself raises one naming the layer: a mask whose filter-groups are not
-    identical 0/1 rows keeping the stage's channel count, or a nonzero
-    kernel weight where the mask is 0."""
+    itself raises one naming the layer (`lgconv.restore`)."""
     where = "checkpoint %s: " % path
     header, blob = read_record(path, ValueError, where + "header")
     check(header, _HEADER, ValueError, where + "header")
-    version = header.get("version")
-    # type(), not isinstance: JSON true loads as a bool, which is an int
-    if type(version) is not int or version not in CHECKPOINT_VERSIONS:
-        raise ValueError("checkpoint %s: version %r is not 1 or 2" % (path, version))
     config, manifest = header["config"], header["manifest"]
-    _same_keys(config, {f.name for f in fields(NetConfig)}, where, "config")
+    check(config, _CONFIG_KEYS, ValueError, where + "config", closed=True)
     for i, item in enumerate(manifest, 1):
         check(item, _MANIFEST_ENTRY, ValueError, where + "manifest entry %d" % i)
     dtype = np.dtype(manifest[0]["dtype"] if manifest else np.float64)
@@ -505,25 +495,12 @@ def load_checkpoint(path):
         raise ValueError("%smissing buffer %s" % (where, next(iter(arrays))))
     if offset != len(blob):
         raise ValueError("checkpoint %s: %d trailing bytes" % (path, len(blob) - offset))
-    stages = header["lg_stages"]
-    _same_keys(stages, {lg.name for lg in net.lg_layers()}, where, "lg_stages")
+    last = net.config.condensation_factor - 1  # every LG layer's last stage
+    stage = (lambda s: is_int(s) and 0 <= s <= last), "an int in [0, %d]" % last
+    stages = check(header["lg_stages"], dict.fromkeys((lg.name for lg in net.lg_layers()), stage),
+                   ValueError, where + "lg_stages", closed=True)
     for lg in net.lg_layers():
-        stage = stages[lg.name]
-        if type(stage) is not int or not 0 <= stage < lg.condensation_factor:
-            raise ValueError("checkpoint %s: lg_stages %s is %r, expected an int in [0, %d]"
-                             % (path, lg.name, stage, lg.condensation_factor - 1))
-        _, mask = lg.grouped()
-        if (mask != mask[:, :1]).any():
-            raise ValueError("checkpoint %s: %s mask rows differ within a filter-group"
-                             % (path, lg.name))
-        want = _alive_per_group(lg.in_channels, lg.condensation_factor, stage)
-        if ((mask != 0) & (mask != 1)).any() or lg.alive_per_group() != [want] * lg.groups:
-            raise ValueError("checkpoint %s: %s mask is not 0/1 keeping %d channels per"
-                             " group at stage %d" % (path, lg.name, want, stage))
-        if (lg.kernel.data[lg.mask == 0] != 0).any():  # -0.0 == 0
-            raise ValueError("checkpoint %s: %s kernel has nonzero weights where its"
-                             " mask is 0" % (path, lg.name))
-        lg.stage = stage
+        restore(lg, stages[lg.name], where)
     for bn, flag in zip(bns, header["bn_initialized"]):
         bn.stats.initialized = flag
     return net, header

@@ -84,7 +84,7 @@ def check(obj, spec, error, where, closed=False):
     if not isinstance(obj, dict):
         raise error("%s must be an object, got %r" % (where, obj))
     if closed and not obj.keys() <= spec.keys():
-        raise error("unknown %s fields: %s" % (where, ", ".join(sorted(obj.keys() - spec.keys()))))
+        raise error("%s has unknown fields: %s" % (where, ", ".join(sorted(obj.keys() - spec.keys()))))
     for key, (ok, want) in spec.items():
         value = obj.get(key, ABSENT)
         if not ok(value):

@@ -245,26 +245,27 @@ class Tensor:
         return out
 
 
-class _GraphState(threading.local):
+class _ThreadState(threading.local):
     recording = True  # each thread starts recording
+    pool = None  # the _Lanes this thread opened
 
 
-_graph = _GraphState()
+_local = _ThreadState()
 
 
 @contextmanager
 def no_graph():
     """Ops this thread runs inside the block return leaves that require no
     grad: no parents, no backward closure.  Other threads are unaffected."""
-    was, _graph.recording = _graph.recording, False
+    was, _local.recording = _local.recording, False
     try:
         yield
     finally:
-        _graph.recording = was
+        _local.recording = was
 
 
 def _result(data, parents):
-    req = _graph.recording and any(p.requires_grad for p in parents)
+    req = _local.recording and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = tuple(parents)
@@ -353,27 +354,20 @@ class _Lanes:
             thread.join()
 
 
-class _LaneState(threading.local):
-    pool = None  # the _Lanes this thread opened
-
-
-_lane_state = _LaneState()
-
-
 @contextmanager
 def _lanes():
     """Lanes for this thread's block: W = `_inference_threads()`, so W - 1
     worker threads, stopped and joined when the block ends (none for W = 1).
     Inside lanes already open on this thread the block reuses those.
     Yields the _Lanes."""
-    if _lane_state.pool is not None:
-        yield _lane_state.pool
+    if _local.pool is not None:
+        yield _local.pool
         return
-    pool = _lane_state.pool = _Lanes(_inference_threads())
+    pool = _local.pool = _Lanes(_inference_threads())
     try:
         yield pool
     finally:
-        _lane_state.pool = None
+        _local.pool = None
         pool.close()
 
 
@@ -382,8 +376,8 @@ def _split(fn, b):
     near-equal range per lane when this thread opened lanes and records a
     graph, else fn(slice(0, b)) on the caller, as for a batch of fewer than
     two samples.  fn calls only private helpers and NumPy."""
-    pool = _lane_state.pool
-    n = min(pool.count, b) if pool is not None and _graph.recording else 1
+    pool = _local.pool
+    n = min(pool.count, b) if pool is not None and _local.recording else 1
     if n < 2:
         fn(slice(0, b))
         return

@@ -86,6 +86,11 @@ class CineVolume:
         for dim, n in zip("TZHW", data.shape):
             if n == 0:
                 raise ValueError("cine volume has an empty %s dim: shape %s" % (dim, data.shape))
+        finite = np.isfinite(data)
+        if not finite.all():  # counted and located only on failure
+            first = tuple(map(int, np.unravel_index(finite.argmin(), finite.shape)))
+            raise ValueError("cine volume has %d values that are not finite, the first at"
+                             " (t, z, y, x) = %s" % (finite.size - np.count_nonzero(finite), first))
         self.data = data
         self.geometry = geometry or Geometry()
 
@@ -184,7 +189,10 @@ def load_volume(path):
     except (TypeError, ValueError) as err:
         raise HeaderError("%s: bad geometry: %s" % (path, err)) from None
     if tag == "f32":
-        return CineVolume(arr.copy(), geom)
+        try:
+            return CineVolume(arr.copy(), geom)
+        except ValueError as err:  # a NaN or infinite intensity
+            raise VolumeFormatError("%s: %s" % (path, err)) from None
     names = LABEL_NAMES if header.get("label_names") is None else header["label_names"]
     if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
         raise HeaderError("%s: label_names must be a list of strings, got %r" % (path, names))

@@ -16,6 +16,7 @@ from condenseg.lgconv import (
     group_lasso_penalty,
     importance_scores,
     lg_forward,
+    restore,
     schedule_stage,
     to_inference,
 )
@@ -175,6 +176,36 @@ class TestCondense:
         b = make_layer(8, 4, groups=2, C=4, seed=13)
         b.kernel.data *= 3.5
         assert condense(a)["pruned"] == condense(b)["pruned"]
+
+
+
+class TestRestore:
+    @pytest.mark.parametrize("k", range(4))
+    def test_accepts_only_the_stage_condensed_to(self, k):
+        # h = 12 at C = 4: each group keeps 12, 9, 6 and 3 channels at stages 0-3
+        layer = make_layer(12, 8, groups=4, C=4, seed=k)
+        for _ in range(k):
+            condense(layer)
+        loaded = make_layer(12, 8, groups=4, C=4)
+        loaded.kernel.data[...], loaded.mask[...] = layer.kernel.data, layer.mask
+        for stage in set(range(4)) - {k}:
+            with pytest.raises(ValueError, match="^ckpt: lgconv mask is not 0/1 keeping %d channels"
+                               " per group at stage %d" % (3 * (4 - stage), stage)):
+                restore(loaded, stage, "ckpt: ")
+            assert loaded.stage == 0
+        restore(loaded, k, "ckpt: ")
+        assert loaded.stage == k
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_revived_pruned_weight_rejected(self, k):
+        layer = make_layer(12, 8, groups=4, C=4, seed=k)
+        for _ in range(k):
+            condense(layer)
+        out_channel, in_channel = np.argwhere(layer.mask == 0)[0]
+        layer.kernel.data[out_channel, in_channel, 0, 2] = 1e-30
+        with pytest.raises(ValueError,
+                           match="^ckpt: lgconv kernel has nonzero weights where its mask is 0"):
+            restore(layer, k, "ckpt: ")
 
 
 class TestGroupLasso:

@@ -342,7 +342,7 @@ class TestCheckpoint:
         p = tmp_path / "v.ckpt"
         save_checkpoint(small_net(), p)
         _edit_checkpoint(p, edit)
-        with pytest.raises(ValueError, match="version .* is not 1 or 2"):
+        with pytest.raises(ValueError, match=r"version is .*, not one of \(1, 2\)|has no version"):
             load_checkpoint(p)
 
     def test_bad_header_raises(self, tmp_path):
@@ -421,19 +421,19 @@ class TestIncompleteCheckpoint:
 
     def test_lg_stages_keys(self, ckpt):
         _edit_checkpoint(ckpt, lambda h: h["lg_stages"].pop("enc1.layer0.lg"))
-        with pytest.raises(ValueError, match="missing lg_stages key enc1.layer0.lg"):
+        with pytest.raises(ValueError, match="lg_stages has no enc1.layer0.lg"):
             load_checkpoint(ckpt)
         _edit_checkpoint(ckpt, lambda h: h["lg_stages"].update({"enc1.layer0.lg": 0, "extra.lg": 0}))
-        with pytest.raises(ValueError, match="unknown lg_stages key extra.lg"):
+        with pytest.raises(ValueError, match="lg_stages has unknown fields: extra.lg"):
             load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("edit, field", [
         (lambda h: h.pop("config"), "header has no config"),
         (lambda h: h.pop("manifest"), "header has no manifest"),
-        (lambda h: h["config"].update(dropout=0.1), "unknown config key dropout"),
-        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": "x"}), "lg_stages enc1.layer0.lg"),
-        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": 99}), "lg_stages enc1.layer0.lg"),
-        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": True}), "lg_stages enc1.layer0.lg"),
+        (lambda h: h["config"].update(dropout=0.1), "config has unknown fields: dropout"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": "x"}), "lg_stages: enc1.layer0.lg is 'x'"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": 99}), "lg_stages: enc1.layer0.lg is 99"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": True}), "lg_stages: enc1.layer0.lg is True"),
         (lambda h: h["bn_initialized"].__setitem__(0, "yes"), "bn_initialized"),
         (lambda h: h.update(config=[]), "config is \\[\\], not a dict"),
         (lambda h: h.update(manifest={}), "manifest is {}, not a list"),

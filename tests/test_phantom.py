@@ -140,6 +140,9 @@ class TestCohort:
         with pytest.raises(ValueError):
             build_cohort(0, seed=0)
 
+    def test_intensities_finite(self):
+        assert all(np.isfinite(s.cine.data).all() for s in build_cohort(5, seed=0))
+
 
 def _serial_cohort(count, seed):
     # build_cohort's draw, one subject after another on this thread

@@ -81,8 +81,8 @@ class TestConfig:
             TrainConfig.from_dict({"epochs": 3, "momentum": 0.9})
 
     @pytest.mark.parametrize("obj, key", [
-        ({"net": {"input_size": 32, "dropout": 0.1}}, "net config fields: dropout"),
-        ({"loss": {"gamma": 2.0}}, "loss config fields: gamma"),
+        ({"net": {"input_size": 32, "dropout": 0.1}}, "net config has unknown fields: dropout"),
+        ({"loss": {"gamma": 2.0}}, "loss config has unknown fields: gamma"),
         ({"net": [32]}, "net config must be an object"),
     ], ids=["net", "loss", "net_not_object"])
     def test_unknown_nested_field_rejected(self, obj, key):
@@ -407,7 +407,7 @@ class TestTrainingLanes:
 
         def watched(subjects, size, central=False):
             out = real(subjects, size, central=central)
-            seen.append((tensor_mod._lane_state.pool.count, central,
+            seen.append((tensor_mod._local.pool.count, central,
                          [a.tobytes() for a in out]))
             return out
 

@@ -91,6 +91,14 @@ class TestContainers:
         with pytest.raises(ValueError, match="empty %s dim" % dim):
             CineVolume(np.zeros(shape, dtype=np.float32))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_cine_non_finite_rejected(self, value):
+        data = np.zeros((2, 3, 4, 5), dtype=np.float32)
+        data[1, 2, 3, 0] = data[1, 2, 3, 4] = value
+        with pytest.raises(ValueError, match=r"2 values that are not finite, the first at"
+                                             r" \(t, z, y, x\) = \(1, 2, 3, 0\)"):
+            CineVolume(data)
+
     def test_cine_preserves_float64(self):
         v = CineVolume(np.zeros((2, 2, 4, 4), dtype=np.float64))
         assert v.data.dtype == np.float64
@@ -130,6 +138,16 @@ class TestFileFormat:
         assert back.geometry == vol.geometry
         save_volume(path, back)
         assert path.read_bytes() == first
+
+    def test_non_finite_buffer_rejected(self, tmp_path):
+        path = tmp_path / "v.bin"
+        save_volume(path, CineVolume(np.zeros((1, 2, 3, 3), dtype=np.float32)))
+        raw = path.read_bytes()
+        at = raw.index(b"\n") + 1 + 4 * 7  # the pixel (0, 0, 2, 1)
+        path.write_bytes(raw[:at] + np.array(np.nan, "<f4").tobytes() + raw[at + 4:])
+        with pytest.raises(VolumeFormatError, match=r"v\.bin: cine volume has 1 values that are"
+                                                    r" not finite, the first at .* = \(0, 0, 2, 1\)"):
+            load_volume(path)
 
     def test_mask_roundtrip(self, tmp_path):
         m = LabelMask(np.random.default_rng(0).integers(0, 4, (5, 9, 9), dtype=np.uint8))
