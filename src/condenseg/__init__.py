@@ -20,7 +20,7 @@ from .lgconv import (  # noqa: F401
 from .net import NetConfig, build, load_checkpoint, save_checkpoint  # noqa: F401
 from .loss import LossConfig, total_loss  # noqa: F401
 from .roi import detect_roi, first_harmonic_map  # noqa: F401
-from .clinical import ClinicalReport, SegmentationResult, report, simpson_volume  # noqa: F401
+from .clinical import ClinicalReport, report, simpson_volume  # noqa: F401
 from .metrics import dice_score, hausdorff, pearson  # noqa: F401
 from .phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: F401
 from .dataset import load_dataset, save_dataset, split_dataset, stratified_kfold  # noqa: F401

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .clinical import SegmentationResult, report
+from .clinical import report
 from .dataset import load_dataset, save_dataset
 from .net import load_checkpoint, save_checkpoint
 from .phantom import build_cohort
@@ -85,7 +85,7 @@ def cmd_params(args):
     ed = load_kind(args.ed, LabelMask)
     es = load_kind(args.es, LabelMask)
     geometry = Geometry.from_dict(read_json(args.geom, ValueError), args.geom)
-    rep = report(SegmentationResult(ed, es, geometry))
+    rep = report(ed, es, geometry)
     _write_json(args.out, rep.to_dict())
     print("EF %.1f%%  EDV %.1f mL  ESV %.1f mL  mass %.1f g"
           % (rep.ef_percent, rep.lv_edv_ml, rep.lv_esv_ml, rep.myo_mass_g))

@@ -9,20 +9,9 @@ myocardial mass = myocardium volume at end-diastole times 1.05 g/mL.
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .volume import Geometry, LabelMask, LV, MYO, RV
 
 MYO_DENSITY_G_PER_ML = 1.05
-
-
-@dataclass
-class SegmentationResult:
-    """ED/ES label stacks sharing one physical geometry."""
-
-    ed_mask: LabelMask
-    es_mask: LabelMask
-    geometry: Geometry
 
 
 @dataclass
@@ -43,13 +32,12 @@ class ClinicalReport:
                   "myo_mass_g")
 
 
-def simpson_volume(mask, label: int, geom: Geometry) -> float:
+def simpson_volume(mask: LabelMask, label: int, geom: Geometry) -> float:
     """Sum over slices of pixel_count * pixel_area * slice_step, in mL."""
-    data = mask.data if isinstance(mask, LabelMask) else np.asarray(mask)
-    if data.ndim != 3:
+    if mask.data.ndim != 3:
         raise ValueError("simpson_volume expects a (Z,H,W) stack, got %s"
-                         % (data.shape,))
-    return count_ml(int((data == label).sum()), geom)
+                         % (mask.data.shape,))
+    return count_ml(int((mask.data == label).sum()), geom)
 
 
 def count_ml(count, geom: Geometry) -> float:
@@ -76,20 +64,19 @@ def myocardial_mass(myo_volume_ml: float) -> float:
     return myo_volume_ml * MYO_DENSITY_G_PER_ML
 
 
-def report(seg: SegmentationResult) -> ClinicalReport:
-    """Full parameter set from ED and ES masks."""
-    if seg.ed_mask is None:
+def report(ed_mask: LabelMask, es_mask: LabelMask, geometry: Geometry) -> ClinicalReport:
+    """Full parameter set from the ED and ES label stacks of one geometry."""
+    if ed_mask is None:
         raise ValueError("missing ED mask")
-    if seg.es_mask is None:
+    if es_mask is None:
         raise ValueError("missing ES mask")
-    g = seg.geometry
-    lv_edv = simpson_volume(seg.ed_mask, LV, g)
-    lv_esv = simpson_volume(seg.es_mask, LV, g)
-    rv_edv = simpson_volume(seg.ed_mask, RV, g)
-    rv_esv = simpson_volume(seg.es_mask, RV, g)
+    lv_edv = simpson_volume(ed_mask, LV, geometry)
+    lv_esv = simpson_volume(es_mask, LV, geometry)
+    rv_edv = simpson_volume(ed_mask, RV, geometry)
+    rv_esv = simpson_volume(es_mask, RV, geometry)
     sv, ef = indices(lv_edv, lv_esv)
     _, rv_ef = indices(rv_edv, rv_esv)
-    mass = myocardial_mass(simpson_volume(seg.ed_mask, MYO, g))
+    mass = myocardial_mass(simpson_volume(ed_mask, MYO, geometry))
     return ClinicalReport(lv_edv_ml=lv_edv, lv_esv_ml=lv_esv, sv_ml=sv,
                           ef_percent=ef, rv_edv_ml=rv_edv, rv_esv_ml=rv_esv,
                           rv_ef_percent=rv_ef, myo_mass_g=mass)

@@ -49,9 +49,10 @@ def save_dataset(root, subjects):
 def load_dataset(root):
     """Read back what save_dataset wrote, subjects in manifest order.  A bad
     manifest.json or meta.json field (a name not its folder's too) raises
-    ValueError naming the file and the field, and a cine or mask file holding
-    the other kind of volume one naming the file; a listed subject folder
-    that does not exist, OSError."""
+    ValueError naming the file and the field, a cine or mask file holding
+    the other kind of volume or a mask whose shape is not its cine's
+    (Z, H, W) one naming the file; a listed subject folder that does not
+    exist, OSError."""
     path = os.path.join(root, "manifest.json")
     manifest = check(read_json(path, ValueError), _MANIFEST, ValueError, path)
     subjects = []
@@ -66,12 +67,16 @@ def load_dataset(root):
                      "truth": optional((lambda t: isinstance(t, dict), "an object"))},
               ValueError, meta_path)
         cine.geometry = Geometry.from_dict(meta["geometry"], meta_path + " geometry")
+        masks = []
+        for path in (os.path.join(folder, "ed_mask.bin"), os.path.join(folder, "es_mask.bin")):
+            masks.append(load_kind(path, LabelMask))
+            if masks[-1].shape != cine.data.shape[1:]:
+                raise ValueError("%s: mask shape %s is not its cine's (Z, H, W) %s"
+                                 % (path, masks[-1].shape, cine.data.shape[1:]))
         subjects.append(Subject(
             name=name, group=meta["group"], cine=cine,
             ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
-            ed_mask=load_kind(os.path.join(folder, "ed_mask.bin"), LabelMask),
-            es_mask=load_kind(os.path.join(folder, "es_mask.bin"), LabelMask),
-            truth=meta.get("truth", {})))
+            ed_mask=masks[0], es_mask=masks[1], truth=meta.get("truth", {})))
     return subjects
 
 

@@ -150,9 +150,12 @@ def condense(layer: LGConvLayer):
 def restore(layer: LGConvLayer, stage: int, where: str):
     """The inverse of `condense` for a layer whose kernel and mask were read
     back: set its stage to `stage` once they hold the state that many stages
-    leave, every filter-group's mask rows identical 0/1 rows keeping
-    ceil(h*(C-stage)/C) channels and the kernel zero where the mask is 0;
-    else ValueError led by `where`, naming the layer."""
+    leave, `stage` in [0, C-1], every filter-group's mask rows identical 0/1
+    rows keeping ceil(h*(C-stage)/C) channels and the kernel zero where the
+    mask is 0; else ValueError led by `where`, naming the layer."""
+    if not 0 <= stage < layer.condensation_factor:
+        raise ValueError("%s%s is at stage %d, outside [0, %d]"
+                         % (where, layer.name, stage, layer.condensation_factor - 1))
     w, mask = layer.grouped()
     if (mask != mask[:, :1]).any():
         raise ValueError("%s%s mask rows differ within a filter-group" % (where, layer.name))

@@ -33,7 +33,6 @@ from .tensor import (
     RunningStats,
     ShapeError,
     Tensor,
-    concat_channels,
     conv2d,
     conv2d_transpose,
     grow_channels,
@@ -136,7 +135,7 @@ class BatchNorm:
 
 class Stem:
     """Two stacked separable convolutions (3x3 and 5x5 receptive fields),
-    concatenated channel-wise."""
+    grown channel-wise in one (B, out_channels, H, W) buffer (`grow_channels`)."""
 
     def __init__(self, out_channels, res, dtype, name="stem"):
         half = out_channels // 2
@@ -149,8 +148,9 @@ class Stem:
 
     def forward(self, x, training):
         a = conv2d(conv2d(x, self.dw3, padding=1), self.pw3)
-        b = conv2d(conv2d(x, self.dw5, padding=2), self.pw5)
-        return concat_channels([a, b])
+        buf = np.empty((a.shape[0], 2 * a.shape[1]) + a.shape[2:], dtype=a.dtype)
+        a = grow_channels(buf, a)
+        return grow_channels(buf, conv2d(conv2d(x, self.dw5, padding=2), self.pw5), a)
 
 
 class DenseLayer:
@@ -176,7 +176,7 @@ class CondenseBlock:
     memory-efficient DenseNets): the input is copied in once, each layer's
     new maps once into their channels, and every layer reads the grown
     prefix as a view (`grow_channels`).  Outputs and gradients keep the
-    bytes of a chain of `concat_channels`."""
+    bytes of a chain of fresh concatenations."""
 
     def __init__(self, in_channels, n_layers, res, cfg, dtype, name):
         self.layers = []
@@ -495,9 +495,8 @@ def load_checkpoint(path):
         raise ValueError("%smissing buffer %s" % (where, next(iter(arrays))))
     if offset != len(blob):
         raise ValueError("checkpoint %s: %d trailing bytes" % (path, len(blob) - offset))
-    last = net.config.condensation_factor - 1  # every LG layer's last stage
-    stage = (lambda s: is_int(s) and 0 <= s <= last), "an int in [0, %d]" % last
-    stages = check(header["lg_stages"], dict.fromkeys((lg.name for lg in net.lg_layers()), stage),
+    stages = check(header["lg_stages"], dict.fromkeys((lg.name for lg in net.lg_layers()),
+                                                      (is_int, "an int")),
                    ValueError, where + "lg_stages", closed=True)
     for lg in net.lg_layers():
         restore(lg, stages[lg.name], where)

@@ -7,14 +7,14 @@ channel softmax, reductions, and the small elementwise algebra the
 losses are written in.  Each forward op records a backward closure;
 ``Tensor.backward`` replays them in reverse topological order and drops
 each non-leaf gradient once its closure has used it, so a backward holds
-only the gradients still to be passed on.  ``grow_channels`` is the
-channel concat of a dense block grown in one buffer: each layer reads a
-prefix view, and its backward hands out views of the gradient.  Inside
-``no_graph()`` ops record nothing and return leaves; an eval forward of
-the network runs there, so it keeps no graph and frees each activation
-once the next op has read it.  The state is per thread.  The weight
-initialiser ``he_normal``, the Adam optimizer and a central
-finite-difference gradient checker live here as well.
+only the gradients still to be passed on.  ``grow_channels``, the
+network's one channel concat, grows the stem and each dense block in one
+buffer that later layers read as prefix views; its backward hands out
+views of the gradient.  Inside ``no_graph()`` ops record nothing and
+return leaves; an eval forward of the network runs there, so it keeps no
+graph and frees each activation once the next op has read it.  The state
+is per thread.  The weight initialiser ``he_normal``, the Adam optimizer
+and a central finite-difference gradient checker live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
@@ -384,35 +384,13 @@ def _split(fn, b):
     pool.map(fn, [slice(b * j // n, b * (j + 1) // n) for j in range(n)])
 
 
-def concat_channels(tensors) -> Tensor:
-    """Concatenate (B,C_i,H,W) tensors along the channel axis."""
-    tensors = list(tensors)
-    base = tensors[0]
-    for t in tensors[1:]:
-        if t.shape[0] != base.shape[0] or t.shape[2:] != base.shape[2:]:
-            raise ShapeError(f"concat mismatch {base.shape} vs {t.shape}")
-    out = _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.shape[1] for t in tensors]
-
-        def backward(g):
-            ofs = 0
-            for t, c in zip(tensors, sizes):
-                if t.requires_grad:
-                    t._accumulate(g[:, ofs:ofs + c])
-                ofs += c
-
-        out._backward = backward
-    return out
-
-
 def grow_channels(buf, new: Tensor, prefix: Tensor | None = None) -> Tensor:
-    """concat_channels([prefix, new]) grown in place inside `buf`, a
-    (B,C,H,W) array whose leading channels `prefix` views (none when
-    `prefix` is None): `new` is copied into the channels after the prefix,
-    and the result is a Tensor over buf's channels up to its end, a view
-    again.  A dense block grows in one such buffer, so no earlier feature
-    map is copied twice.
+    """The network's one channel concat: [prefix, new] along the channels,
+    grown in place inside `buf`, a (B,C,H,W) array whose leading channels
+    `prefix` views (none when `prefix` is None).  `new` is copied into the
+    channels after the prefix, and the result is a Tensor over buf's
+    channels up to its end, a view again.  The stem and each dense block
+    grow in one such buffer, so no earlier feature map is copied twice.
 
     The backward hands the prefix and `new` views of the incoming gradient,
     without copies: that gradient is spent once its closure returns, and the

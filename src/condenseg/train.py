@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .clinical import ClinicalReport, SegmentationResult, report
+from .clinical import ClinicalReport, report
 from .dataset import check_fractions, split_dataset
 from .lgconv import CondensationSchedule, schedule_stage
 from .loss import LossConfig, total_loss
@@ -239,17 +239,22 @@ def predict_masks(net, subject):
 
 def segment_frame(net, cine, frame, box):
     """Segment every slice of one cine frame inside `box`; returns the
-    label mask pasted back to the full slice size."""
-    probs = _forward_batches(net, _frame_slices(cine, frame, box))
+    label mask pasted back to the full slice size.  A ValueError or
+    ArithmeticError on the way is raised again as its type, led by
+    "frame <t>: "."""
+    try:
+        probs = _forward_batches(net, _frame_slices(cine, frame, box))
+    except (ValueError, ArithmeticError) as err:
+        raise type(err)("frame %d: %s" % (frame, err)) from err
     pred = LabelMask(np.argmax(probs, axis=1).astype(np.uint8))
     return paste_mask(pred, box, cine.data.shape[2:])
 
 
-def _parameters(seg):
+def _parameters(ed_mask, es_mask, geometry):
     """The clinical parameters `report` gives, without its warning of an ESV above its EDV."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = report(seg).to_dict()
+        rep = report(ed_mask, es_mask, geometry).to_dict()
     return {k: rep[k] for k in ClinicalReport.PARAMETERS}
 
 
@@ -272,24 +277,29 @@ class EvalResult:
 
 
 def evaluate(net, subjects):
-    """Full inference pipeline per subject plus cohort-level agreement."""
+    """Full inference pipeline per subject plus cohort-level agreement.  A
+    subject's ValueError or ArithmeticError is raised again as its type, led
+    by "subject <name>: "."""
     if not subjects:
         raise ValueError("nothing to evaluate")
     results = []
     for sub in subjects:
-        pred_ed, pred_es = predict_masks(net, sub)
-        geometry = sub.geometry
-        dice = {}
-        hd = {}
-        for label, name in enumerate(LABEL_NAMES[1:], start=1):
-            dice[name] = dice_score(pred_ed.data, sub.ed_mask.data, label)
-            try:
-                hd[name] = hausdorff(pred_ed.data, sub.ed_mask.data, label,
-                                     geometry.pixel_spacing_mm)
-            except ValueError:
-                hd[name] = float("nan")
-        predicted = _parameters(SegmentationResult(pred_ed, pred_es, geometry))
-        reference = _parameters(SegmentationResult(sub.ed_mask, sub.es_mask, geometry))
+        try:
+            pred_ed, pred_es = predict_masks(net, sub)
+            geometry = sub.geometry
+            dice = {}
+            hd = {}
+            for label, name in enumerate(LABEL_NAMES[1:], start=1):
+                dice[name] = dice_score(pred_ed.data, sub.ed_mask.data, label)
+                try:
+                    hd[name] = hausdorff(pred_ed.data, sub.ed_mask.data, label,
+                                         geometry.pixel_spacing_mm)
+                except ValueError:
+                    hd[name] = float("nan")
+            predicted = _parameters(pred_ed, pred_es, geometry)
+            reference = _parameters(sub.ed_mask, sub.es_mask, geometry)
+        except (ValueError, ArithmeticError) as err:
+            raise type(err)("subject %s: %s" % (sub.name, err)) from err
         results.append(SubjectResult(sub.name, sub.group, dice, hd,
                                      predicted, reference))
 

@@ -10,7 +10,7 @@ from collections import Counter, namedtuple
 import numpy as np
 import pytest
 
-from condenseg.clinical import SegmentationResult, report, simpson_volume
+from condenseg.clinical import report, simpson_volume
 from condenseg.dataset import stratified_kfold
 from condenseg.lgconv import (
     LGConvLayer,
@@ -261,7 +261,7 @@ def test_criterion_7_clinical_indices():
             [PhantomSpec(), PhantomSpec(contraction=(0.1, 0.2)),
              PhantomSpec(contraction=(0.0, 0.0))]):
         sub = generate_phantom(spec, 50 + seed)
-        rep = report(SegmentationResult(sub.ed_mask, sub.es_mask, sub.geometry))
+        rep = report(sub.ed_mask, sub.es_mask, sub.geometry)
         worst = max(worst, abs(rep.ef_percent - sub.truth["ef_percent"]))
     assert worst <= 0.5, "EF off by %.3f pp" % worst
     print("[criterion 7] PASS - cylinder 22.5 mL exact, EF err %.2e pp" % worst)

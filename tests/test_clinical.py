@@ -5,7 +5,6 @@ import pytest
 
 from condenseg.clinical import (
     ClinicalReport,
-    SegmentationResult,
     indices,
     myocardial_mass,
     report,
@@ -100,20 +99,20 @@ def two_phase_masks(ed_px, es_px, slices=10):
 class TestReport:
     def test_cylinder_ef_60(self):
         ed, es = two_phase_masks(100, 40)
-        rep = report(SegmentationResult(ed, es, Geometry((1.5, 1.5), 10.0, 0.0)))
+        rep = report(ed, es, Geometry((1.5, 1.5), 10.0, 0.0))
         assert abs(rep.ef_percent - 60.0) < 1e-12
         assert abs(rep.lv_edv_ml - 22.5) < 1e-12
         assert abs(rep.sv_ml - (rep.lv_edv_ml - rep.lv_esv_ml)) < 1e-12
 
     def test_identical_phases(self):
         ed, es = two_phase_masks(80, 80)
-        rep = report(SegmentationResult(ed, es, Geometry()))
+        rep = report(ed, es, Geometry())
         assert rep.ef_percent == 0.0 and rep.sv_ml == 0.0
 
     def test_fields_match_per_label_volumes(self):
         ed, es = two_phase_masks(90, 50)
         geom = Geometry((1.5, 1.5), 8.0, 2.0)
-        rep = report(SegmentationResult(ed, es, geom))
+        rep = report(ed, es, geom)
         assert rep.rv_edv_ml == simpson_volume(ed, RV, geom)
         assert rep.rv_esv_ml == simpson_volume(es, RV, geom)
         assert abs(rep.myo_mass_g - 1.05 * simpson_volume(ed, MYO, geom)) < 1e-12
@@ -121,17 +120,17 @@ class TestReport:
     def test_missing_frame_named(self):
         ed, es = two_phase_masks(80, 50)
         with pytest.raises(ValueError, match="ES"):
-            report(SegmentationResult(ed, None, Geometry()))
+            report(ed, None, Geometry())
         with pytest.raises(ValueError, match="ED"):
-            report(SegmentationResult(None, es, Geometry()))
+            report(None, es, Geometry())
 
     def test_extra_background_class_ignored(self):
         ed, es = two_phase_masks(90, 50)
         geom = Geometry()
-        base = report(SegmentationResult(ed, es, geom))
+        base = report(ed, es, geom)
         ed2 = LabelMask(np.where(ed.data == 0, 4, ed.data).astype(np.uint8),
                         num_classes=5, label_names=list(ed.label_names) + ["air"])
-        rep = report(SegmentationResult(ed2, es, geom))
+        rep = report(ed2, es, geom)
         assert rep.to_dict() == base.to_dict()
 
     def test_parameter_list_stable(self):

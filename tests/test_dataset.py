@@ -20,6 +20,7 @@ from condenseg.dataset import (
     stratified_kfold,
 )
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom
+from condenseg.volume import LabelMask, save_volume
 
 Stub = namedtuple("Stub", "group")
 
@@ -165,6 +166,18 @@ class TestManifestAndMeta:
         path.write_text(json.dumps(_set("name", meta_name)(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=re.escape("%s: name is %r, not 'sub-%02d'"
                                                        % (path, meta_name, index))):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("ed_mask.bin", (2, 48, 48)), ("es_mask.bin", (2, 64, 80)), ("ed_mask.bin", (1, 64, 64)),
+    ], ids=["ed_other_size", "es_other_size", "fewer_slices"])
+    def test_mask_shape_other_than_its_cine(self, tmp_path, name, shape):
+        # such a mask loaded and was cropped with its cine's box into wrong labels
+        save_dataset(tmp_path, [one_subject()])
+        path = os.path.join(tmp_path, "sub-00", name)
+        save_volume(path, LabelMask(np.zeros(shape, dtype=np.uint8)))
+        with pytest.raises(ValueError, match=re.escape(
+                "%s: mask shape %s is not its cine's (Z, H, W) (2, 64, 64)" % (path, shape))):
             load_dataset(tmp_path)
 
     def test_missing_subject_folder(self, tmp_path):

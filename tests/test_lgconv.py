@@ -207,6 +207,16 @@ class TestRestore:
                            match="^ckpt: lgconv kernel has nonzero weights where its mask is 0"):
             restore(layer, k, "ckpt: ")
 
+    @pytest.mark.parametrize("stage", [-1, 2, 99])
+    def test_stage_outside_the_schedule_rejected(self, stage):
+        # at C = 2 a zeroed mask keeps ceil(4 * (2 - 2) / 2) = 0 channels, the
+        # count "stage 2" would ask for, yet no condensing reaches stage 2
+        layer = LGConvLayer(4, 4, condensation_factor=2)
+        layer.mask[...] = 0
+        with pytest.raises(ValueError, match=r"^x: lgconv is at stage %d, outside \[0, 1\]$" % stage):
+            restore(layer, stage, "x: ")
+        assert layer.stage == 0
+
 
 class TestGroupLasso:
     def test_zero_weights(self):

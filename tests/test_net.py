@@ -1,5 +1,6 @@
 """Architecture wiring, accounting, condensation scheduling, checkpoints."""
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -18,12 +19,13 @@ from condenseg.net import (
     CondenseBlock,
     ConfigError,
     NetConfig,
+    Stem,
     apply_condensation,
     build,
     load_checkpoint,
     save_checkpoint,
 )
-from condenseg.tensor import ShapeError, Tensor, UninitializedStatsError, grad_check
+from condenseg.tensor import ShapeError, Tensor, UninitializedStatsError, conv2d, grad_check
 
 
 def small_config():
@@ -432,7 +434,7 @@ class TestIncompleteCheckpoint:
         (lambda h: h.pop("manifest"), "header has no manifest"),
         (lambda h: h["config"].update(dropout=0.1), "config has unknown fields: dropout"),
         (lambda h: h["lg_stages"].update({"enc1.layer0.lg": "x"}), "lg_stages: enc1.layer0.lg is 'x'"),
-        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": 99}), "lg_stages: enc1.layer0.lg is 99"),
+        (lambda h: h["lg_stages"].update({"enc1.layer0.lg": 99}), "enc1.layer0.lg is at stage 99, outside"),
         (lambda h: h["lg_stages"].update({"enc1.layer0.lg": True}), "lg_stages: enc1.layer0.lg is True"),
         (lambda h: h["bn_initialized"].__setitem__(0, "yes"), "bn_initialized"),
         (lambda h: h.update(config=[]), "config is \\[\\], not a dict"),
@@ -652,11 +654,52 @@ class TestGradients:
             assert grad_check(f, p, rng=rng) < T.GRAD_TOL
 
 
+def _concat(tensors):
+    """Reference channel concat: a fresh copy forward, and a backward that
+    hands each input a copy of its slice of the gradient."""
+    out = T._result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors))
+    if out.requires_grad:
+
+        def backward(g):
+            ofs = 0
+            for t in tensors:
+                if t.requires_grad:
+                    t._accumulate(g[:, ofs:ofs + t.shape[1]])
+                ofs += t.shape[1]
+
+        out._backward = backward
+    return out
+
+
 def _concat_block_forward(block, x, training):
-    """The block as a chain of concat_channels: every layer's input a fresh copy."""
+    """The block as a chain of concatenations: every layer's input a fresh copy."""
     for layer in block.layers:
-        x = T.concat_channels([x, layer.forward(x, training)])
+        x = _concat([x, layer.forward(x, training)])
     return x
+
+
+def _concat_stem_forward(stem, x, training):
+    """The stem with its two branches joined by a fresh concatenation."""
+    return _concat([conv2d(conv2d(x, stem.dw3, padding=1), stem.pw3),
+                    conv2d(conv2d(x, stem.dw5, padding=2), stem.pw5)])
+
+
+def _stem_run(forward, dtype, b, training):
+    """Output and gradient bytes of one seeded 8-channel stem; an eval
+    forward runs without a graph, as the network runs it."""
+    stem = Stem(8, 16, dtype)
+    rng = np.random.default_rng(b)
+    for k in stem.parts:
+        T.he_normal(k, rng)
+    x = Tensor(rng.normal(0.3, 1.5, (b, 1, 16, 16)).astype(dtype), requires_grad=True, name="x")
+    with contextlib.nullcontext() if training else T.no_graph():
+        out = forward(stem, x, training)
+    if training:
+        (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
+    run = {"output": (out.data.dtype, out.data.shape, out.data.tobytes())}
+    for t in (x,) + stem.parts:
+        run[t.name] = None if t.grad is None else t.grad.tobytes()
+    return run
 
 
 def _block_run(forward, dtype, b, training, condensed):
@@ -700,6 +743,20 @@ class TestBlockBuffer:
             monkeypatch.setattr(T, "_inference_threads", lambda: count)
             with T._lanes():
                 got = _block_run(CondenseBlock.forward, dtype, b, training, condensed)
+            assert got == want, count
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_stem_bytes_of_a_concat(self, monkeypatch, dtype, training, b):
+        # the stem's one buffer keeps the bytes of a fresh concatenation of
+        # its branches: output, x's gradient and its four kernels' gradients
+        want = _stem_run(_concat_stem_forward, dtype, b, training)
+        assert all((v is not None) == training for k, v in want.items() if k != "output")
+        for count in (1, 3):
+            monkeypatch.setattr(T, "_inference_threads", lambda: count)
+            with T._lanes():
+                got = _stem_run(Stem.forward, dtype, b, training)
             assert got == want, count
 
     def test_grow_channels_checks_the_buffer(self):

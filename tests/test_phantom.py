@@ -7,7 +7,7 @@ import pytest
 
 from condenseg import phantom as phantom_mod
 from condenseg import tensor as tensor_mod
-from condenseg.clinical import SegmentationResult, report, simpson_volume
+from condenseg.clinical import report, simpson_volume
 from condenseg.phantom import (
     PhantomSpec,
     SpecError,
@@ -64,7 +64,7 @@ class TestGroundTruth:
 
     def test_report_recovers_truth_ef(self):
         s = generate_phantom(PhantomSpec(), 3)
-        rep = report(SegmentationResult(s.ed_mask, s.es_mask, s.geometry))
+        rep = report(s.ed_mask, s.es_mask, s.geometry)
         assert abs(rep.ef_percent - s.truth["ef_percent"]) < 1e-9
         assert abs(rep.rv_ef_percent - s.truth["rv_ef_percent"]) < 1e-9
 

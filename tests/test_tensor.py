@@ -14,7 +14,6 @@ from condenseg.tensor import (
     ShapeError,
     Tensor,
     adam_step,
-    concat_channels,
     conv2d,
     conv2d_transpose,
     grad_check,
@@ -636,18 +635,6 @@ class TestAdam:
         assert np.array_equal(a.data, [1.0, 2.0])
         assert np.array_equal(b.data, [3.0])
         assert state.step_count == 0
-
-
-class TestStructural:
-    def test_concat_and_slice_roundtrip(self):
-        rng = np.random.default_rng(17)
-        a = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
-        cat = concat_channels([a, b])
-        assert cat.shape == (2, 5, 4, 4)
-        assert np.array_equal(cat.data[:, 3:5], b.data)
-        err = grad_check(lambda t: (concat_channels([a, b]) * concat_channels([a, b])).sum(), a)
-        assert err < T.GRAD_TOL_POINTWISE
 
 
 class TestNoGraph:

@@ -511,6 +511,24 @@ class TestEvaluate:
         if erased == LV:
             assert got.predicted["lv_edv_ml"] == 0.0
 
+    def test_failing_subject_and_frame_named(self):
+        # a NaN written into a checked cine, inside its crop box, reaches the
+        # softmax; the error names the subject and the frame it was in
+        subs = build_cohort(2, seed=3)
+        net = build(NetConfig(input_size=64, condensation_factor=2),
+                    rng=np.random.default_rng(0), dtype=np.float32)
+        x = np.random.default_rng(1).normal(size=(2, 1, 64, 64)).astype(np.float32)
+        net.forward(Tensor(x), training=True)  # sets the running stats
+        sub = subs[1]
+        cy, cx = (int(c) for c in train_mod.cine_box(sub.cine, 64).center)
+        sub.cine.data[sub.ed_frame, 3, cy, cx] = np.nan
+        with pytest.raises(NumericsError, match="^subject %s: frame %d: softmax_channels produced"
+                           % (sub.name, sub.ed_frame)) as info:
+            evaluate(net, subs)
+        cause = info.value.__cause__
+        assert type(cause) is NumericsError and type(cause.__cause__) is NumericsError
+        assert str(cause.__cause__).startswith("softmax_channels produced")
+
 
 class TestReportCsv:
     def test_row_counts(self, tmp_path):
