@@ -175,8 +175,11 @@ class CondenseBlock:
     The block grows in one (B, out_channels, H, W) buffer (Pleiss et al.,
     memory-efficient DenseNets): the input is copied in once, each layer's
     new maps once into their channels, and every layer reads the grown
-    prefix as a view (`grow_channels`).  Outputs and gradients keep the
-    bytes of a chain of fresh concatenations."""
+    prefix as a view (`grow_channels`).  In training, the BNs that read the
+    buffer (the layers' and the next module's) share its normalisation,
+    each computing only the channels new to it, and each layer's output is
+    held only in the buffer.  Outputs and gradients keep the bytes of a
+    chain of fresh concatenations."""
 
     def __init__(self, in_channels, n_layers, res, cfg, dtype, name):
         self.layers = []
@@ -482,7 +485,7 @@ def load_checkpoint(path):
         if end > len(blob):
             raise ValueError("checkpoint %s: truncated buffer for %s"
                              % (path, item["name"]))
-        buf = np.frombuffer(blob[offset:end], dtype=dtype).reshape(item["shape"])
+        buf = blob[offset:end].view(dtype).reshape(item["shape"])
         offset = end
         dst = arrays.pop(item["name"], None)
         if dst is None:

@@ -9,6 +9,8 @@ import json
 import os
 from dataclasses import fields, is_dataclass
 
+import numpy as np
+
 ABSENT = object()
 
 
@@ -48,11 +50,19 @@ def read_json(path, error):
 
 
 def read_record(path, error, label):
-    """(the JSON object on the first line of the file `path`, the bytes after it);
-    `error` saying `label` is not valid JSON or not a JSON object."""
+    """(the JSON object on the first line of the file `path`, the bytes after it as
+    a writable uint8 array); `error` saying `label` is not valid JSON or not a JSON
+    object.  The bytes are read with one `readinto` into one fresh, aligned array,
+    sized by the file's length, so a caller may view them as any dtype without a
+    copy."""
     with open(path, "rb") as f:
-        header = parse(f.readline(), error, label)
-        rest = f.read()
+        line = f.readline()
+        header = parse(line, error, label)
+        rest = np.empty(max(os.fstat(f.fileno()).st_size - len(line), 0), dtype=np.uint8)
+        rest = rest[:f.readinto(rest)]
+        tail = f.read()  # what the size missed: a pipe, or a file still growing
+    if tail:
+        rest = np.concatenate([rest, np.frombuffer(tail, dtype=np.uint8)])
     if not isinstance(header, dict):
         raise error("%s is not a JSON object" % label)
     return header, rest

@@ -10,10 +10,11 @@ each non-leaf gradient once its closure has used it, so a backward holds
 only the gradients still to be passed on.  ``grow_channels``, the
 network's one channel concat, grows the stem and each dense block in one
 buffer that later layers read as prefix views; its backward hands out
-views of the gradient.  Inside ``no_graph()`` ops record nothing and
-return leaves; an eval forward of the network runs there, so it keeps no
-graph and frees each activation once the next op has read it.  The state
-is per thread.  The weight initialiser ``he_normal``, the Adam optimizer
+views of the gradient, and training `scale_shift`s of those views share
+one normalisation of the buffer's channels.  Inside ``no_graph()`` ops
+record nothing and return leaves; an eval forward of the network runs
+there, so it keeps no graph and frees each activation once the next op
+has read it.  The state is per thread.  The weight initialiser ``he_normal``, the Adam optimizer
 and a central finite-difference gradient checker live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
@@ -84,7 +85,7 @@ class Tensor:
     gradient; leaves have neither.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_norm")
 
     def __init__(self, data, requires_grad=False, name=""):
         self.data = np.asarray(data)
@@ -93,6 +94,7 @@ class Tensor:
         self.name = name
         self._parents = ()
         self._backward = None
+        self._norm = None  # a `grow_channels` result's `_BlockNorm`
 
     @property
     def shape(self):
@@ -391,6 +393,11 @@ def grow_channels(buf, new: Tensor, prefix: Tensor | None = None) -> Tensor:
     channels after the prefix, and the result is a Tensor over buf's
     channels up to its end, a view again.  The stem and each dense block
     grow in one such buffer, so no earlier feature map is copied twice.
+    Once copied, `new` holds buf's copy of its values unless it is a leaf
+    that requires grad or of another dtype, so its own array is freed when
+    nothing else holds it.  The result carries the buffer's `_BlockNorm`,
+    the one every training `scale_shift` of its prefixes shares; a grow
+    over channels that state has normalised starts a fresh one.
 
     The backward hands the prefix and `new` views of the incoming gradient,
     without copies: that gradient is spent once its closure returns, and the
@@ -402,8 +409,12 @@ def grow_channels(buf, new: Tensor, prefix: Tensor | None = None) -> Tensor:
             or new.shape[:1] + new.shape[2:] != buf.shape[:1] + buf.shape[2:]):
         raise ShapeError(f"cannot grow {new.shape} after {c} channels of a {buf.shape} buffer")
     buf[:, c:c + k] = new.data
+    if new.dtype == buf.dtype and (new._backward is not None or not new.requires_grad):
+        new.data = buf[:, c:c + k]
     parents = (new,) if prefix is None else (prefix, new)
     out = _result(buf[:, :c + k], parents)
+    norm = None if prefix is None else prefix._norm
+    out._norm = norm if norm is not None and norm.done <= c else _BlockNorm(buf.shape)
     if out.requires_grad:
 
         def backward(g):
@@ -721,6 +732,23 @@ def _row_dots(u, v):
     return (u[:, :, None, :] @ v[:, :, :, None])[:, :, 0, 0]
 
 
+class _BlockNorm:
+    """Training `scale_shift` state of a (B, C, H, W) buffer's channels: the
+    batch mean, variance and 1/sd of each, and xhat, the buffer centred and
+    scaled, as (B, C, H*W).  The first `done` channels hold values; a
+    `scale_shift` that reads a longer prefix fills the rest of it, so each
+    channel is normalised once however many BNs read it.  The per-channel
+    values of a range of two or more channels are the bytes the whole
+    prefix gives (see `scale_shift` for one channel)."""
+
+    __slots__ = ("shape", "done", "mean", "var", "inv", "xhat")
+
+    def __init__(self, shape):
+        b, c, h, w = shape
+        self.shape = (b, c, h * w)
+        self.done = 0
+
+
 def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
                 running: RunningStats | None = None) -> Tensor:
     """Per-channel normalize, affine, then ReLU over batch+space of (B,C,H,W).
@@ -729,7 +757,10 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
     - forward: batch mean, one centred copy ``d = x - mean``, the variance
       as a per-channel dot of ``d`` with itself, ``d`` scaled in place to
       xhat (kept for the backward), then ``xhat*gamma + beta`` and an
-      in-place ReLU; ``running`` is updated if given;
+      in-place ReLU; ``running`` is updated if given.  On a
+      `grow_channels` result the mean, variance and xhat are views of its
+      buffer's `_BlockNorm`, computed here only for the channels no BN
+      has read yet; each BN keeps its own output;
     - backward: the gradient masked by the ReLU, the two per-channel sums
       that are beta's and gamma's gradients, and
       ``dx = a*gm - xhat*(a*s_gamma/n) - a*s_beta/n`` with ``a = gamma/sd``.
@@ -760,26 +791,41 @@ def scale_shift(x: Tensor, gamma: Tensor, beta: Tensor, training: bool = True,
         y += (beta.data - running.mean * fold).astype(dt)[:, None]
         np.maximum(y, 0, out=y)
         return Tensor(y.reshape(b, c, h, w))
-    mu = xv.mean(axis=(0, 2))
-    xhat = np.empty(xv.shape, dtype=np.result_type(xv, mu))
-    dots = np.empty((b, c), dtype=xhat.dtype)
+    # NumPy sums a lone channel in another order than the same channel among
+    # others: a one-channel x is normalised on its own, and a one-channel
+    # range after others is reduced over two, the first one's sums unused
+    norm = x._norm if x._norm is not None and c > 1 else _BlockNorm(x.shape)
+    k = min(norm.done, c)  # channels [k, c) are normalised here
+    if k < c:
+        lo = min(k, max(c - 2, 0))
+        mu = xv[:, lo:].mean(axis=(0, 2))[k - lo:]
+        if norm.done == 0:
+            dx = np.result_type(xv, mu)
+            norm.mean = np.empty(norm.shape[1], dtype=mu.dtype)
+            norm.var, norm.inv = np.empty((2, norm.shape[1]), dtype=dx)
+            norm.xhat = np.empty(norm.shape, dtype=dx)
+        fresh = norm.xhat[:, k:c]
+        dots = np.zeros((b, c - lo), dtype=fresh.dtype)
 
-    def centre(s):
-        np.subtract(xv[s], mu[:, None], out=xhat[s])
-        dots[s] = _row_dots(xhat[s], xhat[s])
+        def centre(s):
+            np.subtract(xv[s, k:], mu[:, None], out=fresh[s])
+            dots[s, k - lo:] = _row_dots(fresh[s], fresh[s])
 
-    _split(centre, b)
-    var = dots.sum(axis=0) / n
+        _split(centre, b)
+        norm.mean[k:c] = mu
+        norm.var[k:c] = dots.sum(axis=0)[k - lo:] / n
+        norm.inv[k:c] = 1.0 / np.sqrt(norm.var[k:c] + BN_EPS)
+        norm.done = c
+    xhat, inv = norm.xhat[:, :c], norm.inv[:c]
     if running is not None:
-        running.update(mu, var)
-    inv = 1.0 / np.sqrt(var + BN_EPS)
+        running.update(norm.mean[:c], norm.var[:c])
     scale = gamma.data.astype(dt, copy=False)[:, None]
     shift = beta.data.astype(dt, copy=False)[:, None]
     y = np.empty(xv.shape, dtype=np.result_type(xhat, scale))
 
     def normalize(s):
         xs, ys = xhat[s], y[s]
-        xs *= inv[:, None]
+        xs[:, k:] *= inv[k:, None]
         np.multiply(xs, scale, out=ys)
         ys += shift
         np.maximum(ys, 0, out=ys)

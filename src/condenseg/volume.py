@@ -182,7 +182,7 @@ def load_volume(path):
     if len(blob) != expected:
         raise TruncationError("%s: buffer is %d bytes, header dims need %d"
                               % (path, len(blob), expected))
-    arr = np.frombuffer(blob, dtype=dt).reshape(dims)
+    arr = blob.view(dt).reshape(dims)  # the record's own array: no copy
     try:
         geom = Geometry(tuple(header["spacing_mm"]), header["slice_thickness_mm"],
                         header["slice_gap_mm"])
@@ -190,7 +190,7 @@ def load_volume(path):
         raise HeaderError("%s: bad geometry: %s" % (path, err)) from None
     if tag == "f32":
         try:
-            return CineVolume(arr.copy(), geom)
+            return CineVolume(arr, geom)
         except ValueError as err:  # a NaN or infinite intensity
             raise VolumeFormatError("%s: %s" % (path, err)) from None
     names = LABEL_NAMES if header.get("label_names") is None else header["label_names"]
@@ -199,7 +199,7 @@ def load_volume(path):
     if dims[0] != 1:
         raise HeaderError("%s: label masks must have T=1, got %d" % (path, dims[0]))
     try:
-        return LabelMask(arr[0].copy(), num_classes=len(names), label_names=names)
+        return LabelMask(arr[0], num_classes=len(names), label_names=names)
     except ValueError as err:  # a label outside label_names
         raise HeaderError("%s: %s" % (path, err)) from None
 

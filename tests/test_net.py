@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from condenseg.net import (
     ConfigError,
     NetConfig,
     Stem,
+    Transition,
     apply_condensation,
     build,
     load_checkpoint,
@@ -702,11 +704,11 @@ def _stem_run(forward, dtype, b, training):
     return run
 
 
-def _block_run(forward, dtype, b, training, condensed):
-    """Output, gradient and running-stat bytes of one seeded 3-layer block."""
+def _seeded_block(dtype, training, condensed, rng):
+    """A 3-layer block over 12 channels at 8x8, drawn from `rng`; its BNs hold
+    running stats unless `training`."""
     cfg = NetConfig(growth_rate=8, groups=2, condensation_factor=4)
     block = CondenseBlock(12, 3, 8, cfg, dtype, "blk")
-    rng = np.random.default_rng(b)
     for layer in block.layers:
         T.he_normal(layer.lg.kernel, rng)
         layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, layer.bn.gamma.shape)
@@ -716,15 +718,32 @@ def _block_run(forward, dtype, b, training, condensed):
             layer.bn.stats.update(rng.normal(size=c), rng.uniform(0.5, 2.0, c))
         while condensed and layer.lg.stage < cfg.condensation_factor - 1:
             condense(layer.lg)
+    return block
+
+
+def _block_run(forward, dtype, b, training, condensed, transition=False):
+    """Output, gradient and running-stat bytes of one seeded 3-layer block,
+    and of the Transition that reads it when `transition`."""
+    rng = np.random.default_rng(b)
+    block = _seeded_block(dtype, training, condensed, rng)
     x = Tensor(rng.normal(0.3, 1.5, (b, 12, 8, 8)).astype(dtype), requires_grad=True, name="x")
     out = forward(block, x, training)
+    params = [p for layer in block.layers for p in (layer.lg.kernel, layer.bn.gamma,
+                                                    layer.bn.beta)]
+    bns = [layer.bn for layer in block.layers]
+    if transition:
+        tr = Transition(block.out_channels, 8, dtype, "tr")
+        T.he_normal(tr.kernel, rng)
+        tr.bn.gamma.data[...] = rng.uniform(0.5, 1.5, tr.bn.gamma.shape)
+        out = tr.forward(out, training)
+        params += [tr.kernel, tr.bn.gamma, tr.bn.beta]
+        bns.append(tr.bn)
     (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum().backward()
     run = {"output": (out.data.dtype, out.data.tobytes())}
-    for t in [x] + [p for layer in block.layers for p in (layer.lg.kernel, layer.bn.gamma,
-                                                          layer.bn.beta)]:
+    for t in [x] + params:
         run[t.name] = None if t.grad is None else t.grad.tobytes()
-    for layer in block.layers:
-        run[layer.bn.gamma.name + ".stats"] = layer.bn.stats.mean.tobytes() + layer.bn.stats.var.tobytes()
+    for bn in bns:
+        run[bn.gamma.name + ".stats"] = bn.stats.mean.tobytes() + bn.stats.var.tobytes()
     return run
 
 
@@ -758,6 +777,65 @@ class TestBlockBuffer:
             with T._lanes():
                 got = _stem_run(Stem.forward, dtype, b, training)
             assert got == want, count
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("condensed", [False, True])
+    @pytest.mark.parametrize("b", [1, 3, 4])
+    def test_shared_normalisation_bytes(self, monkeypatch, dtype, condensed, b):
+        # the block's BNs and the Transition's share one normalisation of
+        # the buffer, each normalising only the channels new to it; the
+        # reference's BNs each normalise their own fresh input whole
+        want = _block_run(_concat_block_forward, dtype, b, True, condensed, transition=True)
+        assert all(v is not None for v in want.values())
+        for count in (1, 3):
+            monkeypatch.setattr(T, "_inference_threads", lambda: count)
+            with T._lanes():
+                got = _block_run(CondenseBlock.forward, dtype, b, True, condensed,
+                                 transition=True)
+            assert got == want, count
+
+    def test_each_layer_output_held_once(self):
+        # a training forward keeps each layer's output only in the buffer,
+        # while x, a leaf that requires grad, keeps its own array
+        rng = np.random.default_rng(0)
+        block = _seeded_block(np.float64, True, False, rng)
+        x = Tensor(rng.normal(size=(2, 12, 8, 8)), requires_grad=True)
+        node = out = block.forward(x, True)
+        outputs = []
+        while len(node._parents) == 2:
+            node, new = node._parents
+            outputs.append(new)
+        assert len(outputs) == 3 and node._parents == (x,)
+        assert all(np.shares_memory(t.data, out.data) for t in outputs)
+        assert not np.shares_memory(x.data, out.data)
+
+    def test_eval_block_input_released(self):
+        # an eval forward leaves the block's input holding the buffer's copy,
+        # so the caller's reference keeps no array of its own
+        rng = np.random.default_rng(1)
+        block = _seeded_block(np.float64, False, False, rng)
+        x = Tensor(rng.normal(size=(2, 12, 8, 8)))
+        want = x.data.copy()
+        with T.no_graph():
+            out = block.forward(x, False)
+        assert np.shares_memory(x.data, out.data)
+        assert np.array_equal(out.data[:, :12], want) and np.array_equal(x.data, want)
+
+    def test_training_forward_memory(self):
+        # what a training forward of the default net at 64x64, batch 4,
+        # float32 leaves for its backward: one buffer per block, one
+        # normalised copy per block channel and each BN's own output
+        net = build(NetConfig(input_size=64), rng=np.random.default_rng(2), dtype=np.float32)
+        x = Tensor(np.random.default_rng(3).standard_normal((4, 1, 64, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = net.forward(x, training=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 4, 64, 64)
+        assert held < 80 * 2 ** 20, held / 2 ** 20
 
     def test_grow_channels_checks_the_buffer(self):
         buf = np.zeros((2, 5, 4, 4))

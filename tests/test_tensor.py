@@ -555,6 +555,72 @@ class TestScaleShiftProperties:
         assert np.abs(out - want).max() < 1e-5
 
 
+def _grown(rng, dtype, b, sizes, hw):
+    """Grad-requiring leaves of `sizes` channels each, grown one after another
+    in one buffer; (leaves, grown prefixes)."""
+    buf = np.empty((b, sum(sizes)) + hw, dtype)
+    parts = [Tensor(rng.normal(0.5, 2.0, (b, k) + hw).astype(dtype), requires_grad=True)
+             for k in sizes]
+    grown = []
+    for part in parts:
+        grown.append(T.grow_channels(buf, part, grown[-1] if grown else None))
+    return parts, grown
+
+
+def _bn_run(x, rng, grads_of):
+    """Training `scale_shift` of x with drawn gamma and beta: output, running
+    stats, and the gradients of gamma, beta and `grads_of` (x's input)."""
+    c, dtype = x.shape[1], x.dtype
+    gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(dtype), requires_grad=True)
+    beta = Tensor(rng.normal(size=c).astype(dtype), requires_grad=True)
+    running = T.RunningStats(c, dtype=dtype)
+    out = scale_shift(x, gamma, beta, running=running)
+    (out * Tensor(rng.standard_normal(x.shape).astype(dtype))).sum().backward()
+    dx = np.concatenate([t.grad for t in grads_of], axis=1)
+    return [a.tobytes() for a in (out.data, running.mean, running.var, gamma.grad, beta.grad, dx)]
+
+
+class TestBlockNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("b, sizes, hw, order", [
+        (3, (2, 1, 4), (5, 6), (0, 1, 2)),
+        (3, (2, 1, 4), (5, 6), (2, 0, 1)),
+        (1, (1, 1, 1), (1, 7), (1, 2, 0)),
+        (4, (5, 16, 3), (8, 8), (0, 2, 1)),
+        (9, (2, 1, 1, 3), (1, 3), (0, 1, 2, 3)),
+        (5, (1, 3, 1), (3, 5), (2, 0, 1)),
+        (5, (1, 3, 1), (3, 5), (0, 1, 2)),
+        (2, (3,), (4, 4), (0,)),
+    ])
+    def test_prefix_reads_keep_standalone_bytes(self, dtype, b, sizes, hw, order):
+        # BNs reading prefixes of one buffer, in any order, share its
+        # normalisation and keep the bytes of normalising a copy alone:
+        # output, running stats and every gradient
+        parts, grown = _grown(np.random.default_rng(7), dtype, b, sizes, hw)
+        for i in order:
+            for part in parts:
+                part.grad = None
+            copy = Tensor(grown[i].data.copy(), requires_grad=True)
+            want = _bn_run(copy, np.random.default_rng(i), [copy])
+            assert _bn_run(grown[i], np.random.default_rng(i), parts[:i + 1]) == want, i
+        assert grown[0]._norm is grown[-1]._norm
+
+    def test_growing_over_normalised_channels_starts_afresh(self):
+        # a grow that overwrites channels a BN has normalised gives its
+        # result a state of its own, so no stale xhat is read
+        rng = np.random.default_rng(8)
+        parts, grown = _grown(rng, np.float64, 2, (2, 3), (4, 4))
+        _bn_run(grown[1], np.random.default_rng(0), parts)
+        other = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        again = T.grow_channels(grown[1].data.base, other, grown[0])
+        assert again._norm is not grown[0]._norm
+        copy = Tensor(again.data.copy(), requires_grad=True)
+        want = _bn_run(copy, np.random.default_rng(1), [copy])
+        for t in (parts[0], other):
+            t.grad = None
+        assert _bn_run(again, np.random.default_rng(1), [parts[0], other]) == want
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         out = softmax_channels(Tensor(np.zeros((1, 4, 2, 2))))

@@ -3,6 +3,8 @@
 import json
 import os
 import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +140,50 @@ class TestFileFormat:
         assert back.geometry == vol.geometry
         save_volume(path, back)
         assert path.read_bytes() == first
+
+    def test_loaded_arrays_writable_and_aligned(self, tmp_path):
+        # a loaded cine and mask are writable, aligned arrays holding the
+        # bytes after their file's header line
+        rng = np.random.default_rng(5)
+        for name, obj in (("c.bin", CineVolume(rng.random((2, 3, 5, 7)).astype(np.float32))),
+                          ("m.bin", LabelMask(rng.integers(0, 4, (3, 5, 7)).astype(np.uint8)))):
+            path = tmp_path / name
+            save_volume(path, obj)
+            back = load_volume(path)
+            assert back.data.flags.writeable and back.data.flags.aligned, name
+            assert back.data.tobytes() == path.read_bytes().split(b"\n", 1)[1], name
+            back.data[...] = 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_loaded_from_a_pipe(self, tmp_path):
+        # a pipe reports no size: its bytes are read to its end all the same
+        data = np.random.default_rng(7).random((2, 3, 9, 9)).astype(np.float32)
+        path, pipe = tmp_path / "v.bin", tmp_path / "pipe"
+        save_volume(path, CineVolume(data))
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            back = load_volume(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(back.data, data) and back.data.flags.aligned
+
+    def test_cine_read_once(self, tmp_path):
+        # the bytes land once, in the array the volume keeps: the traced
+        # peak of a load is that array plus the finite check's bool mask
+        data = np.random.default_rng(6).random((6, 8, 64, 64)).astype(np.float32)
+        path = tmp_path / "v.bin"
+        save_volume(path, CineVolume(data))
+        tracemalloc.start()
+        try:
+            back = load_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, data)
+        assert peak < 1.5 * data.nbytes, peak / data.nbytes
 
     def test_non_finite_buffer_rejected(self, tmp_path):
         path = tmp_path / "v.bin"

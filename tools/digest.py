@@ -34,8 +34,10 @@ Artefacts, one line each:
 Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
 loads unless the environment already sets it; compare two trees at the
 same count.  The path of the imported package and, at the end, the
-process's peak resident set size go to stderr, apart from the lines to
-compare: a report, not a check.
+process's peak resident set size and then the `tracemalloc` peak of one
+training step go to stderr, apart from the lines to compare: a report, not
+a check.  That step is the second `train._step` (the first fills Adam's
+moments) of the default net at 64x64, float32, batch 4, lasso off.
 """
 
 import contextlib
@@ -47,6 +49,7 @@ import os
 import resource
 import sys
 import tempfile
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -62,9 +65,9 @@ from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
                            load_checkpoint, save_checkpoint)
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: E402
 from condenseg.roi import first_harmonic_map, hough_circle  # noqa: E402
-from condenseg.tensor import RunningStats, Tensor, scale_shift  # noqa: E402
-from condenseg.train import (TrainConfig, _training_slices, emit_report_csv,  # noqa: E402
-                             evaluate, train)
+from condenseg.tensor import AdamState, RunningStats, Tensor, scale_shift  # noqa: E402
+from condenseg.train import (TrainConfig, _step, _training_slices,  # noqa: E402
+                             emit_report_csv, evaluate, train)
 from condenseg.volume import LabelMask, save_volume  # noqa: E402
 
 LASSO = 1e-5
@@ -181,6 +184,24 @@ def training_slices_lines():
                                        *_training_slices(subs[5:], 64, central=True))
 
 
+def step_peak_mib():
+    """Traced peak, in MiB, of the second training step of the default net at
+    64x64, float32, batch 4, lasso off."""
+    net = build(NetConfig(input_size=64), rng=np.random.default_rng(5), dtype=np.float32)
+    rng = np.random.default_rng(6)
+    images = rng.standard_normal((4, 1, 64, 64)).astype(np.float32)
+    labels = rng.integers(0, net.config.num_classes, (4, 64, 64)).astype(np.uint8)
+    args = (net, net.parameters(), AdamState(), images, labels, LossConfig(), 0.0)
+    _step(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _step(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     print("condenseg from %s" % os.path.dirname(condenseg.__file__), file=sys.stderr)
     lines = list(scale_shift_lines())
@@ -196,6 +217,7 @@ def main():
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print("peak RSS %.1f MB" % peak, file=sys.stderr)
+    print("traced training step peak %.1f MiB" % step_peak_mib(), file=sys.stderr)
 
 
 if __name__ == "__main__":
