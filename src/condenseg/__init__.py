@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .tensor import Tensor, AdamState, adam_step, grad_check  # noqa: F401
 from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume  # noqa: F401
 from .lgconv import (  # noqa: F401
-    CondensationSchedule,
     LGConvLayer,
+    condensation_stage,
     condense,
     group_lasso_penalty,
     to_inference,

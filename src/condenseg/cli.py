@@ -62,9 +62,8 @@ def cmd_train(args):
     save_checkpoint(net, args.out, epoch=cfg.epochs,
                     extra={"train_config": cfg.to_dict(),
                            "run_history": history})
-    final = history["val_dice"][-1] if history["val_dice"] else float("nan")
     print("trained %d epochs, final val LV Dice %.4f, saved %s"
-          % (cfg.epochs, final, args.out))
+          % (cfg.epochs, history["val_dice"][-1], args.out))
 
 
 def cmd_segment(args):

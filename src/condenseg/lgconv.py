@@ -21,14 +21,13 @@ from .tensor import ShapeError, Tensor, _result, conv2d
 __all__ = [
     "StageError",
     "LGConvLayer",
-    "CondensationSchedule",
     "InferenceLGConv",
     "lg_forward",
     "importance_scores",
     "condense",
+    "condensation_stage",
     "restore",
     "group_lasso_penalty",
-    "schedule_stage",
     "to_inference",
 ]
 
@@ -189,35 +188,18 @@ def group_lasso_penalty(layer: LGConvLayer) -> Tensor:
     return out
 
 
-class CondensationSchedule:
-    """Stage boundaries: C-1 equal condensing stages fill the first half of
-    training and the second half is plain optimization."""
-
-    def __init__(self, total_epochs: int, C: int):
-        if total_epochs < 1:
-            raise ValueError("total_epochs must be positive")
-        if C < 1:
-            raise ValueError("condensation factor must be >= 1")
-        self.total_epochs = total_epochs
-        self.C = C
-        self.stage_boundaries = [total_epochs * k // (2 * (C - 1))
-                                 for k in range(1, C)]
-        if any(b >= c for b, c in zip(self.stage_boundaries,
-                                      self.stage_boundaries[1:])) or \
-                (self.stage_boundaries and self.stage_boundaries[0] < 1):
-            raise ValueError("total_epochs %d too small for %d condensing stages"
-                             % (total_epochs, C - 1))
-
-
-def schedule_stage(sched: CondensationSchedule, epoch: int) -> int:
-    """Stage the epoch belongs to; C-1 means the optimization phase."""
-    if not 0 <= epoch < sched.total_epochs:
-        raise ValueError("epoch %d outside [0, %d)" % (epoch, sched.total_epochs))
-    stage = 0
-    for b in sched.stage_boundaries:
-        if epoch >= b:
-            stage += 1
-    return stage
+def condensation_stage(epoch: int, epochs: int, C: int) -> int:
+    """Condensing stages done by `epoch` of `epochs`: C-1 equal stages start
+    at epochs*k // (2(C-1)), k = 1..C-1, filling the first half of training;
+    from epoch epochs//2 on the stage is C-1, plain optimization.
+    ValueError for an epoch outside [0, epochs), or for too few epochs: two
+    stages starting on one epoch, or the first on epoch 0."""
+    starts = [epochs * k // (2 * (C - 1)) for k in range(1, C)]
+    if 0 in starts or len(set(starts)) < len(starts):
+        raise ValueError("%d epochs too few for %d condensing stages" % (epochs, C - 1))
+    if not 0 <= epoch < epochs:
+        raise ValueError("epoch %d outside [0, %d)" % (epoch, epochs))
+    return sum(epoch >= s for s in starts)
 
 
 class InferenceLGConv:

@@ -18,13 +18,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .lgconv import (
-    CondensationSchedule,
     LGConvLayer,
     condense,
     group_lasso_penalty,
     lg_forward,
     restore,
-    schedule_stage,
 )
 from .schema import (PRESENT, ConfigError, check, dumps, is_int, optional, read_config,
                      read_record, write_file)
@@ -42,6 +40,7 @@ from .tensor import (
     scale_shift,
     softmax_channels,
 )
+from .volume import LABEL_NAMES
 
 CHECKPOINT_MAGIC = "condenseg-net"
 # version 1 files also carry a per-layer pruning log, `history`, which
@@ -53,7 +52,7 @@ CHECKPOINT_DTYPES = ("<f4", "<f8")
 @dataclass(frozen=True)
 class NetConfig:
     input_size: int = 128
-    num_classes: int = 4  # background, RV, myocardium, LV
+    num_classes: int = len(LABEL_NAMES)
     growth_rate: int = 16
     groups: int = 4
     condensation_factor: int = 4
@@ -389,15 +388,15 @@ def build(config: NetConfig, rng, dtype=np.float64) -> Network:
     return net
 
 
-def apply_condensation(net: Network, epoch: int, sched: CondensationSchedule):
-    """Advance every LG-Conv layer to the stage the schedule dictates.
+def apply_condensation(net: Network, stage: int):
+    """Condense every LG-Conv layer up to `stage` (`condensation_stage`);
+    `condense` raises StageError for a stage past a layer's C-1.
 
-    Returns a list of (layer_name, report) events; empty off boundaries.
+    Returns a list of (layer_name, report) events; empty when none moved.
     """
-    stage = schedule_stage(sched, epoch)
     events = []
     for lg in net.lg_layers():
-        while lg.stage < min(stage, lg.condensation_factor - 1):
+        while lg.stage < stage:
             events.append((lg.name, condense(lg)))
     return events
 

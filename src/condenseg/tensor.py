@@ -658,19 +658,26 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
     return _conv(x, kernel, stride, padding, size, transposed=True)
 
 
+def _window_max(views):
+    """Element-wise max of a pooling window's strided views, a fresh array."""
+    pooled = views[0].copy()
+    for v in views[1:]:
+        np.maximum(v, pooled, out=pooled)  # on a tie np.maximum returns `pooled`, the earlier max
+    return pooled
+
+
 def max_pool2d(x: Tensor, window: int = 2) -> Tensor:
     """Non-overlapping max pooling; gradient goes to the first max in scan order."""
     h, w = x.shape[2:]
     if h % window or w % window:
         raise ShapeError(f"max_pool2d needs H,W divisible by {window}, got {h}x{w}")
     views = [x.data[..., i::window, j::window] for i, j in np.ndindex(window, window)]
-    pooled = views[0].copy()
-    for v in views[1:]:
-        np.maximum(v, pooled, out=pooled)  # on a tie np.maximum returns `pooled`, the earlier max
-    out = _result(pooled, (x,))
+    out = _result(_window_max(views), (x,))
     if out.requires_grad:
 
         def backward(g):
+            # taken again from the views of x, which the graph holds anyway
+            pooled = _window_max(views)
             full = np.zeros_like(x.data)
             free = np.ones(pooled.shape, dtype=bool)  # windows whose max is not yet found
             for (i, j), v in zip(np.ndindex(window, window), views):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .clinical import ClinicalReport, report
 from .dataset import check_fractions, split_dataset
-from .lgconv import CondensationSchedule, schedule_stage
+from .lgconv import condensation_stage
 from .loss import LossConfig, total_loss
 from .metrics import dice_score, hausdorff, pearson
 from .net import NetConfig, apply_condensation, build
@@ -54,7 +54,7 @@ class TrainConfig:
         if problems:
             raise ConfigError("; ".join(problems))
         try:
-            CondensationSchedule(self.epochs, self.net.condensation_factor)
+            condensation_stage(0, self.epochs, self.net.condensation_factor)
         except ValueError as err:
             raise ConfigError("epochs: %s" % err) from None
 
@@ -181,7 +181,6 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
     rng = np.random.default_rng(cfg.seed)
     net = build(cfg.net, rng=rng, dtype=np.float32)
     adam = AdamState(learning_rate=cfg.learning_rate)
-    sched = CondensationSchedule(cfg.epochs, cfg.net.condensation_factor)
 
     size = cfg.net.input_size
     params = net.parameters()
@@ -191,12 +190,13 @@ def train(subjects, cfg: TrainConfig, val_subjects=None):
         val_images, val_labels = (_training_slices(val_subjects, size, central=True)
                                   if val_subjects else (None, None))
         for epoch in range(cfg.epochs):
-            for name, event in apply_condensation(net, epoch, sched):
+            stage = condensation_stage(epoch, cfg.epochs, cfg.net.condensation_factor)
+            for name, event in apply_condensation(net, stage):
                 history["condensation"].append(
                     {"epoch": epoch, "layer": name, "stage": event["stage"]})
-            # the group lasso acts only while the schedule still condenses
+            # the group lasso acts only while stages remain to condense
             lasso = (cfg.group_lasso_coefficient
-                     if schedule_stage(sched, epoch) < cfg.net.condensation_factor - 1 else 0.0)
+                     if stage < cfg.net.condensation_factor - 1 else 0.0)
 
             epoch_loss = 0.0
             for step in range(cfg.batches_per_epoch):

@@ -9,15 +9,14 @@ import pytest
 from condenseg import lgconv
 from condenseg import tensor as T
 from condenseg.lgconv import (
-    CondensationSchedule,
     LGConvLayer,
     StageError,
+    condensation_stage,
     condense,
     group_lasso_penalty,
     importance_scores,
     lg_forward,
     restore,
-    schedule_stage,
     to_inference,
 )
 from condenseg.tensor import ShapeError, Tensor, conv2d, grad_check, he_normal, no_graph
@@ -261,31 +260,43 @@ class TestGroupLasso:
 
 class TestSchedule:
     def test_boundaries_100_c4(self):
-        sched = CondensationSchedule(100, 4)
-        assert sched.stage_boundaries == [16, 33, 50]
-        assert schedule_stage(sched, 0) == 0
-        assert schedule_stage(sched, 15) == 0
-        assert schedule_stage(sched, 16) == 1
-        assert schedule_stage(sched, 49) == 2
-        assert schedule_stage(sched, 50) == 3
-        assert schedule_stage(sched, 99) == 3
+        stages = [condensation_stage(epoch, 100, 4) for epoch in range(100)]
+        assert [stages.index(k) for k in (1, 2, 3)] == [16, 33, 50]
+        assert condensation_stage(0, 100, 4) == 0
+        assert condensation_stage(15, 100, 4) == 0
+        assert condensation_stage(16, 100, 4) == 1
+        assert condensation_stage(49, 100, 4) == 2
+        assert condensation_stage(50, 100, 4) == 3
+        assert condensation_stage(99, 100, 4) == 3
 
     def test_c1_all_optimization(self):
-        sched = CondensationSchedule(40, 1)
-        assert sched.stage_boundaries == []
-        assert schedule_stage(sched, 0) == 0
-        assert schedule_stage(sched, 39) == 0
+        assert [condensation_stage(epoch, 40, 1) for epoch in range(40)] == [0] * 40
 
     def test_epoch_out_of_range(self):
-        sched = CondensationSchedule(10, 2)
-        with pytest.raises(ValueError):
-            schedule_stage(sched, 10)
-        with pytest.raises(ValueError):
-            schedule_stage(sched, -1)
+        with pytest.raises(ValueError, match="outside"):
+            condensation_stage(10, 10, 2)
+        with pytest.raises(ValueError, match="outside"):
+            condensation_stage(-1, 10, 2)
 
     def test_too_few_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            CondensationSchedule(4, 4)
+        with pytest.raises(ValueError, match="too few"):
+            condensation_stage(0, 4, 4)
+
+    @pytest.mark.parametrize("C", range(2, 9))
+    def test_one_stage_at_most_per_epoch(self, C):
+        # so `train` condenses each layer at most once an epoch, and the
+        # last stage starts halfway through training
+        runs = 0
+        for epochs in range(1, 121):
+            try:
+                condensation_stage(0, epochs, C)
+            except ValueError:
+                continue
+            stages = [condensation_stage(epoch, epochs, C) for epoch in range(epochs)]
+            assert set(np.diff([0] + stages)) <= {0, 1}
+            assert stages.index(C - 1) == epochs // 2
+            runs += 1
+        assert runs >= 100
 
 
 class TestInferenceForm:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condenseg import tensor as T
-from condenseg.lgconv import CondensationSchedule, condense
+from condenseg.lgconv import StageError, condensation_stage, condense
 from condenseg.net import (
     CondenseBlock,
     ConfigError,
@@ -86,9 +86,8 @@ class TestAccounting:
 
     def test_alive_drops_to_quarter_of_lg_weights(self):
         net = small_net()
-        sched = CondensationSchedule(100, 4)
-        for epoch in (16, 33, 50):
-            apply_condensation(net, epoch, sched)
+        for stage in (1, 2, 3):
+            apply_condensation(net, stage)
         dense_lg = sum(lg.kernel.data.size for lg in net.lg_layers())
         alive_lg = sum(int(lg.mask.sum()) * 9 for lg in net.lg_layers())
         # ceil rounding adds at most (C-1)/C of a channel per filter
@@ -100,9 +99,8 @@ class TestAccounting:
         net = small_net()
         dense = net.flop_count("dense")
         assert dense > 0
-        sched = CondensationSchedule(10, 4)
-        for epoch in (1, 3, 5):
-            apply_condensation(net, epoch, sched)
+        for stage in (1, 2, 3):
+            apply_condensation(net, stage)
         assert net.flop_count("alive") < dense
 
     @pytest.mark.parametrize("config, dense, alive", [
@@ -112,7 +110,7 @@ class TestAccounting:
     def test_pinned_counts(self, config, dense, alive):
         net = build(config, rng=np.random.default_rng(0))
         assert (net.flop_count("dense"), net.param_count("dense")) == dense
-        apply_condensation(net, 59, CondensationSchedule(60, 4))
+        apply_condensation(net, 3)
         assert (net.flop_count("alive"), net.param_count("alive")) == alive
         assert (net.flop_count("dense"), net.param_count("dense")) == dense
 
@@ -122,7 +120,7 @@ class TestAccounting:
         # positions; LG layers run masked dense, so "dense" counts them all
         net = small_net()
         if condensed:
-            apply_condensation(net, 59, CondensationSchedule(60, 4))
+            apply_condensation(net, 3)
         run = []
         conv = T._conv
 
@@ -206,21 +204,19 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
-class TestCondensationSchedule:
+class TestApplyCondensation:
     def test_off_boundary_empty(self):
         net = small_net()
-        sched = CondensationSchedule(100, 4)
-        assert apply_condensation(net, 0, sched) == []
-        assert apply_condensation(net, 15, sched) == []
+        for epoch in (0, 15):
+            assert apply_condensation(net, condensation_stage(epoch, 100, 4)) == []
 
     def test_three_events_per_layer_over_run(self):
         net = small_net()
-        sched = CondensationSchedule(100, 4)
         n_lg = len(net.lg_layers())
         events = []
         alive = [net.param_count("alive")]
         for epoch in range(100):
-            events.extend(apply_condensation(net, epoch, sched))
+            events.extend(apply_condensation(net, condensation_stage(epoch, 100, 4)))
             alive.append(net.param_count("alive"))
         assert len(events) == 3 * n_lg
         assert all(lg.stage == 3 for lg in net.lg_layers())
@@ -228,9 +224,14 @@ class TestCondensationSchedule:
 
     def test_catches_up_after_skipped_epochs(self):
         net = small_net()
-        sched = CondensationSchedule(100, 4)
-        events = apply_condensation(net, 60, sched)  # straight to optimization
+        # straight to optimization
+        events = apply_condensation(net, condensation_stage(60, 100, 4))
         assert len(events) == 3 * len(net.lg_layers())
+
+    def test_stage_past_c_minus_1_rejected(self):
+        net = small_net()
+        with pytest.raises(StageError, match="fully condensed"):
+            apply_condensation(net, 4)
 
 
 class TestCheckpoint:
@@ -238,8 +239,7 @@ class TestCheckpoint:
         net = small_net(seed=9)
         x = Tensor(np.random.default_rng(10).normal(size=(2, 1, 32, 32)))
         net.forward(x, training=True)  # populate running stats
-        sched = CondensationSchedule(10, 4)
-        apply_condensation(net, 1, sched)
+        apply_condensation(net, 1)
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
         save_checkpoint(net, p1, epoch=3)
@@ -326,7 +326,7 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(9).normal(size=(2, 1, 32, 32)))
         net.forward(x, training=True)
         history = {lg.name: [] for lg in net.lg_layers()}
-        for name, report in apply_condensation(net, 5, CondensationSchedule(10, 4)):
+        for name, report in apply_condensation(net, 3):
             history[name].append(report)
         p = tmp_path / "v1.ckpt"
         save_checkpoint(net, p)
@@ -534,7 +534,7 @@ class TestCondensationState:
             "group_alive_count", "group_mask_not_binary", "pruned_weight_nonzero"])
     def test_inconsistent_state_rejected(self, tmp_path, mask_edit, header_edit, field):
         net = small_net()
-        apply_condensation(net, 5, CondensationSchedule(10, 4))  # fully condensed
+        apply_condensation(net, 3)  # fully condensed
         if mask_edit is not None:
             mask_edit(next(lg for lg in net.lg_layers() if lg.name == LG))
         p = tmp_path / "c.ckpt"
@@ -547,7 +547,7 @@ class TestCondensationState:
 
     def test_negative_zero_pruned_weights_load(self, tmp_path):
         net = small_net()
-        apply_condensation(net, 5, CondensationSchedule(10, 4))
+        apply_condensation(net, 3)
         for lg in net.lg_layers():
             lg.kernel.data[lg.mask == 0] = -0.0
         p = tmp_path / "z.ckpt"
@@ -569,7 +569,7 @@ json_values = st.recursive(
 def _condensed_checkpoint():
     """(header line, buffers) of a fully condensed small checkpoint, made once."""
     net = small_net()
-    apply_condensation(net, 5, CondensationSchedule(10, 4))
+    apply_condensation(net, 3)
     with tempfile.TemporaryDirectory() as tmp:
         p = os.path.join(tmp, "c.ckpt")
         save_checkpoint(net, p)

@@ -202,6 +202,21 @@ class TestTrainLoop:
         assert all(a >= b for a, b in zip(alive, alive[1:]))
         assert alive[-1] < alive[0]
 
+    def test_lasso_only_while_stages_remain(self, monkeypatch):
+        # C = 4 over 6 epochs: the stages start at epochs 1, 2 and 3, the
+        # last one fully condensing, so the lasso acts in epochs 0-2 only
+        lassos = []
+
+        def recorded(net, params, adam, images, labels, loss_cfg, lasso):
+            lassos.append(lasso)
+            return 0.0
+
+        monkeypatch.setattr(train_mod, "_step", recorded)
+        cfg = tiny_config(epochs=6, batches_per_epoch=1, group_lasso_coefficient=3e-5,
+                          net=tiny_net(condensation_factor=4))
+        train(tiny_cohort(2), cfg, val_subjects=[])  # no step ran, so no validation
+        assert lassos == [3e-5] * 3 + [0.0] * 3
+
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_step_graph_dead_before_next_forward(self, monkeypatch, lanes):
         # Tensor has no __weakref__ slot, so watch the training output's array:

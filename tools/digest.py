@@ -1,9 +1,10 @@
 """Print one sha256 per artefact whose bytes the network code fixes.
 
-A change meant to keep every number must print the same lines as its base:
+A change meant to keep every number must print the same lines as its base,
+each tree running its own copy of this script:
 
     PYTHONPATH=src python3 tools/digest.py > after.txt
-    PYTHONPATH=/path/to/base/src python3 tools/digest.py > before.txt
+    PYTHONPATH=/path/to/base/src python3 /path/to/base/tools/digest.py > before.txt
     diff before.txt after.txt
 
 Artefacts, one line each:
@@ -59,7 +60,6 @@ import numpy as np  # noqa: E402
 import condenseg  # noqa: E402
 from condenseg.cli import main as cli_main  # noqa: E402
 from condenseg.dataset import save_dataset  # noqa: E402
-from condenseg.lgconv import CondensationSchedule  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
 from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
                            load_checkpoint, save_checkpoint)
@@ -99,7 +99,7 @@ def net_lines(dtype, condensed):
     cfg = NetConfig(input_size=32)
     net = build(cfg, rng=np.random.default_rng(5), dtype=dtype)
     if condensed:
-        apply_condensation(net, 59, CondensationSchedule(60, cfg.condensation_factor))
+        apply_condensation(net, cfg.condensation_factor - 1)
     rng = np.random.default_rng(6)
     x, x_eval = (Tensor(rng.standard_normal((2, 1, 32, 32)).astype(dtype)) for _ in "ab")
     y = LabelMask(rng.integers(0, cfg.num_classes, (2, 32, 32)).astype(np.uint8))
