@@ -24,23 +24,27 @@ def dice_score(a, b, label: int) -> float:
 
 
 def boundary_points(binary: np.ndarray) -> np.ndarray:
-    """(N,2) row/col coordinates of set pixels with a 4-neighbor outside the
-    set (image borders count as outside)."""
-    padded = np.pad(binary, 1, constant_values=False)
-    interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
-                & padded[1:-1, :-2] & padded[1:-1, 2:])
+    """(N, ndim) coordinates of set pixels with an in-plane 4-neighbor outside
+    the set (image borders count as outside); a (Z,H,W) stack slice by slice."""
+    interior = np.zeros_like(binary)
+    interior[..., 1:-1, 1:-1] = (binary[..., :-2, 1:-1] & binary[..., 2:, 1:-1]
+                                 & binary[..., 1:-1, :-2] & binary[..., 1:-1, 2:])
     return np.argwhere(binary & ~interior)
 
 
-def _directed_hausdorff(pts_a, pts_b, spacing):
-    # max over a of min over b; brute force in chunks
+def _nearest_max(pts_a, pts_b, scale):
+    # squared: max over a of min over b; brute force in chunks
     worst = 0.0
-    scale = np.asarray(spacing, dtype=np.float64)
-    b_scaled = pts_b * scale
+    b = pts_b * scale
     for start in range(0, len(pts_a), 512):
-        chunk = pts_a[start:start + 512] * scale
-        d2 = ((chunk[:, None, :] - b_scaled[None, :, :]) ** 2).sum(axis=2)
-        worst = max(worst, float(np.sqrt(d2.min(axis=1).max())))
+        a = pts_a[start:start + 512] * scale
+        dy = a[:, 0, None] - b[:, 0]
+        dx = a[:, 1, None] - b[:, 1]
+        dy *= dy
+        dx *= dx
+        dy += dx
+        worst = max(worst, dy.min(axis=1).max())
+        del dy, dx  # before the next chunk's
     return worst
 
 
@@ -49,34 +53,43 @@ def hausdorff(a, b, label: int, spacing_mm=(1.0, 1.0)) -> float:
 
     2-D masks are compared in-plane; (Z,H,W) stacks take the worst slice
     (in-plane distances only, matching per-slice annotation practice).
+    Exact, measuring only boundary pixels the masks do not share (a shared
+    one's nearest distance is 0) and skipping slices whose boundaries are equal.
     """
     a = _as_array(a)
     b = _as_array(b)
     if a.shape != b.shape:
         raise ValueError("mask shapes differ: %s vs %s" % (a.shape, b.shape))
-    if np.isscalar(spacing_mm):
-        spacing_mm = (float(spacing_mm), float(spacing_mm))
-    sy, sx = spacing_mm[1], spacing_mm[0]
+    if a.ndim not in (2, 3):
+        raise ValueError("hausdorff needs (H,W) or (Z,H,W) masks, got shape %s" % (a.shape,))
+    scale = np.asarray(spacing_mm, dtype=np.float64)
+    if scale.shape not in ((), (2,)) or not np.all((0 < scale) & (scale < np.inf)):
+        raise ValueError("spacing must be one or two finite positive numbers, got %r"
+                         % (spacing_mm,))
+    scale = np.broadcast_to(scale, 2)[::-1]  # (sx, sy) -> (row, col) steps
     if a.ndim == 2:
-        a = a[None]
-        b = b[None]
-    worst = 0.0
-    seen = False
-    for za, zb in zip(a, b):
-        pa = boundary_points(za == label)
-        pb = boundary_points(zb == label)
-        if len(pa) == 0 and len(pb) == 0:
-            continue
-        if len(pa) == 0 or len(pb) == 0:
-            raise ValueError("hausdorff undefined: label %d empty in one mask"
-                             % label)
-        seen = True
-        worst = max(worst,
-                    _directed_hausdorff(pa, pb, (sy, sx)),
-                    _directed_hausdorff(pb, pa, (sy, sx)))
-    if not seen:
+        a, b = a[None], b[None]
+    sa, sb = a == label, b == label
+    # crop to the union's bounding box: every pixel outside it is outside both sets
+    footprint = (sa | sb).any(axis=0)
+    rows = np.flatnonzero(footprint.any(axis=1))
+    if len(rows) == 0:
         raise ValueError("hausdorff undefined: label %d empty in both masks" % label)
-    return worst
+    cols = np.flatnonzero(footprint.any(axis=0))
+    box = np.s_[:, rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    sa, sb = sa[box], sb[box]
+    if (sa.any(axis=(1, 2)) != sb.any(axis=(1, 2))).any():
+        raise ValueError("hausdorff undefined: label %d empty in one mask" % label)
+    pa, pb = boundary_points(sa), boundary_points(sb)
+    ka, kb = (np.ravel_multi_index(p.T, sa.shape) for p in (pa, pb))
+    only_a, only_b = ~np.isin(ka, kb), ~np.isin(kb, ka)
+    pa, pb = (p + (0, rows[0], cols[0]) for p in (pa, pb))  # back to whole-slice pixels
+    worst = 0.0
+    for z in np.union1d(pa[only_a, 0], pb[only_b, 0]):  # slices whose boundaries differ
+        in_a, in_b = pa[:, 0] == z, pb[:, 0] == z
+        worst = max(worst, _nearest_max(pa[in_a & only_a, 1:], pb[in_b, 1:], scale),
+                    _nearest_max(pb[in_b & only_b, 1:], pa[in_a, 1:], scale))
+    return float(np.sqrt(worst))
 
 
 def pearson(x, y) -> float:

@@ -23,6 +23,11 @@ Artefacts, one line each:
   and ES masks of `condenseg segment`, and `condenseg params`'s JSON of
   those two masks, each file name then its bytes (one digest; the
   commands' standard output is left out);
+- the float64 bytes of every Dice and Hausdorff distance that run's
+  `evaluate` reports, then of `hausdorff` between each ED mask of a
+  12-phantom cohort and its ES mask, and between it and itself rolled one
+  pixel along a row, for labels 1-3 at the cohort's pixel spacing (one
+  digest);
 - the (centre, radius, score) that `hough_circle` finds on the saliency map
   of every subject of a 20-phantom cohort;
 - every file `save_dataset` writes for a 3-phantom cohort (manifest, meta
@@ -61,6 +66,7 @@ import condenseg  # noqa: E402
 from condenseg.cli import main as cli_main  # noqa: E402
 from condenseg.dataset import save_dataset  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
+from condenseg.metrics import hausdorff  # noqa: E402
 from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
                            load_checkpoint, save_checkpoint)
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom  # noqa: E402
@@ -68,7 +74,7 @@ from condenseg.roi import first_harmonic_map, hough_circle  # noqa: E402
 from condenseg.tensor import AdamState, RunningStats, Tensor, scale_shift  # noqa: E402
 from condenseg.train import (TrainConfig, _step, _training_slices,  # noqa: E402
                              emit_report_csv, evaluate, train)
-from condenseg.volume import LabelMask, save_volume  # noqa: E402
+from condenseg.volume import LABEL_NAMES, LabelMask, save_volume  # noqa: E402
 
 LASSO = 1e-5
 
@@ -126,14 +132,29 @@ def determinism_run_lines(tmp):
     ckpt = os.path.join(tmp, "run.ckpt")
     save_checkpoint(net, ckpt, epoch=cfg.epochs,
                     extra={"train_config": cfg.to_dict(), "run_history": history})
-    csv, summary = emit_report_csv(evaluate(net, subs[4:]), os.path.join(tmp, "run.csv"))
+    result = evaluate(net, subs[4:])
+    csv, summary = emit_report_csv(result, os.path.join(tmp, "run.csv"))
     for name, path in (("checkpoint", ckpt), ("eval_csv", csv), ("eval_summary_csv", summary)):
         with open(path, "rb") as f:
             yield "run/" + name, sha(f.read())
+    yield "metrics/evaluate", metrics_digest(result)
     reloaded, _ = load_checkpoint(ckpt)
     x = np.random.default_rng(7).standard_normal((2, 1, 32, 32)).astype(reloaded.dtype)
     yield "run/reloaded_eval_output", sha(reloaded.forward(Tensor(x), training=False).data)
     yield "cli/files", cli_files_digest(os.path.join(tmp, "cli"), ckpt, subs[4])
+
+
+def metrics_digest(result):
+    """Digest of `result`'s Dice and Hausdorff figures, then of Hausdorff
+    distances between the ED mask of each of 12 phantoms and its ES mask and
+    its one-pixel roll."""
+    values = [fig[name] for sub in result.subjects for fig in (sub.dice, sub.hausdorff_mm)
+              for name in LABEL_NAMES[1:]]
+    for sub in build_cohort(12, seed=19):
+        ed = sub.ed_mask.data
+        values += [hausdorff(ed, other, label, sub.geometry.pixel_spacing_mm)
+                   for label in (1, 2, 3) for other in (sub.es_mask.data, np.roll(ed, 1, axis=-1))]
+    return sha(np.array(values, dtype=np.float64))
 
 
 def cli_files_digest(folder, ckpt, sub):
