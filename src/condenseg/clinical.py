@@ -9,6 +9,8 @@ myocardial mass = myocardium volume at end-diastole times 1.05 g/mL.
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .volume import Geometry, LabelMask, LV, MYO, RV
 
 MYO_DENSITY_G_PER_ML = 1.05
@@ -37,7 +39,7 @@ def simpson_volume(mask: LabelMask, label: int, geom: Geometry) -> float:
     if mask.data.ndim != 3:
         raise ValueError("simpson_volume expects a (Z,H,W) stack, got %s"
                          % (mask.data.shape,))
-    return count_ml(int((mask.data == label).sum()), geom)
+    return count_ml(int(np.count_nonzero(mask.data == label)), geom)
 
 
 def count_ml(count, geom: Geometry) -> float:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .volume import LabelMask
+from .volume import MAX_MM, LabelMask
 
 
 def _as_array(mask):
@@ -17,10 +17,10 @@ def dice_score(a, b, label: int) -> float:
         raise ValueError("mask shapes differ: %s vs %s" % (a.shape, b.shape))
     sa = a == label
     sb = b == label
-    denom = int(sa.sum()) + int(sb.sum())
+    denom = int(np.count_nonzero(sa)) + int(np.count_nonzero(sb))
     if denom == 0:
         return 1.0
-    return 2.0 * int((sa & sb).sum()) / denom
+    return 2.0 * int(np.count_nonzero(sa & sb)) / denom
 
 
 def boundary_points(binary: np.ndarray) -> np.ndarray:
@@ -53,8 +53,9 @@ def hausdorff(a, b, label: int, spacing_mm=(1.0, 1.0)) -> float:
 
     2-D masks are compared in-plane; (Z,H,W) stacks take the worst slice
     (in-plane distances only, matching per-slice annotation practice).
-    Exact, measuring only boundary pixels the masks do not share (a shared
-    one's nearest distance is 0) and skipping slices whose boundaries are equal.
+    Exact: slices whose label sets are equal are dropped before any boundary
+    is taken (their distance is 0), and only boundary pixels the masks do not
+    share are measured (a shared one's nearest distance is 0).
     """
     a = _as_array(a)
     b = _as_array(b)
@@ -63,9 +64,9 @@ def hausdorff(a, b, label: int, spacing_mm=(1.0, 1.0)) -> float:
     if a.ndim not in (2, 3):
         raise ValueError("hausdorff needs (H,W) or (Z,H,W) masks, got shape %s" % (a.shape,))
     scale = np.asarray(spacing_mm, dtype=np.float64)
-    if scale.shape not in ((), (2,)) or not np.all((0 < scale) & (scale < np.inf)):
-        raise ValueError("spacing must be one or two finite positive numbers, got %r"
-                         % (spacing_mm,))
+    if scale.shape not in ((), (2,)) or not np.all((0 < scale) & (scale <= MAX_MM)):
+        raise ValueError("spacing must be one or two finite positive numbers of at most"
+                         " %g mm, got %r" % (MAX_MM, spacing_mm))
     scale = np.broadcast_to(scale, 2)[::-1]  # (sx, sy) -> (row, col) steps
     if a.ndim == 2:
         a, b = a[None], b[None]
@@ -80,6 +81,10 @@ def hausdorff(a, b, label: int, spacing_mm=(1.0, 1.0)) -> float:
     sa, sb = sa[box], sb[box]
     if (sa.any(axis=(1, 2)) != sb.any(axis=(1, 2))).any():
         raise ValueError("hausdorff undefined: label %d empty in one mask" % label)
+    differ = (sa != sb).any(axis=(1, 2))  # an equal slice's boundaries are equal: distance 0
+    if not differ.any():
+        return 0.0
+    sa, sb = sa[differ], sb[differ]  # z below indexes the kept slices; only (row, col) is measured
     pa, pb = boundary_points(sa), boundary_points(sb)
     ka, kb = (np.ravel_multi_index(p.T, sa.shape) for p in (pa, pb))
     only_a, only_b = ~np.isin(ka, kb), ~np.isin(kb, ka)

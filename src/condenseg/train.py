@@ -297,7 +297,8 @@ def evaluate(net, subjects):
                 except ValueError:
                     hd[name] = float("nan")
             predicted = _parameters(pred_ed, pred_es, geometry)
-            reference = _parameters(sub.ed_mask, sub.es_mask, geometry)
+            reference = (dict(predicted) if net is None  # the same masks: no second report
+                         else _parameters(sub.ed_mask, sub.es_mask, geometry))
         except (ValueError, ArithmeticError) as err:
             raise type(err)("subject %s: %s" % (sub.name, err)) from err
         results.append(SubjectResult(sub.name, sub.group, dice, hd,

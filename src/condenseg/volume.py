@@ -19,6 +19,7 @@ from .schema import NUMBER, PRESENT, check, dumps, is_int, read_record, write_fi
 
 LABEL_NAMES = ("background", "rv", "myocardium", "lv")
 BACKGROUND, RV, MYO, LV = 0, 1, 2, 3
+MAX_MM = 1e6  # largest spacing, thickness or gap: keeps every volume and distance finite
 
 
 class VolumeFormatError(ValueError):
@@ -52,9 +53,12 @@ class Geometry:
             raise ValueError("geometry values must be finite and positive (gap may be 0)")
         for name in ("pixel_spacing_mm", "slice_thickness_mm", "slice_gap_mm"):
             try:  # a JSON integer may pass the bounds and still overflow a float
-                np.asarray(getattr(self, name), dtype=float)
+                value = np.asarray(getattr(self, name), dtype=float)
             except OverflowError:
                 raise ValueError("geometry %s is too large for a float" % name) from None
+            if np.any(value > MAX_MM):
+                raise ValueError("geometry %s must be at most %g mm, got %r"
+                                 % (name, MAX_MM, getattr(self, name)))
         self.pixel_spacing_mm = (float(sx), float(sy))
 
     def slice_step_mm(self):

@@ -139,7 +139,9 @@ class TestParamsCommand:
         ([1.5, 1.5], "must be an object"),
         ({"pixel_spacing_mm": 1.5, "slice_thickness_mm": 8.0, "slice_gap_mm": 2.0},
          "pixel_spacing_mm is 1.5"),
-    ], ids=["empty", "list", "spacing_scalar"])
+        ({"pixel_spacing_mm": [1e200, 1e200], "slice_thickness_mm": 1e200, "slice_gap_mm": 0.0},
+         "pixel_spacing_mm must be at most"),
+    ], ids=["empty", "list", "spacing_scalar", "overflowing"])
     def test_bad_geometry_file(self, workdir, tmp_path, geom, match):
         sub_dir = workdir["data"] / "s02"
         geom_path = tmp_path / "geom.json"

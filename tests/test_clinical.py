@@ -10,6 +10,7 @@ from condenseg.clinical import (
     report,
     simpson_volume,
 )
+from condenseg.phantom import build_cohort
 from condenseg.volume import Geometry, LabelMask, LV, MYO, RV
 
 
@@ -123,6 +124,11 @@ class TestReport:
             report(ed, None, Geometry())
         with pytest.raises(ValueError, match="ED"):
             report(None, es, Geometry())
+
+    def test_overflowing_geometry_refused(self):
+        sub = build_cohort(1, seed=3)[0]
+        with pytest.raises(ValueError, match="pixel_spacing_mm must be at most"):
+            report(sub.ed_mask, sub.es_mask, Geometry((1e200, 1e200), 1e200, 0.0))
 
     def test_extra_background_class_ignored(self):
         ed, es = two_phase_masks(90, 50)

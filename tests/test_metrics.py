@@ -211,11 +211,13 @@ def random_pair(rng):
     if rng.random() < 0.5:
         shape = (int(rng.integers(1, 5)),) + shape
     a = random_mask(rng, shape)
-    kind = rng.choice(["identical", "flipped", "unrelated", "emptied"])
+    kind = rng.choice(["identical", "flipped", "unrelated", "emptied", "one_slice"])
     if kind == "unrelated":
         b = random_mask(rng, shape)
     else:
         b = a.copy()
+    if kind == "one_slice":  # equal on every other slice, so those are skipped
+        b[rng.integers(0, shape[0]) if len(shape) == 3 else ...] = random_mask(rng, shape[-2:])
     if kind in ("flipped", "emptied"):
         flip = rng.random(shape) < rng.uniform(0.0, 0.1)
         b[flip] = rng.integers(0, 4, size=int(flip.sum()))
@@ -290,7 +292,8 @@ class TestHausdorffBadInput:
             hausdorff(a, np.roll(a, 2, axis=-1), 1, 1.0)
 
     @pytest.mark.parametrize("spacing", [float("nan"), (float("nan"), 1.0), (1.0, 2.0, 3.0),
-                                         0.0, (1.0, -2.0), float("inf"), (1.0, float("inf"))])
+                                         0.0, (1.0, -2.0), float("inf"), (1.0, float("inf")),
+                                         1e308])
     def test_spacing_not_one_or_two_finite_positive_numbers(self, spacing):
         a = blob((6, 6), (1, 1))
         b = blob((6, 6), (3, 4))

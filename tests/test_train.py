@@ -488,6 +488,13 @@ class TestEvaluate:
             assert abs(value - 1.0) < 1e-12, param
         assert all(v == 0.0 for v in res.mean_abs_error.values())
 
+    def test_ground_truth_reports_are_separate_dicts(self):
+        sub = evaluate(None, tiny_cohort(1)).subjects[0]
+        assert sub.predicted == sub.reference and sub.predicted is not sub.reference
+        kept = dict(sub.reference)
+        sub.predicted["ef_percent"] = -1.0
+        assert sub.reference == kept
+
     def test_untrained_net_does_not_crash(self):
         subs = tiny_cohort(3)
         cfg = tiny_config(epochs=1, learning_rate=0.0)

@@ -54,8 +54,11 @@ class TestGeometry:
          "slice_thickness_mm is too large for a float"),
         ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": 8, "slice_gap_mm": 10 ** 400},
          "slice_gap_mm is too large for a float"),
+        ({"pixel_spacing_mm": [1.5, 1.5], "slice_thickness_mm": 8, "slice_gap_mm": 1e200},
+         "slice_gap_mm must be at most 1e\\+06 mm"),
     ], ids=["empty", "list", "scalar", "spacing_scalar", "spacing_short", "thickness_str",
-            "no_gap", "spacing_bool", "spacing_huge_int", "thickness_huge_int", "gap_huge_int"])
+            "no_gap", "spacing_bool", "spacing_huge_int", "thickness_huge_int", "gap_huge_int",
+            "gap_overflowing"])
     def test_from_dict_names_the_field(self, obj, match):
         with pytest.raises(ValueError, match=match):
             Geometry.from_dict(obj)

@@ -35,7 +35,11 @@ Artefacts, one line each:
   relative-path order (one digest);
 - the images and labels `_training_slices` crops from a 7-phantom cohort:
   the training set's every slice of 5 subjects, then the central slices of
-  the other 2 as validation takes them (one digest).
+  the other 2 as validation takes them (one digest);
+- the float64 bytes of every Dice, Hausdorff distance and predicted and
+  reference clinical parameter of each subject, then of every correlation,
+  mean absolute error and mean Dice, that `evaluate(None, ...)` reports for
+  a 12-phantom cohort scored against its own ground truth (one digest).
 
 Bytes depend on the BLAS thread count, so it is set to 1 before NumPy
 loads unless the environment already sets it; compare two trees at the
@@ -64,6 +68,7 @@ import numpy as np  # noqa: E402
 
 import condenseg  # noqa: E402
 from condenseg.cli import main as cli_main  # noqa: E402
+from condenseg.clinical import ClinicalReport  # noqa: E402
 from condenseg.dataset import save_dataset  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
 from condenseg.metrics import hausdorff  # noqa: E402
@@ -181,6 +186,18 @@ def cli_files_digest(folder, ckpt, sub):
     return sha(*blobs)
 
 
+def evaluate_truth_lines():
+    result = evaluate(None, build_cohort(12, seed=23))
+    params, names = ClinicalReport.PARAMETERS, LABEL_NAMES[1:]
+    values = [table[key] for sub in result.subjects
+              for table, keys in ((sub.dice, names), (sub.hausdorff_mm, names),
+                                  (sub.predicted, params), (sub.reference, params))
+              for key in keys]
+    values += [result.rho[p] for p in params] + [result.mean_abs_error[p] for p in params]
+    values += [result.mean_dice[name] for name in names]
+    yield "metrics/evaluate_truth", sha(np.array(values, dtype=np.float64))
+
+
 def roi_lines():
     votes = [hough_circle(first_harmonic_map(sub.cine).sum(axis=0))
              for sub in build_cohort(20, seed=7)]
@@ -233,6 +250,7 @@ def main():
         lines += roi_lines()
         lines += dataset_lines(tmp)
     lines += training_slices_lines()
+    lines += evaluate_truth_lines()
     for name, digest in lines:
         print("%s  %s" % (digest, name))
     # ru_maxrss is in KiB on Linux
