@@ -8,7 +8,7 @@ the end-to-end phantom pipeline with its CLI.
 
 __version__ = "0.1.0"
 
-from .tensor import Tensor, AdamState, adam_step, grad_check  # noqa: F401
+from .tensor import Tensor, AdamState, adam_step  # noqa: F401
 from .volume import CineVolume, Geometry, LabelMask, load_volume, save_volume  # noqa: F401
 from .lgconv import (  # noqa: F401
     LGConvLayer,

@@ -1,5 +1,6 @@
 """Cohort persistence and stratified splitting."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -27,12 +28,15 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 def save_dataset(root, subjects):
     """Write one directory per subject plus a manifest listing them.  A name
     that load_dataset's manifest rule rejects raises ValueError before
-    anything is written."""
+    anything is written.  The old manifest goes before any subject file and the
+    new one is written last, so a save that fails part-way leaves no manifest."""
     if not subjects:
         raise ValueError("refusing to write an empty dataset")
     manifest = check({"magic": DATASET_MAGIC, "version": 1,
                       "subjects": [sub.name for sub in subjects]},
                      _MANIFEST, ValueError, "dataset manifest")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(root, "manifest.json"))
     for sub in subjects:
         folder = os.path.join(root, sub.name)
         os.makedirs(folder, exist_ok=True)

@@ -122,9 +122,11 @@ def detect_roi(vol: CineVolume, r_min: int | None = None,
     """first_harmonic_map summed over slices -> hough_circle -> crop window.
 
     A radius bound left at None is taken from radius_band of the image, so
-    the default band fits any image size.  Raises DetectionError when no
-    edges vote; callers that need a box anyway should fall back to
-    center_box()."""
+    the default band fits any image size.  Raises DetectionError for a cine
+    of fewer than two frames or when no edges vote; callers that need a box
+    anyway should fall back to center_box()."""
+    if vol.frames < 2:  # first_harmonic_map needs two frames
+        raise DetectionError("a cine of %d frame shows no motion" % vol.frames)
     shape = vol.data.shape[2:]
     lo, hi = radius_band(shape)
     center, radius, _ = hough_circle(first_harmonic_map(vol).sum(axis=0),

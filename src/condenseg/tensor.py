@@ -14,8 +14,8 @@ views of the gradient, and training `scale_shift`s of those views share
 one normalisation of the buffer's channels.  Inside ``no_graph()`` ops
 record nothing and return leaves; an eval forward of the network runs
 there, so it keeps no graph and frees each activation once the next op
-has read it.  The state is per thread.  The weight initialiser ``he_normal``, the Adam optimizer
-and a central finite-difference gradient checker live here as well.
+has read it.  The state is per thread.  The weight initialiser
+``he_normal`` and the Adam optimizer live here as well.
 
 Convolutions are shift-and-add (kn2row): one GEMM of every kernel tap over
 the input, then strided slice-adds of the tap planes; the adjoint
@@ -52,13 +52,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-# Tolerance constants, defined once and shared by the test suite.
-GRAD_TOL = 1e-4            # composite ops / full network, double precision
-GRAD_TOL_POINTWISE = 1e-6  # pointwise ops
-CONV_ORACLE_TOL = 1e-10    # conv vs direct-loop oracle
-ADJOINT_TOL = 1e-8         # <conv(x),y> == <x, conv_T(y)>
-SOFTMAX_SUM_TOL = 1e-9     # per-pixel probability normalization
-INFERENCE_MATCH_TOL = 1e-5 # compact vs masked-dense forward
+INFERENCE_MATCH_TOL = 1e-5  # compact vs masked-dense forward
 
 BN_EPS = 1e-5  # added to the variance before `scale_shift` takes its root
 
@@ -930,40 +924,3 @@ def adam_step(params, state: AdamState):
         v += (1 - b2) * np.square(p.grad)
         p.data -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.EPSILON_HAT)
 
-
-# -- finite-difference checking ---------------------------------------
-
-
-def grad_check(f, x: Tensor, h: float = 1e-5, rng=None) -> float:
-    """Compare f's backward gradient at x against central differences.
-
-    f must be a deterministic scalar-valued function of x (double
-    precision).  Checks all entries of x unless an rng for subsampling up
-    to 64 entries is given.  Returns the max relative error.
-    """
-    x.zero_grad()
-    out = f(x)
-    out.backward()
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    flat = x.data.reshape(-1)
-    idx = np.arange(flat.size)
-    if rng is not None and flat.size > 64:
-        idx = np.sort(rng.choice(flat.size, size=64, replace=False))
-
-    ana_flat = analytic.reshape(-1)
-    worst = 0.0
-    for i in idx:
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x).item()
-        flat[i] = orig - h
-        fm = f(x).item()
-        flat[i] = orig
-        num = (fp - fm) / (2 * h)
-        a = ana_flat[i]
-        denom = max(abs(num), abs(a))
-        if denom < 1e-10:
-            continue
-        worst = max(worst, abs(num - a) / denom)
-    return worst

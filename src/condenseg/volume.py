@@ -139,11 +139,12 @@ class LabelMask:
 # -- file format -------------------------------------------------------
 
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
-# the geometry values are left to Geometry, whose errors load_volume reports
+# header key -> Geometry field; Geometry.from_dict checks the values load_volume reads
+_GEOMETRY_KEYS = {"spacing_mm": "pixel_spacing_mm", "slice_thickness_mm": "slice_thickness_mm",
+                  "slice_gap_mm": "slice_gap_mm"}
 _HEADER = {"dims": (lambda d: isinstance(d, list) and len(d) == 4
                     and all(is_int(n) and n >= 1 for n in d), "4 positive ints"),
-           "dtype": PRESENT, "spacing_mm": PRESENT, "slice_thickness_mm": PRESENT,
-           "slice_gap_mm": PRESENT}
+           "dtype": PRESENT, **dict.fromkeys(_GEOMETRY_KEYS, PRESENT)}
 _DTYPE_TAG = {"dtype": (lambda t: t in tuple(_DTYPES), "f32 or u8")}
 
 
@@ -154,7 +155,7 @@ def save_volume(path, obj):
         dtype_tag = "f32"
         buf = np.ascontiguousarray(obj.data, dtype=_DTYPES["f32"])
         label_names = None
-        geom = obj.geometry
+        geom = obj.geometry.to_dict()
     elif isinstance(obj, LabelMask):
         if obj.data.ndim != 3:
             raise ValueError("only (Z,H,W) masks are saved to files")
@@ -162,17 +163,14 @@ def save_volume(path, obj):
         dtype_tag = "u8"
         buf = np.ascontiguousarray(obj.data, dtype=_DTYPES["u8"])
         label_names = list(obj.label_names)
-        geom = Geometry()
+        geom = Geometry().to_dict()
     else:
         raise TypeError("save_volume handles CineVolume or LabelMask, not %r"
                         % type(obj).__name__)
     if 0 in dims:  # load_volume accepts positive dims only
         raise ValueError("refusing to save an empty volume of shape %s" % (obj.data.shape,))
-    header = {"dims": dims, "dtype": dtype_tag,
-              "spacing_mm": list(geom.pixel_spacing_mm),
-              "slice_thickness_mm": geom.slice_thickness_mm,
-              "slice_gap_mm": geom.slice_gap_mm,
-              "label_names": label_names}
+    header = {"dims": dims, "dtype": dtype_tag, "label_names": label_names,
+              **{key: geom[name] for key, name in _GEOMETRY_KEYS.items()}}
     write_file(path, (dumps(header), buf.tobytes()))
 
 
@@ -188,9 +186,8 @@ def load_volume(path):
                               % (path, len(blob), expected))
     arr = blob.view(dt).reshape(dims)  # the record's own array: no copy
     try:
-        geom = Geometry(tuple(header["spacing_mm"]), header["slice_thickness_mm"],
-                        header["slice_gap_mm"])
-    except (TypeError, ValueError) as err:
+        geom = Geometry.from_dict({name: header[key] for key, name in _GEOMETRY_KEYS.items()})
+    except ValueError as err:
         raise HeaderError("%s: bad geometry: %s" % (path, err)) from None
     if tag == "f32":
         try:

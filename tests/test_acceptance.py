@@ -26,11 +26,9 @@ from condenseg.net import NetConfig, build, save_checkpoint
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom
 from condenseg.roi import detect_roi, first_harmonic_map
 from condenseg.tensor import (
-    GRAD_TOL,
     Tensor,
     conv2d,
     conv2d_transpose,
-    grad_check,
     he_normal,
     max_pool2d,
     scale_shift,
@@ -38,6 +36,7 @@ from condenseg.tensor import (
 )
 from condenseg.train import TrainConfig, emit_report_csv, evaluate, train
 from condenseg.volume import Geometry, LabelMask, LV
+from gradcheck import GRAD_TOL, grad_check
 
 
 def _prober(fn, x0, rng):

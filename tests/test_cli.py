@@ -12,7 +12,7 @@ from condenseg.dataset import load_dataset, save_dataset
 from condenseg.net import NetConfig, Network, load_checkpoint
 from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.train import TrainConfig
-from condenseg.volume import RV, load_volume, save_volume
+from condenseg.volume import RV, CineVolume, load_volume, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,13 @@ class TestSegmentCommand:
         assert main(["segment", "--ckpt", str(workdir["ckpt"]), "--in", str(cine),
                      "--out", str(tmp_path / "m.bin"), "--frame", "1"]) == 0
         assert sum(forwarded) == load_volume(cine).data.shape[1]
+
+    def test_one_frame_cine_segmented_in_the_centre_box(self, workdir, tmp_path):
+        cine, out = tmp_path / "cine.bin", tmp_path / "mask.bin"
+        save_volume(cine, CineVolume(load_volume(workdir["data"] / "s01" / "cine.bin").data[:1]))
+        assert main(["segment", "--ckpt", str(workdir["ckpt"]), "--in", str(cine),
+                     "--out", str(out), "--frame", "0"]) == 0
+        assert load_volume(out).data.shape == workdir["subjects"][1].ed_mask.data.shape
 
     def test_bad_frame(self, workdir, tmp_path):
         cine = workdir["data"] / "s01" / "cine.bin"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condenseg import dataset as dataset_mod
 from condenseg.dataset import (
     StratificationError,
     load_dataset,
@@ -71,6 +72,25 @@ class TestPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope")
+
+    def test_failed_save_over_a_dataset_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # the fifth volume is the second subject's ED mask: with the old manifest
+        # left, the second subject would load a new cine beside the old masks
+        root = tmp_path / "ds"
+        save_dataset(root, build_cohort(3, seed=1))
+        saved = []
+
+        def failing(path, obj):
+            saved.append(path)
+            if len(saved) == 5:
+                raise OSError("disk full")
+            save_volume(path, obj)
+
+        monkeypatch.setattr(dataset_mod, "save_volume", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(root, build_cohort(3, seed=2))
+        with pytest.raises(FileNotFoundError):
+            load_dataset(root)
 
 
 @functools.lru_cache(maxsize=None)

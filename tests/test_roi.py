@@ -194,6 +194,11 @@ class TestDetectRoi:
     def test_default_band_at_128_is_the_full_band(self):
         assert radius_band((128, 128)) == (8, 40)
 
+    def test_one_frame_is_a_detection_error(self):
+        # no motion to find: callers fall back to center_box, as on no votes
+        with pytest.raises(DetectionError, match="1 frame"):
+            detect_roi(cine(np.ones((1, 2, 64, 64))))
+
 
 @st.composite
 def crop_cases(draw):

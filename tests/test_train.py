@@ -18,6 +18,7 @@ from condenseg import tensor as tensor_mod
 from condenseg import train as train_mod
 from condenseg.net import ConfigError, NetConfig, build, save_checkpoint
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom
+from condenseg.roi import center_box
 from condenseg.tensor import NumericsError, Tensor
 from condenseg.train import (
     TrainConfig,
@@ -26,7 +27,7 @@ from condenseg.train import (
     predict_masks,
     train,
 )
-from condenseg.volume import LV, RV, LabelMask
+from condenseg.volume import LV, RV, CineVolume, LabelMask
 
 
 def tiny_cohort(n=6, seed0=100):
@@ -477,6 +478,12 @@ with tempfile.TemporaryDirectory() as tmp:
             runs.append((f.read(), history))
 print("same" if runs[0] == runs[1] else "differ")
 """
+
+
+class TestCineBox:
+    def test_one_frame_cine_gets_the_centre_box(self):
+        cine = CineVolume(build_cohort(1, seed=1)[0].cine.data[:1])
+        assert train_mod.cine_box(cine, 64) == center_box(cine.data.shape[2:], size=64)
 
 
 class TestEvaluate:

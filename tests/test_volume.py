@@ -275,6 +275,24 @@ class TestFileFormat:
         with pytest.raises(HeaderError, match="bad geometry"):
             load_volume(self._with_header_field(tmp_path, key, value))
 
+    @pytest.mark.parametrize("key,value", [
+        ("spacing_mm", [True, True]), ("spacing_mm", [1.5, True]), ("slice_thickness_mm", True),
+        ("slice_gap_mm", False)])
+    def test_boolean_geometry_is_header_error(self, tmp_path, key, value):
+        # JSON true is no number, here as in a geometry file or meta.json
+        with pytest.raises(HeaderError, match="bad geometry"):
+            load_volume(self._with_header_field(tmp_path, key, value))
+
+    def test_header_roundtrips_to_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_volume(a, CineVolume(np.ones((1, 2, 2, 2), dtype=np.float32),
+                                  Geometry((0.75, 1.25), 6, 0.0)))
+        save_volume(b, load_volume(a))
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes().split(b"\n")[0] == (
+            b'{"dims":[1,2,2,2],"dtype":"f32","label_names":null,"slice_gap_mm":0.0,'
+            b'"slice_thickness_mm":6,"spacing_mm":[0.75,1.25]}')
+
     @pytest.mark.parametrize("line", [b"[]", b"1", b"null", b'"x"'])
     def test_header_not_object(self, tmp_path, line):
         path = tmp_path / "v.bin"
