@@ -1,12 +1,14 @@
 """Cohort persistence and stratified splitting."""
 
 import contextlib
+import functools
 import os
 
 import numpy as np
 
 from .phantom import PhantomSubject as Subject
 from .schema import PRESENT, check, dumps, is_int, optional, read_json, write_file
+from .tensor import _lanes
 from .volume import CineVolume, Geometry, LabelMask, load_kind, save_volume
 
 DATASET_MAGIC = "condenseg-dataset"
@@ -28,8 +30,11 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 def save_dataset(root, subjects):
     """Write one directory per subject plus a manifest listing them.  A name
     that load_dataset's manifest rule rejects raises ValueError before
-    anything is written.  The old manifest goes before any subject file and the
-    new one is written last, so a save that fails part-way leaves no manifest."""
+    anything is written.  The subjects are written on the lanes (`_lanes`),
+    and of several failing subjects the first in input order names the
+    error.  The old manifest goes before any subject file and the new one is
+    written once every lane is done, so a save that fails part-way leaves
+    no manifest."""
     if not subjects:
         raise ValueError("refusing to write an empty dataset")
     manifest = check({"magic": DATASET_MAGIC, "version": 1,
@@ -37,17 +42,21 @@ def save_dataset(root, subjects):
                      _MANIFEST, ValueError, "dataset manifest")
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(root, "manifest.json"))
-    for sub in subjects:
-        folder = os.path.join(root, sub.name)
-        os.makedirs(folder, exist_ok=True)
-        save_volume(os.path.join(folder, "cine.bin"), sub.cine)
-        save_volume(os.path.join(folder, "ed_mask.bin"), sub.ed_mask)
-        save_volume(os.path.join(folder, "es_mask.bin"), sub.es_mask)
-        meta = {"name": sub.name, "group": sub.group,
-                "ed_frame": sub.ed_frame, "es_frame": sub.es_frame,
-                "geometry": sub.geometry.to_dict(), "truth": sub.truth}
-        write_file(os.path.join(folder, "meta.json"), [dumps(meta)])
+    with _lanes() as pool:
+        pool.map(functools.partial(_save_subject, root), subjects)
     write_file(os.path.join(root, "manifest.json"), [dumps(manifest)])
+
+
+def _save_subject(root, sub):
+    folder = os.path.join(root, sub.name)
+    os.makedirs(folder, exist_ok=True)
+    save_volume(os.path.join(folder, "cine.bin"), sub.cine)
+    save_volume(os.path.join(folder, "ed_mask.bin"), sub.ed_mask)
+    save_volume(os.path.join(folder, "es_mask.bin"), sub.es_mask)
+    meta = {"name": sub.name, "group": sub.group,
+            "ed_frame": sub.ed_frame, "es_frame": sub.es_frame,
+            "geometry": sub.geometry.to_dict(), "truth": sub.truth}
+    write_file(os.path.join(folder, "meta.json"), [dumps(meta)])
 
 
 def load_dataset(root):
@@ -56,32 +65,34 @@ def load_dataset(root):
     ValueError naming the file and the field, a cine or mask file holding
     the other kind of volume or a mask whose shape is not its cine's
     (Z, H, W) one naming the file; a listed subject folder that does not
-    exist, OSError."""
+    exist, OSError.  Of several bad subjects, the first in manifest order
+    names the error."""
     path = os.path.join(root, "manifest.json")
     manifest = check(read_json(path, ValueError), _MANIFEST, ValueError, path)
-    subjects = []
-    for name in manifest["subjects"]:
-        folder = os.path.join(root, name)
-        meta_path = os.path.join(folder, "meta.json")
-        meta = read_json(meta_path, ValueError)
-        cine = load_kind(os.path.join(folder, "cine.bin"), CineVolume)
-        frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
-        check(meta, {"name": (lambda n: n == name, repr(name)), "group": _STRING,
-                     "ed_frame": frame, "es_frame": frame, "geometry": PRESENT,
-                     "truth": optional((lambda t: isinstance(t, dict), "an object"))},
-              ValueError, meta_path)
-        cine.geometry = Geometry.from_dict(meta["geometry"], meta_path + " geometry")
-        masks = []
-        for path in (os.path.join(folder, "ed_mask.bin"), os.path.join(folder, "es_mask.bin")):
-            masks.append(load_kind(path, LabelMask))
-            if masks[-1].shape != cine.data.shape[1:]:
-                raise ValueError("%s: mask shape %s is not its cine's (Z, H, W) %s"
-                                 % (path, masks[-1].shape, cine.data.shape[1:]))
-        subjects.append(Subject(
-            name=name, group=meta["group"], cine=cine,
-            ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
-            ed_mask=masks[0], es_mask=masks[1], truth=meta.get("truth", {})))
-    return subjects
+    with _lanes() as pool:
+        return pool.map(functools.partial(_load_subject, root), manifest["subjects"])
+
+
+def _load_subject(root, name):
+    folder = os.path.join(root, name)
+    meta_path = os.path.join(folder, "meta.json")
+    meta = read_json(meta_path, ValueError)
+    cine = load_kind(os.path.join(folder, "cine.bin"), CineVolume)
+    frame = (lambda t: is_int(t) and 0 <= t < cine.frames, "an int in [0, %d)" % cine.frames)
+    check(meta, {"name": (lambda n: n == name, repr(name)), "group": _STRING,
+                 "ed_frame": frame, "es_frame": frame, "geometry": PRESENT,
+                 "truth": optional((lambda t: isinstance(t, dict), "an object"))},
+          ValueError, meta_path)
+    cine.geometry = Geometry.from_dict(meta["geometry"], meta_path + " geometry")
+    masks = []
+    for path in (os.path.join(folder, "ed_mask.bin"), os.path.join(folder, "es_mask.bin")):
+        masks.append(load_kind(path, LabelMask))
+        if masks[-1].shape != cine.data.shape[1:]:
+            raise ValueError("%s: mask shape %s is not its cine's (Z, H, W) %s"
+                             % (path, masks[-1].shape, cine.data.shape[1:]))
+    return Subject(name=name, group=meta["group"], cine=cine,
+                   ed_frame=meta["ed_frame"], es_frame=meta["es_frame"],
+                   ed_mask=masks[0], es_mask=masks[1], truth=meta.get("truth", {}))
 
 
 def _group_indices(subjects):

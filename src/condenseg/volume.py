@@ -171,7 +171,7 @@ def save_volume(path, obj):
         raise ValueError("refusing to save an empty volume of shape %s" % (obj.data.shape,))
     header = {"dims": dims, "dtype": dtype_tag, "label_names": label_names,
               **{key: geom[name] for key, name in _GEOMETRY_KEYS.items()}}
-    write_file(path, (dumps(header), buf.tobytes()))
+    write_file(path, (dumps(header), memoryview(buf)))  # the array's own bytes: no copy
 
 
 def load_volume(path):

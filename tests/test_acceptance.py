@@ -8,7 +8,6 @@ import time
 from collections import Counter, namedtuple
 
 import numpy as np
-import pytest
 
 from condenseg.clinical import report, simpson_volume
 from condenseg.dataset import stratified_kfold
@@ -21,7 +20,6 @@ from condenseg.lgconv import (
     to_inference,
 )
 from condenseg.loss import LossConfig, dice_loss, pixel_weights, total_loss, weighted_cross_entropy
-from condenseg.metrics import pearson
 from condenseg.net import NetConfig, build, save_checkpoint
 from condenseg.phantom import PhantomSpec, build_cohort, generate_phantom
 from condenseg.roi import detect_roi, first_harmonic_map

@@ -1,10 +1,8 @@
 """End-to-end CLI workflow on a miniature cohort."""
 
 import json
-import os
 import re
 
-import numpy as np
 import pytest
 
 from condenseg.cli import main

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condenseg import dataset as dataset_mod
+from condenseg import tensor as tensor_mod
 from condenseg.dataset import (
     StratificationError,
     load_dataset,
@@ -91,6 +93,73 @@ class TestPersistence:
             save_dataset(root, build_cohort(3, seed=2))
         with pytest.raises(FileNotFoundError):
             load_dataset(root)
+
+
+def _files(root):
+    """{relative path: bytes} of every file under `root`."""
+    out = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def _loaded(subjects):
+    return [(s.name, s.group, s.ed_frame, s.es_frame, s.truth, s.geometry.to_dict(),
+             [(a.dtype, a.shape, a.tobytes())
+              for a in (s.cine.data, s.ed_mask.data, s.es_mask.data)])
+            for s in subjects]
+
+
+class TestLanes:
+    """save_dataset and load_dataset map their subjects over the lanes: one
+    lane and two give the same files, subjects and errors."""
+
+    def test_saved_files_do_not_depend_on_lanes(self, tmp_path, monkeypatch):
+        subs = tiny_cohort(4)
+        before = threading.active_count()
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
+            save_dataset(tmp_path / str(lanes), subs)
+            runs.append(_files(tmp_path / str(lanes)))
+        assert threading.active_count() == before
+        assert len(runs[0]) == 1 + 4 * 4 and runs[0] == runs[1]
+
+    def test_loaded_subjects_do_not_depend_on_lanes(self, tmp_path, monkeypatch):
+        subs = tiny_cohort(4)
+        save_dataset(tmp_path, subs)
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
+            runs.append(_loaded(load_dataset(tmp_path)))
+        assert runs[0] == runs[1] == _loaded(subs)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_save_error_names_the_first_failing_subject(self, tmp_path, monkeypatch, lanes):
+        monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
+
+        def failing(path, obj):
+            if os.path.basename(os.path.dirname(path)) in ("sub-01", "sub-03"):
+                raise OSError("cannot write %s" % path)
+            save_volume(path, obj)
+
+        monkeypatch.setattr(dataset_mod, "save_volume", failing)
+        with pytest.raises(OSError, match="sub-01"):
+            save_dataset(tmp_path, tiny_cohort(5))
+        assert not os.path.exists(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_load_error_names_the_first_failing_subject(self, tmp_path, monkeypatch, lanes):
+        save_dataset(tmp_path, tiny_cohort(5))
+        for name in ("sub-01", "sub-03"):
+            with open(tmp_path / name / "meta.json", "w") as f:
+                f.write("{")
+        monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: lanes)
+        with pytest.raises(ValueError, match=re.escape(os.path.join("sub-01", "meta.json"))):
+            load_dataset(tmp_path)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from condenseg.phantom import (
     disk_pixel_count,
     generate_phantom,
 )
-from condenseg.volume import LV, MYO, RV
+from condenseg.volume import LV, MYO
 
 
 class TestSpecValidation:

@@ -9,7 +9,6 @@ from condenseg.phantom import PhantomSpec, generate_phantom
 from condenseg.roi import (
     EDGE_PERCENTILE,
     DetectionError,
-    RoiBox,
     _crop2d,
     center_box,
     crop_mask,

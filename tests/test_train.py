@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -522,6 +523,14 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate(None, [])
+
+    def test_leaves_the_warning_filters_as_they_were(self, monkeypatch):
+        # the filter list is the process's: a clinical warning silenced for
+        # one subject must stay silenced for that subject only
+        monkeypatch.setattr(tensor_mod, "_inference_threads", lambda: 2)
+        before = list(warnings.filters)
+        evaluate(None, tiny_cohort(3))
+        assert warnings.filters == before
 
     @pytest.mark.parametrize("erased, blank, kept", [
         (RV, "rv_ef_percent", ("lv_edv_ml", "lv_esv_ml", "ef_percent", "myo_mass_g")),

@@ -32,7 +32,9 @@ Artefacts, one line each:
   of every subject of a 20-phantom cohort;
 - every file `save_dataset` writes for a 3-phantom cohort (manifest, meta
   and volume files), each relative path then its bytes, in sorted
-  relative-path order (one digest);
+  relative-path order (one digest); then what `load_dataset` reads back from
+  them, per subject in manifest order its name, group, frames, geometry and
+  truth as JSON, then its cine and mask bytes (one digest);
 - the images and labels `_training_slices` crops from a 7-phantom cohort:
   the training set's every slice of 5 subjects, then the central slices of
   the other 2 as validation takes them (one digest);
@@ -69,7 +71,7 @@ import numpy as np  # noqa: E402
 import condenseg  # noqa: E402
 from condenseg.cli import main as cli_main  # noqa: E402
 from condenseg.clinical import ClinicalReport  # noqa: E402
-from condenseg.dataset import save_dataset  # noqa: E402
+from condenseg.dataset import load_dataset, save_dataset  # noqa: E402
 from condenseg.loss import LossConfig, total_loss  # noqa: E402
 from condenseg.metrics import hausdorff  # noqa: E402
 from condenseg.net import (NetConfig, apply_condensation, build,  # noqa: E402
@@ -214,6 +216,13 @@ def dataset_lines(tmp):
         with open(os.path.join(root, rel), "rb") as f:
             blobs += [rel.encode(), f.read()]
     yield "dataset/files", sha(*blobs)
+    blobs = []
+    for sub in load_dataset(root):
+        fields = [sub.name, sub.group, sub.ed_frame, sub.es_frame, sub.geometry.to_dict(),
+                  sub.truth]
+        blobs += [json.dumps(fields, sort_keys=True).encode(),
+                  sub.cine.data, sub.ed_mask.data, sub.es_mask.data]
+    yield "dataset/loaded", sha(*blobs)
 
 
 def training_slices_lines():
