@@ -6,7 +6,6 @@ indices follow the usual definitions: SV = EDV - ESV, EF = 100 * SV / EDV,
 myocardial mass = myocardium volume at end-diastole times 1.05 g/mL.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +49,10 @@ def count_ml(count, geom: Geometry) -> float:
 
 def indices(edv: float, esv: float):
     """(stroke volume mL, ejection fraction %) from the two volumes; the
-    ejection fraction is NaN when the EDV is not positive."""
+    EF is NaN when the EDV is not positive, negative when the ESV exceeds it."""
     sv = edv - esv
     if edv <= 0:
         return sv, float("nan")
-    if esv > edv:
-        warnings.warn("ESV %.2f mL exceeds EDV %.2f mL; EF will be negative"
-                      % (esv, edv), RuntimeWarning, stacklevel=2)
     return sv, 100.0 * sv / edv
 
 

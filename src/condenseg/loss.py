@@ -8,7 +8,6 @@ prediction tensor.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +61,6 @@ def class_weight_map(mask: LabelMask, cfg: LossConfig) -> np.ndarray:
     """(B,H,W) weights: scale * |V| / class_freq(each pixel's label)."""
     _check_batch(mask)
     counts = mask.class_counts()
-    absent = [mask.label_names[l] for l in range(mask.num_classes) if counts[l] == 0]
-    if absent:
-        warnings.warn("classes absent from batch, skipped in weighting: %s"
-                      % ", ".join(absent), RuntimeWarning, stacklevel=2)
     per_class = np.zeros(mask.num_classes)
     present = counts > 0
     per_class[present] = cfg.scale * mask.total_pixels() / counts[present]

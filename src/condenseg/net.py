@@ -75,8 +75,8 @@ class NetConfig:
         if self.input_size < 1 or self.input_size % (2 ** max(self.pool_layers, 0)):
             v.append("input_size %d not divisible by 2^%d"
                      % (self.input_size, self.pool_layers))
-        if self.num_classes < 2:
-            v.append("num_classes must be >= 2")
+        if self.num_classes != len(LABEL_NAMES):  # the classes every training mask has
+            v.append("num_classes must be %d, got %r" % (len(LABEL_NAMES), self.num_classes))
         if self.growth_rate < 1 or self.groups < 1 or self.growth_rate % self.groups:
             v.append("growth_rate %d must be a positive multiple of groups %d"
                      % (self.growth_rate, self.groups))

@@ -309,6 +309,7 @@ class _Lanes:
 
     def __init__(self, count):
         self.count = count
+        self._free = threading.Lock()  # held by the map running, which must not nest
         self._boxes = [(queue.SimpleQueue(), queue.SimpleQueue()) for _ in range(count - 1)]
         self._threads = [threading.Thread(target=self._serve, args=box, daemon=True)
                          for box in self._boxes]
@@ -328,9 +329,12 @@ class _Lanes:
         contiguous near-equal runs of items, lane 0 being the caller, and
         this returns once every run is done.  The results keep input order,
         and the error raised is that of the first item, in input order, that
-        failed, so neither depends on the lane count."""
+        failed, so neither depends on the lane count.  A map called while one
+        runs raises RuntimeError: it would wait on lanes busy with the first."""
         n = max(1, min(self.count, len(items)))
         runs = [items[len(items) * j // n:len(items) * (j + 1) // n] for j in range(n)]
+        if not self._free.acquire(blocking=False):
+            raise RuntimeError("lane maps do not nest: these lanes are already mapping")
         for (inbox, _), run in zip(self._boxes, runs[1:]):
             inbox.put(partial(_map_run, fn, run))
         done = []
@@ -338,6 +342,7 @@ class _Lanes:
             done.append((None, _map_run(fn, runs[0])))
         finally:  # the workers may still write into the caller's arrays
             done += [outbox.get() for _, outbox in self._boxes[:n - 1]]
+            self._free.release()
         for err, _ in done:
             if err is not None:
                 raise err

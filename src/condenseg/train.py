@@ -6,7 +6,6 @@ import functools
 import io
 import math
 import os
-import warnings
 
 import numpy as np
 
@@ -251,10 +250,8 @@ def segment_frame(net, cine, frame, box):
 
 
 def _parameters(ed_mask, es_mask, geometry):
-    """The clinical parameters `report` gives, without its warning of an ESV above its EDV."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = report(ed_mask, es_mask, geometry).to_dict()
+    """The clinical parameters of `report`, by name."""
+    rep = report(ed_mask, es_mask, geometry).to_dict()
     return {k: rep[k] for k in ClinicalReport.PARAMETERS}
 
 

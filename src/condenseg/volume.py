@@ -111,6 +111,7 @@ class LabelMask:
     """Integer label map over (..., H, W); one entry per pixel.
 
     Used both for (Z,H,W) anatomical stacks and (B,H,W) training batches.
+    Its label names follow LABEL_NAMES as far as either goes.
     """
 
     def __init__(self, data, num_classes=len(LABEL_NAMES), label_names=None):
@@ -121,9 +122,13 @@ class LabelMask:
             raise ValueError("label mask needs at least (H,W) dims")
         if data.size and (data.min() < 0 or data.max() >= num_classes):
             raise ValueError("labels outside [0, %d)" % num_classes)
+        names = tuple(label_names) if label_names else LABEL_NAMES[:num_classes]
+        if names[:len(LABEL_NAMES)] != LABEL_NAMES[:len(names)]:
+            raise ValueError("label names must follow %s label by label, got %s"
+                             % (list(LABEL_NAMES), list(names)))
         self.data = data.astype(np.uint8)
         self.num_classes = num_classes
-        self.label_names = tuple(label_names) if label_names else LABEL_NAMES[:num_classes]
+        self.label_names = names
 
     @property
     def shape(self):
@@ -201,7 +206,7 @@ def load_volume(path):
         raise HeaderError("%s: label masks must have T=1, got %d" % (path, dims[0]))
     try:
         return LabelMask(arr[0], num_classes=len(names), label_names=names)
-    except ValueError as err:  # a label outside label_names
+    except ValueError as err:  # a label outside label_names, or a name off LABEL_NAMES
         raise HeaderError("%s: %s" % (path, err)) from None
 
 

@@ -87,7 +87,7 @@ def test_criterion_1_gradients():
 
     cfg = LossConfig()
     lab = (np.indices((2, 6, 6)).sum(axis=0) % 4).astype(np.uint8)
-    labels = LabelMask(lab)  # every class present, no weighting warnings
+    labels = LabelMask(lab)  # every class present, so every class is weighted
     logits = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
     wmap = pixel_weights(labels, cfg)
     worst["cross_entropy"] = grad_check(

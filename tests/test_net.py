@@ -54,6 +54,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="palindromic"):
             NetConfig(layers_per_block=(2, 3, 4, 5, 4, 3, 1))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_num_classes_other_than_the_labels(self, n):
+        # training's masks carry the four LABEL_NAMES classes, so any other
+        # head fails at the first step; the config refuses it when built
+        with pytest.raises(ConfigError, match="num_classes must be 4, got %d" % n):
+            NetConfig(num_classes=n)
+
     def test_input_size_not_divisible(self):
         with pytest.raises(ConfigError, match="input_size 100 not divisible"):
             NetConfig(input_size=100)

@@ -959,6 +959,29 @@ class TestLaneTasks:
                 pool.map(task, range(7))
         assert err.value.args == (failing[0],)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_nested_map_refused(self, count):
+        # an item that maps on the lanes running it, on the caller (item 0)
+        # or on a worker (item 1 at W = 2), gets a RuntimeError instead of
+        # waiting on lanes that are busy with the outer map
+        pool = T._Lanes(count)
+        got = []
+
+        def outer(i):
+            try:
+                return pool.map(lambda x: x, [10 * i, 10 * i + 1])
+            except RuntimeError as err:
+                return str(err)
+
+        thread = threading.Thread(target=lambda: got.append(pool.map(outer, [0, 1])),
+                                  daemon=True)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive(), "the nested map did not return"
+        assert got == [["lane maps do not nest: these lanes are already mapping"] * 2]
+        assert pool.map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
+        pool.close()
+
 
 class TestGradCheckHarness:
     def test_linear_op_exact(self):

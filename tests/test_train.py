@@ -532,6 +532,18 @@ class TestEvaluate:
         evaluate(None, tiny_cohort(3))
         assert warnings.filters == before
 
+    def test_esv_above_edv_records_no_warning(self):
+        # the ED and ES masks swapped: a negative EF for both ventricles is a
+        # value in the report, not a warning
+        whole = build_cohort(1, seed=3)[0]
+        sub = dataclasses.replace(whole, ed_mask=whole.es_mask, es_mask=whole.ed_mask)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = evaluate(None, [sub]).subjects[0]
+        assert caught == []
+        assert got.predicted["lv_esv_ml"] > got.predicted["lv_edv_ml"]
+        assert got.predicted["ef_percent"] < 0 and got.predicted["rv_ef_percent"] < 0
+
     @pytest.mark.parametrize("erased, blank, kept", [
         (RV, "rv_ef_percent", ("lv_edv_ml", "lv_esv_ml", "ef_percent", "myo_mass_g")),
         (LV, "ef_percent", ("lv_esv_ml", "rv_ef_percent", "myo_mass_g")),

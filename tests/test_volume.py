@@ -318,8 +318,13 @@ class TestFileFormat:
         ("", "label_names must be a list of strings"),
         ({}, "label_names must be a list of strings"),
         ([], r"labels outside \[0, 0\)"),
+        # names that do not follow LABEL_NAMES would score a mask under the
+        # wrong structures (its "rv" read as the LV)
+        (["background", "lv", "myocardium", "rv"], r"m\.bin: label names must follow"),
+        (["background", "rv", "myo", "lv"], r"m\.bin: label names must follow"),
+        (["rv", "myocardium", "lv", "background", "air"], r"m\.bin: label names must follow"),
     ], ids=["int", "int_entries", "too_few", "zero", "false", "empty_string", "empty_object",
-            "empty_list"])
+            "empty_list", "rv_lv_swapped", "renamed", "rotated_plus_one"])
     def test_bad_label_names(self, tmp_path, names, match):
         path = tmp_path / "m.bin"
         save_volume(path, LabelMask(np.full((1, 2, 2), LV, dtype=np.uint8)))
